@@ -26,11 +26,9 @@ N, M = 129, 3
 CODE = "diagonal"
 PACKING = "u64"
 
-#: Repeated set-ups per run; ``setup_s`` is their median.
+#: Repeated set-ups per run, each right after a launch reference
+#: (:func:`launch_reference`); ``setup_s`` is their median.
 SETUPS = 7
-
-#: Host-speed slices timed before the first set-up (:mod:`hostspeed`).
-SETUP_SLICES = 30
 
 
 def program_available() -> bool:
@@ -56,6 +54,12 @@ def child_env() -> Dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(HERE)])
     env["TMPDIR"] = str(tmp)
     return env
+
+
+def launch_reference() -> float:
+    """Seconds of one :func:`hostspeed.launch_s`, timed while none of the
+    program runs."""
+    return hostspeed.launch_s(child_env(), str(ROOT))
 
 
 def entropy(seed: int, *labels: object) -> int:
@@ -124,14 +128,16 @@ def provenance() -> dict:
 def closed_loop_metrics(latencies: Sequence[float], fresh_trials: int,
                         jobs: int, window: float,
                         trials_per_job: Optional[int] = None,
-                        references: Optional[Sequence[float]] = None
+                        references: Optional[Sequence[float]] = None,
+                        nominal: float = hostspeed.NOMINAL_SLICE_S
                         ) -> Dict[str, tuple]:
     """The job-level numbers of one closed-loop window.
 
-    With ``references`` (the slice time measured right after each job,
-    :mod:`hostspeed`), ``trials_per_s`` is host-calibrated: trials per
-    job over the median job latency converted to nominal host seconds.
-    Otherwise it is the window rate of fresh trials.
+    With ``references`` (a :mod:`hostspeed` reference timed right after
+    each job, ``nominal`` seconds on an undisturbed host),
+    ``trials_per_s`` is host-calibrated: trials per job over the median
+    job latency converted to nominal host seconds. Otherwise it is the
+    window rate of fresh trials.
     """
     tail_s, tail_pct = stats.tail(latencies)
     window_rate = fresh_trials / window
@@ -145,22 +151,27 @@ def closed_loop_metrics(latencies: Sequence[float], fresh_trials: int,
         "job_latency_samples": (len(latencies), "count"),
     }
     if references:
-        nominal = statistics.median(
-            hostspeed.to_nominal_s(lat, ref)
+        latency_s = statistics.median(
+            hostspeed.to_nominal_s(lat, ref, nominal)
             for lat, ref in zip(latencies, references))
-        out["trials_per_s"] = (trials_per_job / nominal, "trials/s")
-        out["host_slice_ms"] = (statistics.median(references) * 1e3, "ms")
+        out["trials_per_s"] = (trials_per_job / latency_s, "trials/s")
+        out["host_reference_ms"] = (statistics.median(references) * 1e3,
+                                    "ms")
     return out
 
 
 def setup_metrics(samples: Sequence[float],
-                  reference: float) -> Dict[str, tuple]:
-    """``setup_s`` in nominal seconds: the median set-up, converted with
-    the slice time measured just before the first set-up, when nothing
-    else of the run is on the CPU. The raw median goes beside it."""
-    raw = statistics.median(samples)
-    return {"setup_s": (hostspeed.to_nominal_s(raw, reference), "s"),
-            "setup_raw_s": (raw, "s")}
+                  references: Sequence[float]) -> Dict[str, tuple]:
+    """``setup_s`` in nominal seconds: the median over set-ups of each
+    one converted with the launch reference timed just before it. The
+    host's speed changes within seconds, so only the adjacent reference
+    tracks it. The raw median goes beside it."""
+    nominal = statistics.median(
+        hostspeed.to_nominal_s(s, ref, hostspeed.NOMINAL_LAUNCH_S)
+        for s, ref in zip(samples, references))
+    return {"setup_s": (nominal, "s"),
+            "setup_raw_s": (statistics.median(samples), "s"),
+            "launch_ms": (statistics.median(references) * 1e3, "ms")}
 
 
 @dataclass

@@ -95,18 +95,20 @@ def probe(workload: str) -> None:
     print(repr(time.time()), flush=True)
 
 
-def measure_setups(workload: str) -> List[float]:
-    """Seconds from launch to the first block of each set-up probe."""
+def measure_setups(workload: str) -> Tuple[List[float], List[float]]:
+    """Seconds from launch to the first block of each set-up probe, and
+    the launch reference timed before each."""
     code = "import engine, sys; engine.probe(sys.argv[1])"
-    samples = []
+    samples, references = [], []
     for _ in range(common.SETUPS):
+        references.append(common.launch_reference())
         launched = time.time()
         out = subprocess.run([sys.executable, "-c", code, workload],
                              env=common.child_env(), cwd=str(common.ROOT),
                              capture_output=True, text=True, timeout=120,
                              check=True)
         samples.append(float(out.stdout.split()[-1]) - launched)
-    return samples
+    return samples, references
 
 
 # ---------------------------------------------------------------------- #
@@ -267,8 +269,7 @@ def run(workload: str, seed: int, seconds: float,
     p = RATES[workload]
     out = common.Outcome()
     if not trace:
-        setup_reference = hostspeed.reference_s(common.SETUP_SLICES)
-        setups = measure_setups(workload)
+        setups, setup_references = measure_setups(workload)
 
     run_jobs(p, job_entropies(seed, "warmup", WARMUP_JOBS))
     endless = (common.entropy(seed, workload, k) for k in itertools.count())
@@ -283,7 +284,7 @@ def run(workload: str, seed: int, seconds: float,
         references)
     out.metrics["peak_rss_mb"] = (peak_mb, "MB")
     if not trace:
-        out.metrics.update(common.setup_metrics(setups, setup_reference))
+        out.metrics.update(common.setup_metrics(setups, setup_references))
         out.notes["setup_samples_s"] = setups
     out.notes.update(job_trials=JOB_TRIALS,
                      tallies=dict(zip(("trials", "clean", "corrected",

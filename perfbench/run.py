@@ -47,9 +47,12 @@ import sys
 
 import common
 
-#: ``(name, unit)`` of the gated end-to-end metrics, on every workload.
-#: ``trials_per_s`` is the fast-decile job rate in process
-#: (``stats.fast_rate``) and the window rate of fresh trials when served.
+#: ``(name, unit)`` of the gated end-to-end metrics, on every workload
+#: (``common.closed_loop_metrics``, ``common.setup_metrics``).
+#: ``trials_per_s`` is trials per job over the median host-calibrated job
+#: latency on ``campaign_*`` and ``fleet_http``, and the raw window rate
+#: of fresh trials on ``service_mixed``. ``setup_s`` is host-calibrated
+#: on every workload.
 END_TO_END = (
     ("trials_per_s", "trials/s"),
     ("setup_s", "s"),

@@ -10,6 +10,7 @@ records' ``phases``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import re
@@ -58,9 +59,10 @@ class Mix:
     #: (0: never).
     repeat_every: int
     #: Whether jobs keep the CPUs busy, so ``trials_per_s`` is
-    #: host-calibrated (:mod:`hostspeed`). The service mix spends most of
-    #: a job's latency in client polls, which a slow host does not
-    #: stretch; calibrating it would overcorrect.
+    #: host-calibrated with a :class:`hostspeed.ParallelReference` round
+    #: after each job. The service mix spends most of a job's latency in
+    #: client polls, which a slow host does not stretch; calibrating it
+    #: would overcorrect.
     cpu_bound: bool
 
 
@@ -74,8 +76,9 @@ MIXES = {
                       cpu_bound=True),
 }
 
-#: Host-speed slices after each fleet job, while the fleet is idle.
-REFERENCE_SLICES = 5
+#: Slices per helper in the round after each fleet job
+#: (``hostspeed.NOMINAL_ROUND_S`` is set for ten).
+REFERENCE_SLICES = 10
 
 
 def make_spec(trials: int, job_entropy: int) -> CampaignJobSpec:
@@ -169,6 +172,21 @@ class Deployment:
                                        "--id", f"bench-worker-{i}"])
         return self
 
+    @contextlib.contextmanager
+    def paused(self):
+        """Hold every process of the deployment stopped (SIGSTOP to each
+        group), so host-speed references timed meanwhile do not include
+        the program's own idle polling."""
+        for proc in self.procs:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGSTOP)
+        try:
+            yield
+        finally:
+            for proc in self.procs:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGCONT)
+
     def peak_rss_mb(self) -> float:
         """Summed VmHWM of serve, its pool children and the workers."""
         pids = [p.pid for p in self.procs] + \
@@ -239,34 +257,40 @@ def deploy(run_dir: Path, mix: Mix, warmup: CampaignJobSpec):
     return dep, perf_counter() - t0
 
 
-def closed_loop(client: ServiceClient, mix: Mix, seed: int, workload: str,
+def closed_loop(dep: Deployment, mix: Mix, seed: int, workload: str,
                 seconds: float):
     """Submit until ``seconds`` have passed.
 
-    Returns ``(window_s, jobs, references_s)``: the window leaves out
-    the host-speed slices timed after each job of a CPU-bound mix.
+    Returns ``(window_s, jobs, references_s)``: after each job of a
+    CPU-bound mix, the deployment is paused for a reference round, and
+    the window leaves that out.
     """
     repeats = random.Random(common.entropy(seed, workload, "repeats"))
     jobs: List[Job] = []
     fresh: List[Job] = []
     references: List[float] = []
-    slices_s = 0.0
-    start = perf_counter()
-    i = 0
-    while perf_counter() - start < seconds + slices_s:
-        if mix.repeat_every and i % mix.repeat_every == mix.repeat_every - 1:
-            job = submit_and_wait(client, repeats.choice(fresh).spec, True)
-        else:
-            job = submit_and_wait(client, make_spec(
-                mix.job_trials, common.entropy(seed, workload, i)))
-            fresh.append(job)
-        jobs.append(job)
-        if mix.cpu_bound:
-            t0 = perf_counter()
-            references.append(hostspeed.reference_s(REFERENCE_SLICES))
-            slices_s += perf_counter() - t0
-        i += 1
-    return perf_counter() - start - slices_s, jobs, references
+    paused_s = 0.0
+    with (hostspeed.ParallelReference(mix.workers) if mix.cpu_bound
+          else contextlib.nullcontext()) as helpers:
+        start = perf_counter()
+        i = 0
+        while perf_counter() - start < seconds + paused_s:
+            if mix.repeat_every and \
+                    i % mix.repeat_every == mix.repeat_every - 1:
+                job = submit_and_wait(dep.client,
+                                      repeats.choice(fresh).spec, True)
+            else:
+                job = submit_and_wait(dep.client, make_spec(
+                    mix.job_trials, common.entropy(seed, workload, i)))
+                fresh.append(job)
+            jobs.append(job)
+            if helpers is not None:
+                t0 = perf_counter()
+                with dep.paused():
+                    references.append(helpers.round_s(REFERENCE_SLICES))
+                paused_s += perf_counter() - t0
+            i += 1
+        return perf_counter() - start - paused_s, jobs, references
 
 
 # ---------------------------------------------------------------------- #
@@ -349,13 +373,13 @@ def run(workload: str, seed: int, seconds: float,
     base = common.RUNS / f"{workload}-{seed}-{os.getpid()}"
     warmup = make_spec(mix.warmup_trials,
                        common.entropy(seed, workload, "warmup"))
-    setups = []
-    setup_reference = hostspeed.reference_s(common.SETUP_SLICES)
+    setups, setup_references = [], []
     try:
         # Set up several times and time the last deployment; a traced
         # run deploys once.
         for k in range(common.SETUPS):
             last = trace or k == common.SETUPS - 1
+            setup_references.append(common.launch_reference())
             dep, setup_s = deploy(base / (f"setup{k}" if not last
                                           else "timed"), mix, warmup)
             setups.append(setup_s)
@@ -365,7 +389,7 @@ def run(workload: str, seed: int, seconds: float,
         try:
             _measure(out, dep, mix, workload, seed, seconds, trace)
             out.metrics.update(common.setup_metrics(setups,
-                                                    setup_reference))
+                                                    setup_references))
             out.notes["setup_samples_s"] = setups
         finally:
             dep.close()
@@ -383,7 +407,7 @@ def _measure(out: common.Outcome, dep: Deployment, mix: Mix, workload: str,
 
     before = client.metrics_text()
     bytes_before = store_bytes(dep.store)
-    window, jobs, references = closed_loop(client, mix, seed, workload,
+    window, jobs, references = closed_loop(dep, mix, seed, workload,
                                            seconds)
     peak_mb = dep.peak_rss_mb()
     deltas = stats.counter_deltas(before, client.metrics_text())
@@ -407,13 +431,9 @@ def _measure(out: common.Outcome, dep: Deployment, mix: Mix, workload: str,
     out.failed = len(not_done) + int(failed_units)
 
     latencies = [j.latency_s for j in fresh]
-    # A slice right after a fleet job shares the CPUs with the fleet's
-    # own finishing work, so one run-wide median stands for every job.
-    if references:
-        references = [statistics.median(references)] * len(latencies)
     out.metrics = common.closed_loop_metrics(
         latencies, sum(j.spec.trials for j in fresh), len(jobs), window,
-        mix.job_trials, references)
+        mix.job_trials, references, hostspeed.NOMINAL_ROUND_S)
     out.metrics.update({
         "peak_rss_mb": (peak_mb, "MB"),
         "cache_hit_latency_p50_s": (_p50(j.latency_s for j in hits), "s"),

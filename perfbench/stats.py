@@ -11,22 +11,13 @@ import math
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Percentiles a tail may be reported at, lowest first.
 TAIL_LADDER = (50.0, 90.0, 99.0, 99.9)
 
 #: Samples that must lie beyond a reported tail percentile.
 TAIL_BEYOND = 10
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolated percentile (numpy's default method)."""
-    if not values:
-        raise ValueError("percentile of no samples")
-    ordered = sorted(values)
-    pos = (len(ordered) - 1) * pct / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def tail_percentile(count: int) -> float:
@@ -49,7 +40,7 @@ def tail_percentile(count: int) -> float:
 def tail(values: Sequence[float]) -> Tuple[float, float]:
     """``(value, percentile)`` of the tail of ``values``."""
     pct = tail_percentile(len(values))
-    return percentile(values, pct), pct
+    return float(np.percentile(values, pct)), pct
 
 
 def failed_share(failed_jobs: float, failed_units: float, requeues: float,
