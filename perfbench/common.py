@@ -28,7 +28,7 @@ PACKING = "u64"
 
 #: Repeated set-ups per run, each right after a launch reference
 #: (:func:`launch_reference`); ``setup_s`` is their median.
-SETUPS = 7
+SETUPS = 5
 
 
 def program_available() -> bool:
@@ -158,6 +158,21 @@ def closed_loop_metrics(latencies: Sequence[float], fresh_trials: int,
         out["host_reference_ms"] = (statistics.median(references) * 1e3,
                                     "ms")
     return out
+
+
+def pooled_rate(trials: int, latencies: Sequence[float],
+                references: Sequence[float], nominal: float) -> float:
+    """``trials`` over the summed ``latencies`` in nominal host seconds,
+    converted with the mean of the ``references`` timed between jobs.
+
+    For jobs of a second or more: the host flips between a fast and a
+    slow speed several times a second, so each reference reads one or
+    the other. Their mean tracks the mix a whole job runs at; their
+    median, or a pairing of each job with its own, jumps between the
+    two.
+    """
+    return trials / hostspeed.to_nominal_s(
+        sum(latencies), statistics.mean(references), nominal)
 
 
 def setup_metrics(samples: Sequence[float],

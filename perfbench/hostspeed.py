@@ -10,7 +10,7 @@ change to the program moves them:
 
 * a *slice*, the engine's kind of host work (per-trial generator
   construction, a data fill and a fault-mask draw) in numpy, run in
-  the benchmark's process beside each in-process job;
+  the benchmark's process beside each in-process or service job;
 * a *round*, slices in two helper processes at once, beside each fleet
   job (:class:`ParallelReference`);
 * a *launch*, an interpreter started to import numpy and the

@@ -49,10 +49,12 @@ import common
 
 #: ``(name, unit)`` of the gated end-to-end metrics, on every workload
 #: (``common.closed_loop_metrics``, ``common.setup_metrics``).
-#: ``trials_per_s`` is trials per job over the median host-calibrated job
-#: latency on ``campaign_*`` and ``fleet_http``, and the raw window rate
-#: of fresh trials on ``service_mixed``. ``setup_s`` is host-calibrated
-#: on every workload.
+#: ``trials_per_s`` is host-calibrated: on ``campaign_*`` trials per job
+#: over the median calibrated job latency, on the serving workloads
+#: fresh trials over the fresh jobs' summed latency
+#: (``common.pooled_rate``); the raw window rate is the
+#: ``window_trials_per_s`` beside it. ``setup_s`` is host-calibrated on
+#: every workload.
 END_TO_END = (
     ("trials_per_s", "trials/s"),
     ("setup_s", "s"),
@@ -150,7 +152,8 @@ def run_one(args: argparse.Namespace) -> int:
         if name not in metrics and value is not None:
             print(f"  info    {name:32s} {value:.6g} {unit}")
     for key, value in sorted(out.notes.items()):
-        if key not in ("tallies", "store_ops_by_op", "setup_samples_s"):
+        if key not in ("tallies", "store_ops_by_op", "setup_samples_s",
+                       "job_samples"):
             print(f"  note    {key} = {value}")
 
     result = {"correct": out.correct, "attempted": out.attempted,

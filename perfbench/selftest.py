@@ -185,6 +185,16 @@ def test_calibrated_rate_cancels_a_uniform_slowdown():
     assert uncalibrated["trials_per_s"][0] == pytest.approx(1536 / 0.5)
 
 
+def test_pooled_rate_follows_the_mean_host_speed():
+    nominal = common.hostspeed.NOMINAL_ROUND_S
+    assert common.pooled_rate(8192, [1.0, 1.0], [nominal] * 3,
+                              nominal) == pytest.approx(4096)
+    # Half the references slow by 2x: jobs ran 1.5x slow on average.
+    assert common.pooled_rate(8192, [1.5, 1.5],
+                              [nominal, 2 * nominal] * 2,
+                              nominal) == pytest.approx(4096)
+
+
 def test_each_setup_is_converted_with_its_own_launch():
     nominal = common.hostspeed.NOMINAL_LAUNCH_S
     # The host slows down after the first set-up: 0.4, 0.5 and 0.45 s

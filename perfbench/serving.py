@@ -58,22 +58,14 @@ class Mix:
     #: Every ``repeat_every``-th submission repeats an earlier spec
     #: (0: never).
     repeat_every: int
-    #: Whether jobs keep the CPUs busy, so ``trials_per_s`` is
-    #: host-calibrated with a :class:`hostspeed.ParallelReference` round
-    #: after each job. The service mix spends most of a job's latency in
-    #: client polls, which a slow host does not stretch; calibrating it
-    #: would overcorrect.
-    cpu_bound: bool
 
 
 MIXES = {
     "service_mixed": Mix(workers=0, job_trials=64,
-                         warmup_trials=64, warmup_jobs=4, repeat_every=4,
-                         cpu_bound=False),
+                         warmup_trials=64, warmup_jobs=4, repeat_every=4),
     # 8192 trials at the CLI's default 512-trial shards: 16 units.
     "fleet_http": Mix(workers=2, job_trials=8192,
-                      warmup_trials=512, warmup_jobs=0, repeat_every=0,
-                      cpu_bound=True),
+                      warmup_trials=512, warmup_jobs=0, repeat_every=0),
 }
 
 #: Slices per helper in the round after each fleet job
@@ -261,16 +253,19 @@ def closed_loop(dep: Deployment, mix: Mix, seed: int, workload: str,
                 seconds: float):
     """Submit until ``seconds`` have passed.
 
-    Returns ``(window_s, jobs, references_s)``: after each job of a
-    CPU-bound mix, the deployment is paused for a reference round, and
-    the window leaves that out.
+    Returns ``(window_s, jobs, references_s)``: after each job, the
+    deployment is paused for a host-speed reference, and the window
+    leaves that out. The reference is one slice in the benchmark's
+    process where the service runs one job at a time, handed from
+    process to process, and a :class:`hostspeed.ParallelReference`
+    round where workers keep every CPU busy.
     """
     repeats = random.Random(common.entropy(seed, workload, "repeats"))
     jobs: List[Job] = []
     fresh: List[Job] = []
     references: List[float] = []
     paused_s = 0.0
-    with (hostspeed.ParallelReference(mix.workers) if mix.cpu_bound
+    with (hostspeed.ParallelReference(mix.workers) if mix.workers
           else contextlib.nullcontext()) as helpers:
         start = perf_counter()
         i = 0
@@ -284,11 +279,11 @@ def closed_loop(dep: Deployment, mix: Mix, seed: int, workload: str,
                     mix.job_trials, common.entropy(seed, workload, i)))
                 fresh.append(job)
             jobs.append(job)
-            if helpers is not None:
-                t0 = perf_counter()
-                with dep.paused():
-                    references.append(helpers.round_s(REFERENCE_SLICES))
-                paused_s += perf_counter() - t0
+            t0 = perf_counter()
+            with dep.paused():
+                references.append(hostspeed.slice_s() if helpers is None
+                                  else helpers.round_s(REFERENCE_SLICES))
+            paused_s += perf_counter() - t0
             i += 1
         return perf_counter() - start - paused_s, jobs, references
 
@@ -431,10 +426,15 @@ def _measure(out: common.Outcome, dep: Deployment, mix: Mix, workload: str,
     out.failed = len(not_done) + int(failed_units)
 
     latencies = [j.latency_s for j in fresh]
-    out.metrics = common.closed_loop_metrics(
-        latencies, sum(j.spec.trials for j in fresh), len(jobs), window,
-        mix.job_trials, references, hostspeed.NOMINAL_ROUND_S)
+    fresh_trials = sum(j.spec.trials for j in fresh)
+    out.metrics = common.closed_loop_metrics(latencies, fresh_trials,
+                                             len(jobs), window)
     out.metrics.update({
+        "trials_per_s": (common.pooled_rate(
+            fresh_trials, latencies, references,
+            hostspeed.NOMINAL_ROUND_S if mix.workers
+            else hostspeed.NOMINAL_SLICE_S), "trials/s"),
+        "host_reference_ms": (statistics.mean(references) * 1e3, "ms"),
         "peak_rss_mb": (peak_mb, "MB"),
         "cache_hit_latency_p50_s": (_p50(j.latency_s for j in hits), "s"),
         "failed_share": (failure_share, "fraction"),
@@ -442,6 +442,8 @@ def _measure(out: common.Outcome, dep: Deployment, mix: Mix, workload: str,
     out.notes.update(
         jobs=len(jobs), fresh_jobs=len(fresh), cache_hits=len(hits),
         units=units, window_s=window,
+        job_samples=[(j.repeat, j.latency_s, ref)
+                     for j, ref in zip(jobs, references)],
         store_ops_by_op=stats.counter_by_label(
             deltas, "repro_store_ops_total", "op"))
 
