@@ -112,6 +112,7 @@ __all__ = [
     "extended_hamming_patterns",
     "register_code",
     "build_code",
+    "check_linear",
     "code_names",
     "CODE_KINDS",
 ]
@@ -731,12 +732,58 @@ def code_names() -> Tuple[str, ...]:
     return tuple(sorted(CODE_KINDS))
 
 
+#: ``(name, builder, n, m)`` combinations that passed the linearity check.
+_LINEAR_CHECKED: set = set()
+
+#: Seeded random block pairs the linearity check encodes.
+_LINEARITY_PAIRS = 8
+
+
+def check_linear(code: BlockCode, m: int) -> None:
+    """Refuse ``code`` unless its ``m x m`` block encoder is linear.
+
+    The batched campaign engine simulates only the error pattern on
+    all-zero data (:mod:`repro.faults.batch`), which is exact only for
+    codes linear over GF(2). Checks ``encode_block(0) == 0`` and, on a
+    few seeded random block pairs, ``encode_block(a ^ b) ==
+    encode_block(a) ^ encode_block(b)``; raises ``ValueError`` on the
+    first failure.
+    """
+
+    def encode(block: np.ndarray) -> List[np.ndarray]:
+        return [np.asarray(bits, dtype=np.uint8)
+                for bits in code.encode_block(block)]
+
+    zero = np.zeros((m, m), dtype=np.uint8)
+    if any(bits.any() for bits in encode(zero)):
+        raise ValueError(f"code {code.name!r} is not linear: the all-zero "
+                         f"block encodes to nonzero check bits")
+    rng = np.random.default_rng(0)
+    for _ in range(_LINEARITY_PAIRS):
+        a, b = rng.integers(0, 2, size=(2, m, m), dtype=np.uint8)
+        both = encode(a ^ b)
+        split = [x ^ y for x, y in zip(encode(a), encode(b))]
+        if any(not np.array_equal(x, y) for x, y in zip(both, split)):
+            raise ValueError(f"code {code.name!r} is not linear: "
+                             f"encode(a ^ b) != encode(a) ^ encode(b)")
+
+
 def build_code(name: str, grid: BlockGrid) -> BlockCode:
-    """Instantiate a registered code for ``grid``."""
+    """Instantiate a registered code for ``grid``.
+
+    The first build of each (code, geometry) runs :func:`check_linear`
+    on the code's block encoder; a builder result without one cannot
+    run a campaign and is returned unchecked.
+    """
     try:
         builder = CODE_KINDS[name]
     except KeyError:
         raise ValueError(
             f"unknown code {name!r}; registered kinds: "
             f"{', '.join(code_names())}") from None
-    return builder(grid)
+    code = builder(grid)
+    checked = (name, builder, grid.n, grid.m)
+    if hasattr(code, "encode_block") and checked not in _LINEAR_CHECKED:
+        check_linear(code, grid.m)
+        _LINEAR_CHECKED.add(checked)
+    return code

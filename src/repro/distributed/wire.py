@@ -43,8 +43,12 @@ WIRE_FORMAT = "repro/shard-task"
 #: carry an optional ``trace`` routing block (``{"id", "span"}``) for
 #: cross-process tracing. The task schema is unchanged; the trace block
 #: rides *outside* the digest-stamped body, so unit ids, content
-#: digests, and dedupe keys are unaffected by whether tracing is on.
-WIRE_VERSION = 4
+#: digests, and dedupe keys are unaffected by whether tracing is on;
+#: 5 = campaign draw contract v2 (:data:`repro.utils.rng.DRAW_CONTRACT`:
+#: keyed per-trial Philox streams, sparse Bernoulli fault fields). The
+#: task schema is unchanged, but the same task now yields different
+#: tallies, so a worker on the old contract must not run its units.
+WIRE_VERSION = 5
 
 
 class WireFormatError(ValueError):

@@ -19,13 +19,13 @@ from repro.faults.ser import (
 )
 from repro.faults.injector import (
     BatchInjectionResult,
+    BernoulliFieldInjector,
     BurstInjector,
     CheckBitInjector,
     DeterministicInjector,
     FaultInjector,
     InjectionResult,
     LinearBurstInjector,
-    MaskFieldInjector,
     UniformInjector,
 )
 from repro.faults.campaign import CampaignResult, FaultCampaign
@@ -53,7 +53,7 @@ __all__ = [
     "probability_from_fit",
     "mttf_hours_from_fit",
     "FaultInjector",
-    "MaskFieldInjector",
+    "BernoulliFieldInjector",
     "UniformInjector",
     "DeterministicInjector",
     "BurstInjector",

@@ -1,23 +1,38 @@
 """Batched Monte-Carlo campaign engine.
 
 The scalar :class:`repro.faults.campaign.FaultCampaign` runs one trial at
-a time: fresh crossbar, encode, inject, full Python-loop check sweep.
-That loop is the slowest path in the repo (the Sec. V-A binomial-model
-validation and the MTTF benches all sit on it). This module runs ``B``
-trials as stacked tensors instead:
+a time: fresh crossbar, random data, encode, inject, full Python-loop
+check sweep. That loop is the slowest path in the repo (the Sec. V-A
+binomial-model validation and the MTTF benches all sit on it). This
+module runs ``B`` trials as stacked tensors instead, and simulates only
+the error pattern:
 
-* data fill        — ``(B, n, n)`` uint8 stack, one trial per slice;
-* check planes     — ``(B, rk, b, b)`` stacks, one per code plane
-  (:meth:`repro.core.registry.BlockCode.encode_batch`; the default
-  diagonal code stores the leading/counter pair);
+* state            — all-zero ``(B, n, n)`` data and ``(B, rk, b, b)``
+  check-plane stacks, one per code plane (the default diagonal code
+  stores the leading/counter pair);
 * injection        — :meth:`repro.faults.injector.FaultInjector
   .inject_batch_planes`, flat ground-truth event arrays;
 * check sweep      — :meth:`repro.core.registry.BlockCode
   .check_batched`, one vectorized syndrome/decode/correct pass over
   every block of every trial;
-* classification   — golden compare + per-trial reductions into the same
+* classification   — a trial whose final state has any nonzero word is
+  damaged; per-trial reductions give the same
   :class:`repro.faults.campaign.CampaignResult` tallies the scalar
   campaign produces.
+
+Zero data (the linearity premise)
+=================================
+
+Every registered code is linear: ``encode(0) == 0`` and ``encode(a ^ b)
+== encode(a) ^ encode(b)``, so the syndromes, and with them every
+decode and correction, depend only on the error pattern. A trial on
+random data ends with ``data ^ residual`` where a trial on zero data
+ends with ``residual``; both are restored exactly when the residual
+error is zero. The engine therefore skips the data fill, the encode and
+the golden copies. :func:`repro.core.registry.build_code` refuses a
+code that fails a seeded linearity check, and the scalar
+:class:`~repro.faults.campaign.FaultCampaign` keeps real random data,
+so the differential suites keep witnessing the premise.
 
 Seeding + sharding contract
 ===========================
@@ -25,33 +40,42 @@ Seeding + sharding contract
 The engine has two seeding modes, selected by ``seeding=``:
 
 ``"sequential"`` (default for single-process runs)
-    The campaign seed feeds one data-fill stream and the injector keeps
-    its own stream, both consumed trial by trial in scalar order. A
-    sequential batched run is **bit-for-bit identical** to
-    ``FaultCampaign(grid, injector, seed).run(trials)`` with the same
-    seeds, for any ``batch_size`` — the per-trial draws are issued as
-    separate generator calls precisely so chunking can never change the
-    stream. This mode cannot be sharded (shard ``k`` would need shard
-    ``k-1``'s stream position).
+    The injector consumes its own stream trial by trial in scalar order
+    (the campaign seed fills the scalar reference's data, which this
+    engine never draws). A sequential batched run is **bit-for-bit
+    identical** to ``FaultCampaign(grid, injector, seed).run(trials)``
+    with the same seeds, for any ``batch_size`` — the per-trial draws
+    are issued as separate generator calls precisely so chunking can
+    never change the stream. This mode cannot be sharded (shard ``k``
+    would need shard ``k-1``'s stream position).
 
 ``"per-trial"`` (default and required for multi-process runs)
-    Trial ``i`` derives its own :class:`numpy.random.SeedSequence` child
-    ``SeedSequence(entropy, spawn_key=(i,))`` from the campaign's root
-    entropy and splits it into a data-fill stream and an injection
-    stream. Because the mapping depends only on ``(entropy, i)``, the
-    tallies are invariant under the shard layout: any ``workers`` count,
-    any ``batch_size``, and any contiguous partition of the trial range
-    produce identical results. The scalar replay of the same contract is
-    :func:`run_reference`, which drives ``FaultCampaign.run_trial`` with
-    the same per-trial streams — the differential harness in
+    Draw contract v2 (:data:`repro.utils.rng.DRAW_CONTRACT`): trial
+    ``i`` addresses its streams directly by a keyed counter-based
+    generator, ``Philox(key=entropy, counter=[0, 0, i, stream])``
+    (:func:`repro.utils.rng.trial_stream`); the injector draws from
+    stream 1 and the scalar reference fills its data from stream 0.
+    Because the mapping depends only on ``(entropy, i)``, the tallies
+    are invariant under the shard layout: any ``workers`` count, any
+    ``batch_size``, and any contiguous partition of the trial range
+    produce identical results. :func:`run_reference` replays the same
+    per-trial streams through ``FaultCampaign.run_trial`` (real data
+    from stream 0, faults from stream 1) — the differential harness in
     ``tests/faults/test_batch_equivalence.py`` pins both equivalences.
+
+The uniform-field injectors draw each trial's fault field sparsely: a
+Binomial(cells, p) count, then a uniform subset of the exposed cells
+(:func:`repro.utils.rng.bernoulli_positions`), identically in the
+scalar and batched paths.
 
 Sharding uses a ``concurrent.futures`` process pool: trials are split
 into contiguous ranges (:func:`repro.utils.rng.shard_bounds`), each
 worker rebuilds the engine from a picklable :class:`ShardTask` (grid
 geometry, injector, entropy, backend name) and runs its range in
-``batch_size`` chunks. Peak memory per worker is about
-``5 * batch_size * n**2`` bytes (data + golden + masks), so large-``n``
+``batch_size`` chunks. Peak memory per block, measured at ``n=129``
+and ``batch_size=64``, is about ``7 * batch_size * n**2`` bytes for
+``u8`` (the state stack is one of those, the check sweep's temporaries
+the rest) and under ``2 * batch_size * n**2`` for ``u64``, so large-``n``
 sweeps should lower ``batch_size`` rather than trials.
 
 Service-sharded execution
@@ -93,12 +117,12 @@ Array backends
 All tensor arithmetic dispatches through an
 :class:`repro.utils.backend.ArrayBackend` handle (``backend=`` on
 :class:`BatchCampaign` / :class:`CampaignRunner`, default numpy or
-``$REPRO_BACKEND``). Random draws are *always* host-side numpy and cross
-onto the backend via staging, so both seeding contracts above are
-backend-independent: a sequential run under any backend produces the
-same tallies as the numpy run, bit for bit, as long as the backend's
-arithmetic is exact (integer/boolean ops are, on every supported
-backend).
+``$REPRO_BACKEND``). Random draws are *always* host-side numpy flip
+events scatter-applied onto the backend's state, so both seeding
+contracts above are backend-independent: a sequential run under any
+backend produces the same tallies as the numpy run, bit for bit, as
+long as the backend's arithmetic is exact (integer/boolean ops are, on
+every supported backend).
 
 Orthogonally, ``kernels=`` selects the host-side kernel tier
 (:mod:`repro.utils.kernels`: pure numpy, or the optional compiled
@@ -126,10 +150,9 @@ trials at once.
   are never written by injection or correction (all flip masks are ANDs
   of zero-padded state); derived masks built with complements may carry
   garbage there, so every unpacking consumer trims to the true ``B``.
-* **Seeding stays layout-invariant:** random fields are drawn host-side
-  per trial *before* any layout decision — the staged draws are packed
-  (or staged as uint8) afterwards, and injector draws are converted to
-  flip events that apply to either layout. Both seeding contracts above
+* **Seeding stays layout-invariant:** injector draws happen host-side
+  per trial *before* any layout decision and are converted to flip
+  events that apply to either layout. Both seeding contracts above
   therefore hold verbatim under ``packing="u64"``: a sequential packed
   run is bit-identical to the scalar ``FaultCampaign`` and a per-trial
   packed run is shard-layout invariant, for any ``B % 64`` remainder.
@@ -161,12 +184,8 @@ from repro.core.code import (
     Uncorrectable,
 )
 from repro.core.registry import build_code, code_names
-from repro.utils.bitpack import (
-    batch_tail_mask,
-    or_reduce_words,
-    pack_batch,
-    popcount_words,
-)
+from repro.utils.bitops import words_for
+from repro.utils.bitpack import or_reduce_words, pack_batch, popcount_words
 from repro.faults.campaign import CampaignResult, FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.obs import metrics as obs_metrics
@@ -179,16 +198,19 @@ from repro.utils.backend import (
 )
 from repro.utils.kernels import KernelsLike, get_kernels
 from repro.utils.rng import (
+    DATA_STREAM,
+    INJECT_STREAM,
     SeedLike,
-    make_rng,
+    TrialStreams,
     resolve_entropy,
     shard_bounds,
     spawn_rngs,
-    trial_rngs,
+    trial_stream,
 )
 from repro.utils.stats import wilson_interval
 
-#: Default trials per vectorized block; ~5 * 64 * n^2 bytes of peak state.
+#: Default trials per vectorized block (see the module docstring for the
+#: peak state it implies).
 DEFAULT_BATCH_SIZE = 64
 
 #: Tensor layouts of the vectorized engine: one byte per trial bit
@@ -197,8 +219,7 @@ PACKINGS = ("u8", "u64")
 
 #: The campaign phases the engine's profiler times per block (the
 #: worker/scheduler add ``checkpoint_write`` at the persistence layer).
-PROFILE_PHASES = ("fill", "pack", "encode", "inject", "decode_sweep",
-                  "tally")
+PROFILE_PHASES = ("inject", "decode_sweep", "tally")
 
 _SHARD_RUNS = obs_metrics.counter(
     "repro_shard_tasks_total",
@@ -227,7 +248,8 @@ def derive_campaign_seeds(seed: SeedLike, seeding: Optional[str],
     * sequential mode: the seed is split into independent data-fill and
       injection generators by ``SeedSequence`` spawning
       (:func:`repro.utils.rng.spawn_rngs`) — deterministic for any
-      integral seed, loud for a live ``Generator``.
+      integral seed, loud for a live ``Generator``. Only the scalar
+      engine consumes the data-fill generator.
     """
     if seeding == "per-trial" or workers > 1:
         return seed, None
@@ -254,7 +276,9 @@ class BatchCampaign:
 
     Produces the same :class:`CampaignResult` tallies as the scalar
     :class:`FaultCampaign` (see the module docstring for the exact
-    equivalence contract per seeding mode).
+    equivalence contract per seeding mode). ``seed`` is the data-fill
+    seed of the matching :class:`FaultCampaign`; this engine runs on
+    all-zero data and never consumes it.
     """
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
@@ -270,7 +294,6 @@ class BatchCampaign:
                              f"got {packing!r}")
         self.grid = grid
         self.injector = injector
-        self.rng = make_rng(seed)
         self.include_check_bits = include_check_bits
         self.batch_size = batch_size
         self.backend = get_backend(backend)
@@ -292,16 +315,14 @@ class BatchCampaign:
     def run(self, trials: int) -> CampaignResult:
         """Sequential-seeding run: bit-identical to ``FaultCampaign.run``.
 
-        The campaign stream fills trial data in order and the injector
-        consumes its own stream in order, so the result does not depend
-        on ``batch_size``.
+        The injector consumes its own stream trial by trial, so the
+        result does not depend on ``batch_size``.
         """
         chunks = []
         done = 0
         while done < trials:
             batch = min(self.batch_size, trials - done)
-            chunks.append(self._run_block(batch, data_rngs=None,
-                                          inject_rngs=None))
+            chunks.append(self._run_block(batch, inject_rngs=None))
             done += batch
         return merge_results(chunks)
 
@@ -316,11 +337,8 @@ class BatchCampaign:
         start = lo
         while start < hi:
             batch = min(self.batch_size, hi - start)
-            pairs = [trial_rngs(entropy, i) for i in range(start, start + batch)]
-            chunks.append(self._run_block(
-                batch,
-                data_rngs=[p[0] for p in pairs],
-                inject_rngs=[p[1] for p in pairs]))
+            chunks.append(self._run_block(batch, inject_rngs=TrialStreams(
+                entropy, start, start + batch, INJECT_STREAM)))
             start += batch
         return merge_results(chunks)
 
@@ -329,38 +347,19 @@ class BatchCampaign:
     # ------------------------------------------------------------------ #
 
     def _run_block(self, batch: int,
-                   data_rngs: Optional[Sequence[np.random.Generator]],
                    inject_rngs: Optional[Sequence[np.random.Generator]],
                    ) -> CampaignResult:
-        """One stacked block of ``batch`` trials.
+        """One stacked block of ``batch`` trials on all-zero data.
 
-        ``data_rngs``/``inject_rngs`` of ``None`` select sequential mode
-        (campaign stream + injector's own stream). Random fields are
-        drawn per trial — never as one ``(B, ...)`` draw — because
-        numpy's bounded-integer generation buffers bits within a call;
-        only per-trial calls keep the stream identical to the scalar
-        engine for every chunking. The staged host draws then execute on
-        either tensor layout (``packing``): the draw order is fixed
-        before the layout comes into play, which is what makes the
-        tallies packing-invariant.
+        ``inject_rngs`` of ``None`` selects sequential mode (the
+        injector's own stream). The injector draws per trial, host-side,
+        before the layout (``packing``) comes into play, which is what
+        makes the tallies packing-invariant.
         """
-        n = self.grid.n
-        t_fill = perf_counter_ns()
-        stage = np.empty((batch, n, n), dtype=np.uint8)
-        if data_rngs is None:
-            for i in range(batch):
-                stage[i] = self.rng.integers(0, 2, size=(n, n),
-                                             dtype=np.uint8)
-        else:
-            for i, rng in enumerate(data_rngs):
-                stage[i] = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if self.profile is not None:
-            self.profile.add("fill", perf_counter_ns() - t_fill)
         if self.packing == "u64":
-            injection, counts = self._execute_packed(batch, stage,
-                                                     inject_rngs)
+            injection, counts = self._execute_packed(batch, inject_rngs)
         else:
-            injection, counts = self._execute_u8(batch, stage, inject_rngs)
+            injection, counts = self._execute_u8(batch, inject_rngs)
         clean, corrected, detected, silent = counts
 
         totals = injection.totals
@@ -375,92 +374,83 @@ class BatchCampaign:
             blocks_with_multi_faults=int(multi.sum()),
         )
 
-    def _execute_u8(self, batch: int, stage: np.ndarray,
+    def _execute_u8(self, batch: int,
                     inject_rngs: Optional[Sequence[np.random.Generator]],
                     ) -> tuple:
-        """Unpacked ``(B, n, n)`` uint8 execution of one staged block.
+        """Unpacked ``(B, n, n)`` uint8 execution of one block.
 
         Returns ``(injection, (clean, corrected, detected, silent))``.
         """
         be = self.backend
-        # Draws are always host-side numpy (the seeding contract); the
-        # stack crosses onto the backend once, here.
+        xp = be.xp
         t0 = perf_counter_ns()
-        data = be.from_numpy(stage)
-
-        planes = self.code.encode_batch(data, backend=be)
-        golden = data.copy()
-        golden_planes = tuple(p.copy() for p in planes)
-        t1 = perf_counter_ns()
-
+        data = xp.zeros((batch, self.grid.n, self.grid.n), dtype=xp.uint8)
+        planes = tuple(xp.zeros((batch,) + shape, dtype=xp.uint8)
+                       for shape in self.code.plane_shapes)
         injection = self.injector.inject_batch_planes(
             data, planes if self.include_check_bits else (),
             rngs=inject_rngs, backend=be)
-        t2 = perf_counter_ns()
+        t1 = perf_counter_ns()
 
         sweep = self.code.check_batched(data, planes, correct=True,
                                         backend=be)
-        t3 = perf_counter_ns()
+        t2 = perf_counter_ns()
 
-        restored = (data == golden).reshape(batch, -1).all(axis=1)
-        for p, g in zip(planes, golden_planes):
-            restored = restored & (p == g).reshape(batch, -1).all(axis=1)
-        restored = be.to_numpy(restored)
+        # Zero data: a trial is restored iff every word is zero again.
+        damaged = data.reshape(batch, -1).any(axis=1)
+        for p in planes:
+            damaged = damaged | p.reshape(batch, -1).any(axis=1)
+        damaged = be.to_numpy(damaged)
         uncorrectable = be.to_numpy(sweep.uncorrectable_any)
 
         clean = injection.totals == 0
-        corrected = ~clean & restored
-        detected = ~clean & ~restored & uncorrectable
-        silent = ~clean & ~restored & ~uncorrectable
+        corrected = ~clean & ~damaged
+        detected = ~clean & damaged & uncorrectable
+        silent = ~clean & damaged & ~uncorrectable
         counts = (int(clean.sum()), int(corrected.sum()),
                   int(detected.sum()), int(silent.sum()))
         if self.profile is not None:
             profile = self.profile
-            profile.add("encode", t1 - t0)
-            profile.add("inject", t2 - t1)
-            profile.add("decode_sweep", t3 - t2)
-            profile.add("tally", perf_counter_ns() - t3)
+            profile.add("inject", t1 - t0)
+            profile.add("decode_sweep", t2 - t1)
+            profile.add("tally", perf_counter_ns() - t2)
         return injection, counts
 
-    def _execute_packed(self, batch: int, stage: np.ndarray,
+    def _execute_packed(self, batch: int,
                         inject_rngs: Optional[Sequence[np.random.Generator]],
                         ) -> tuple:
-        """Bit-sliced ``(W, n, n)`` uint64 execution of one staged block.
+        """Bit-sliced ``(W, n, n)`` uint64 execution of one block.
 
-        Packs the staged draws 64 trials per word, then runs the packed
-        encode / inject / check kernels — every per-trial tensor op
-        becomes a word op over 64 trials. Classification stays in the
-        packed domain end to end: the golden compare OR-reduces
-        difference words, the faulty-trial flags are the packed
-        ``totals != 0`` mask, and the four tallies fall out of word
-        popcounts — no state tensor is ever unpacked.
+        Every per-trial tensor op is a word op over 64 trials.
+        Classification stays in the packed domain end to end: the
+        damaged flags OR-reduce the final words, the faulty-trial flags
+        are the packed ``totals != 0`` mask, and the four tallies fall
+        out of word popcounts — no state tensor is ever unpacked.
 
         Returns ``(injection, (clean, corrected, detected, silent))``.
         """
         be = self.backend
+        xp = be.xp
         kern = self.kernels
         t0 = perf_counter_ns()
-        words = pack_batch(stage, backend=be, kernels=kern)
-        t1 = perf_counter_ns()
-
-        planes = self.code.encode_batch_packed(words, backend=be)
-        golden = words.copy()
-        golden_planes = tuple(p.copy() for p in planes)
-        t2 = perf_counter_ns()
-
+        nwords = words_for(batch)
+        words = xp.zeros((nwords, self.grid.n, self.grid.n),
+                         dtype=xp.uint64)
+        planes = tuple(xp.zeros((nwords,) + shape, dtype=xp.uint64)
+                       for shape in self.code.plane_shapes)
         injection = self.injector.inject_batch_planes_packed(
             batch, words, planes if self.include_check_bits else (),
             rngs=inject_rngs, backend=be)
-        t3 = perf_counter_ns()
+        t1 = perf_counter_ns()
 
         sweep = self.code.check_batched_packed(words, planes, batch,
                                                correct=True, backend=be,
                                                kernels=kern)
-        t4 = perf_counter_ns()
+        t2 = perf_counter_ns()
 
-        damaged = or_reduce_words(words ^ golden, axis=(1, 2), backend=be)
-        for p, g in zip(planes, golden_planes):
-            damaged = damaged | or_reduce_words(p ^ g, axis=(1, 2, 3),
+        damaged = or_reduce_words(words, axis=(1, 2), backend=be)
+        for p in planes:
+            damaged = damaged | or_reduce_words(p, axis=(1, 2, 3),
                                                 backend=be)
         # Word-level tallies. ``faulty`` packs the host-side ground-truth
         # totals (zero-padded tail), so ANDing with it also clears any
@@ -483,11 +473,9 @@ class BatchCampaign:
                   count(detected), count(silent))
         if self.profile is not None:
             profile = self.profile
-            profile.add("pack", t1 - t0)
-            profile.add("encode", t2 - t1)
-            profile.add("inject", t3 - t2)
-            profile.add("decode_sweep", t4 - t3)
-            profile.add("tally", perf_counter_ns() - t4)
+            profile.add("inject", t1 - t0)
+            profile.add("decode_sweep", t2 - t1)
+            profile.add("tally", perf_counter_ns() - t2)
         return injection, counts
 
 
@@ -646,11 +634,15 @@ def run_reference(grid: BlockGrid, injector: FaultInjector, entropy: int,
                   code: str = "diagonal") -> CampaignResult:
     """Scalar replay of a per-trial-seeded batched run.
 
-    For the diagonal code this drives :meth:`FaultCampaign.run_trial`
-    with exactly the per-trial streams the batched engine derives from
-    ``entropy``; other registered codes replay the same streams through
-    the code's per-block ``encode_block``/``decode_block`` pair. Either
-    way this is the reference side of the differential harness. Slow by
+    Trial ``i`` fills real random data from stream
+    :data:`~repro.utils.rng.DATA_STREAM` and draws its faults from
+    stream :data:`~repro.utils.rng.INJECT_STREAM` — the stream the
+    batched engine injects from (draw contract v2). For the diagonal
+    code this drives :meth:`FaultCampaign.run_trial`; other registered
+    codes replay the same streams through the code's per-block
+    ``encode_block``/``decode_block`` pair. Either way this is the
+    reference side of the differential harness, and its real data makes
+    it the witness of the engine's zero-data premise. Slow by
     construction; use for verification, not production sweeps.
     """
     if code == "diagonal":
@@ -658,9 +650,9 @@ def run_reference(grid: BlockGrid, injector: FaultInjector, entropy: int,
                                  include_check_bits=include_check_bits)
         out = CampaignResult()
         for i in range(trials):
-            data_rng, inject_rng = trial_rngs(entropy, i)
-            kind, faults, multi = campaign.run_trial(data_rng=data_rng,
-                                                     inject_rng=inject_rng)
+            kind, faults, multi = campaign.run_trial(
+                data_rng=trial_stream(entropy, i, DATA_STREAM),
+                inject_rng=trial_stream(entropy, i, INJECT_STREAM))
             out.trials += 1
             out.injected_faults += faults
             out.blocks_with_multi_faults += multi
@@ -675,10 +667,11 @@ def _run_reference_code(grid: BlockGrid, injector: FaultInjector,
                         code: str) -> CampaignResult:
     """Per-block Python replay for non-diagonal registry codes.
 
-    Consumes exactly the per-trial streams of the batched engine — data
-    fill first, then the injector's :meth:`FaultInjector._draw_batch`
-    with the code's plane shapes — and decodes block by block through
-    :meth:`repro.core.registry.BlockCode.decode_block`.
+    Fills random data from each trial's data stream, draws faults from
+    its injection stream through the injector's
+    :meth:`FaultInjector._draw_batch` with the code's plane shapes —
+    the draw the batched engine makes — and decodes block by block
+    through :meth:`repro.core.registry.BlockCode.decode_block`.
     """
     blockcode = build_code(code, grid)
     n, m = grid.n, grid.m
@@ -686,7 +679,8 @@ def _run_reference_code(grid: BlockGrid, injector: FaultInjector,
     shapes = blockcode.plane_shapes if include_check_bits else None
     out = CampaignResult()
     for i in range(trials):
-        data_rng, inject_rng = trial_rngs(entropy, i)
+        data_rng = trial_stream(entropy, i, DATA_STREAM)
+        inject_rng = trial_stream(entropy, i, INJECT_STREAM)
         data = data_rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         planes = [np.zeros(shape, dtype=np.uint8)
                   for shape in blockcode.plane_shapes]
@@ -901,7 +895,7 @@ class CampaignRunner:
                 self.grid, self.injector, seed=self._seed,
                 include_check_bits=self.include_check_bits)
         return BatchCampaign(
-            self.grid, self.injector, seed=self._seed,
+            self.grid, self.injector,
             include_check_bits=self.include_check_bits,
             batch_size=self.batch_size, backend=self.backend,
             packing=self.packing, code=self.code, kernels=self.kernels)

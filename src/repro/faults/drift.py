@@ -31,43 +31,29 @@ In the discrete-event kernel every cell flips independently with
 probability exactly :meth:`DriftModel.flip_probability` (the abrupt
 first-arrival and the per-segment Weibull first-flip events compose to
 ``1 - exp(-(drift_exposure + abrupt_exposure))`` — the closed form),
-so the injector draws one aggregated Bernoulli field per round instead:
-a **single** uniform draw over the concatenated (data, leading,
-counter) cells, thresholded at that closed-form probability. The
-sampled flip masks are identically distributed to the discrete-event
-kernel's, while the host-RNG cost drops from ``1 + segments`` field
-draws per plane to one draw per round — the ROADMAP-flagged drift
-bottleneck. :class:`DriftSimulator` deliberately keeps the
-discrete-event kernel (:func:`window_flip_mask`): it exists to validate
-the closed form the injector consumes, so it must not be built on it.
+so a drift round is the uniform model at that probability: the
+injector is a :class:`repro.faults.injector.BernoulliFieldInjector` and
+draws the same sparse Bernoulli field as the uniform-SER injector.
+:class:`DriftSimulator` deliberately keeps the discrete-event kernel
+(:func:`window_flip_mask`): it exists to validate the closed form the
+injector consumes, so it must not be built on it.
 
 Seeding: all draws flow through :mod:`repro.utils.rng`. Injection rounds
 follow the campaign contract (sequential mode consumes the injector's
 own stream trial by trial, bit-identically to scalar :meth:`DriftInjector
-.inject` calls; per-trial mode takes engine-supplied ``SeedSequence``
-child streams), and :meth:`DriftSimulator.empirical_flip_probability`
-accepts an ``entropy`` for shard-invariant per-trial streams. Because a
-round's draw is one contiguous uniform block per trial, the batched
-engine's sequential mode issues literally **one** host-RNG call per
-``(B, n, n)`` block — ``rng.random((B, cells))`` consumes the shared
-stream exactly like ``B`` scalar rounds — and per-trial mode issues one
-call per trial.
+.inject` calls; per-trial mode takes engine-supplied per-trial
+streams), and :meth:`DriftSimulator.empirical_flip_probability` accepts
+an ``entropy`` for shard-invariant per-trial streams.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.faults.injector import (
-    BatchInjectionResult,
-    FaultInjector,
-    InjectionResult,
-    _resolve_rngs,
-)
+from repro.faults.injector import BernoulliFieldInjector
 from repro.faults.ser import HOURS_PER_FIT_UNIT
 from repro.utils.rng import SeedLike, make_rng, trial_rngs
 
@@ -232,28 +218,19 @@ class DriftSimulator:
         return total / (self.cells * trials)
 
 
-class DriftInjector(FaultInjector):
+class DriftInjector(BernoulliFieldInjector):
     """Fault injector sampling one drift + abrupt exposure window.
 
     Each injection round flips every cell the combined model upsets
     within one ``window_hours`` exposure (with optional refresh every
     ``refresh_period_hours``); check memristors drift like data
     memristors, so the check planes are exposed at the same per-cell
-    probability when check memory is present.
-
-    Draw contract (normative, shared by the scalar and batched paths):
-    one round of one trial issues exactly **one** ``rng.random(cells)``
-    call over the concatenated field — data cells first, then the
-    leading plane, then the counter plane when check memory is exposed
-    — and flips the cells whose uniform falls below
-    :meth:`DriftModel.flip_probability`. That threshold is the exact
-    per-cell flip probability of the discrete-event kernel
-    (:func:`window_flip_mask`), and cells are independent in both, so
-    the sampled masks are identically distributed while the host-RNG
-    cost collapses to a single draw per round (see the module
-    docstring). The contiguous per-trial block is what lets sequential
-    batched rounds draw the whole batch in one ``(B, cells)`` call
-    without perturbing the shared stream.
+    probability when check memory is present. That probability is
+    :meth:`DriftModel.flip_probability`, the exact per-cell flip
+    probability of the discrete-event kernel (:func:`window_flip_mask`),
+    and cells are independent in both, so the injector's Bernoulli
+    field is identically distributed to the kernel's flip masks (see
+    the module docstring).
 
     Campaigns built on this injector turn the per-cell drift model into
     grid-level survival statistics through the real ECC machinery; see
@@ -284,77 +261,3 @@ class DriftInjector(FaultInjector):
                     "window_hours": self.window_hours,
                     "refresh_period_hours": self.refresh_period_hours,
                     "include_check_bits": self.include_check_bits}}
-
-    @staticmethod
-    def _field_sizes(data_shape: Tuple[int, ...],
-                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]]
-                     ) -> Tuple[int, Tuple[int, ...]]:
-        """(data cells, per-plane cell counts) of the concatenated field."""
-        nd = int(np.prod(data_shape))
-        npls = tuple(int(np.prod(s)) for s in (plane_shapes or ()))
-        return nd, npls
-
-    def inject(self, mem, store=None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
-        rng = self.rng if rng is None else rng
-        data_shape = (mem.rows, mem.cols)
-        plane_shapes = None
-        if store is not None and self.include_check_bits:
-            plane_shapes = (tuple(store.lead.shape), tuple(store.ctr.shape))
-        nd, npls = self._field_sizes(data_shape, plane_shapes)
-        field = rng.random(nd + sum(npls)) < self.probability
-
-        result = InjectionResult()
-        rows, cols = np.nonzero(field[:nd].reshape(data_shape))
-        if rows.size:
-            mem.flip_many(rows, cols)
-            result.data_flips = list(zip(rows.tolist(), cols.tolist()))
-        if plane_shapes is not None:
-            offset = nd
-            for shape, npl, plane in zip(plane_shapes, npls,
-                                         ("leading", "counter")):
-                mask = field[offset:offset + npl]
-                offset += npl
-                ds, brs, bcs = np.nonzero(mask.reshape(shape))
-                for d, br, bc in zip(ds.tolist(), brs.tolist(), bcs.tolist()):
-                    store.flip(plane, d, br, bc)
-                    result.check_flips.append((plane, d, br, bc))
-        return result
-
-    def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
-                    plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs,
-                    ) -> BatchInjectionResult:
-        if not self.include_check_bits:
-            plane_shapes = None
-        nd, npls = self._field_sizes(data_shape, plane_shapes)
-        cells = nd + sum(npls)
-        if rngs is None:
-            # Sequential mode: the shared stream fills the (B, cells)
-            # field with the same doubles B scalar rounds would consume,
-            # in the same order, because each trial's draw is one
-            # contiguous block — the single-vectorized-draw-per-round
-            # fast path.
-            fields = self.rng.random((batch, cells))
-        else:
-            rngs = _resolve_rngs(rngs, None, batch)
-            fields = np.empty((batch, cells))
-            for i, rng in enumerate(rngs):
-                fields[i] = rng.random(cells)
-        mask = fields < self.probability
-
-        trial, rows, cols = np.nonzero(
-            mask[:, :nd].reshape((batch,) + tuple(data_shape)))
-        check = [np.empty(0, dtype=np.int64)] * 5
-        if plane_shapes:
-            planes = []
-            offset = nd
-            for plane_id, (shape, npl) in enumerate(zip(plane_shapes, npls)):
-                t, ds, brs, bcs = np.nonzero(
-                    mask[:, offset:offset + npl]
-                    .reshape((batch,) + tuple(shape)))
-                offset += npl
-                planes.append((t, np.full(t.size, plane_id, dtype=np.int64),
-                               ds, brs, bcs))
-            check = [np.concatenate(parts) for parts in zip(*planes)]
-        return BatchInjectionResult(batch, trial, rows, cols, *check)

@@ -13,35 +13,37 @@ models through :meth:`FaultInjector.inject_batch`, which upsets a stack of
 ``uint64`` layout (64 trials per word, :mod:`repro.utils.bitpack`). All
 paths share the RNG-consuming draw core (:meth:`FaultInjector
 ._draw_batch`), and every implementation draws per trial in the scalar
-order (data mask, then check plane 0, then plane 1, ...), so a batched
-run — packed or not — consumes an injector's stream exactly as ``B``
-scalar :meth:`inject` calls would; the host-side draws are converted to
-flip events first and only the application step depends on the layout.
-This is the property the differential test harnesses
-(`tests/faults/test_batch_equivalence.py`,
+order, so a batched run — packed or not — consumes an injector's stream
+exactly as ``B`` scalar :meth:`inject` calls would; the host-side draws
+are converted to flip events first and only the application step
+depends on the layout. This is the property the differential test
+harnesses (`tests/faults/test_batch_equivalence.py`,
 `tests/faults/test_packed_equivalence.py`) pin down.
+
+The uniform-field injectors (uniform, check-bit, drift) share one draw
+(:class:`BernoulliFieldInjector`): per trial, one sparse Bernoulli field
+(:func:`repro.utils.rng.bernoulli_positions`) over the concatenated
+exposed cells — data cells row-major, then check plane 0, plane 1, ...
 
 Check planes are code-defined: the diagonal code stores two ``(m, b, b)``
 planes (leading, counter), the row+column product code two, and the
 matrix codes of :mod:`repro.core.registry` a single ``(r, b, b)`` plane.
 Injectors therefore draw over a *tuple* of per-plane shapes
-(``plane_shapes``) rather than a hardwired pair; for the diagonal
-layout (two equal planes) the consumed stream is bit-identical to the
-historical two-plane draw order, which keeps every existing seeding
-contract intact.
+(``plane_shapes``) rather than a hardwired pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.checkstore import CheckStore
 from repro.faults.ser import probability_from_fit
 from repro.utils.backend import BackendLike, get_backend
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike, bernoulli_positions, make_rng
 from repro.xbar.crossbar import CrossbarArray
 
 #: Plane codes used by the flat batched ground truth.
@@ -238,17 +240,19 @@ class BatchInjectionResult:
 
 
 def _resolve_rngs(rngs, default_rng: Optional[np.random.Generator],
-                  batch: int) -> Sequence[np.random.Generator]:
+                  batch: int) -> Iterable[np.random.Generator]:
     """Per-trial generators for a batched injection round.
 
     ``None`` falls back to the injector's own stream consumed sequentially
-    across trials — the scalar-compatible mode. An explicit sequence (one
-    generator per trial) enables the sharded per-trial seeding of
-    :mod:`repro.faults.batch`.
+    across trials — the scalar-compatible mode. An explicit sized
+    iterable (one generator per trial, e.g. a :class:`repro.utils.rng
+    .TrialStreams`) enables the sharded per-trial seeding of
+    :mod:`repro.faults.batch`. Callers consume each generator before
+    taking the next, since a :class:`~repro.utils.rng.TrialStreams`
+    re-addresses one generator in place.
     """
     if rngs is None:
         return [default_rng] * batch
-    rngs = list(rngs)
     if len(rngs) != batch:
         raise ValueError(f"need {batch} per-trial generators, got {len(rngs)}")
     return rngs
@@ -380,63 +384,76 @@ class FaultInjector:
         return result
 
 
-class MaskFieldInjector(FaultInjector):
-    """Base for injectors drawing one index field per plane per round.
+class BernoulliFieldInjector(FaultInjector):
+    """Base for injectors flipping each exposed cell independently.
 
-    Subclasses implement :meth:`_draw_mask_indices` (which cells of a
-    given plane shape upset this round) and set ``include_check_bits``
-    and ``rng``; the shared bodies here fix the per-trial draw order —
-    data mask, then each check plane in code order — in **one** place
-    for both the scalar and the batched path, which is what makes
-    sequential-seeded batched runs bit-identical to ``B`` scalar
-    :meth:`inject` calls for every subclass.
+    One round of one trial flips every cell of the concatenated exposed
+    field — data cells row-major, then check plane 0, plane 1, ... in
+    code order — independently with probability ``self.probability``.
+    The field is drawn sparsely by :func:`repro.utils.rng
+    .bernoulli_positions` (one call per trial), and :meth:`inject` and
+    :meth:`_draw_batch` share that one body, so sequential-seeded
+    batched runs are bit-identical to ``B`` scalar :meth:`inject` calls
+    for every subclass. Subclasses set ``probability``, ``rng``,
+    ``include_check_bits`` (whether check planes are exposed) and
+    ``exposes_data`` (whether data cells are).
     """
 
-    include_check_bits: bool = True
+    probability: float
     rng: np.random.Generator
-
-    def _draw_mask_indices(self, rng: np.random.Generator,
-                           shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-        """Indices of cells upset this round within one plane."""
-        raise NotImplementedError
+    include_check_bits: bool = True
+    exposes_data: bool = True
 
     def inject(self, mem: CrossbarArray,
                store: Optional[CheckStore] = None,
                rng: Optional[np.random.Generator] = None) -> InjectionResult:
-        rng = self.rng if rng is None else rng
-        result = InjectionResult()
-        rows, cols = self._draw_mask_indices(rng, (mem.rows, mem.cols))
-        if rows.size:
-            mem.flip_many(rows, cols)
-            result.data_flips = list(zip(rows.tolist(), cols.tolist()))
-        if store is not None and self.include_check_bits:
-            for plane, arr in (("leading", store.lead), ("counter", store.ctr)):
-                ds, brs, bcs = self._draw_mask_indices(rng, arr.shape)
-                for d, br, bc in zip(ds.tolist(), brs.tolist(), bcs.tolist()):
-                    store.flip(plane, d, br, bc)
-                    result.check_flips.append((plane, d, br, bc))
+        shapes = None if store is None else (store.lead.shape,
+                                              store.ctr.shape)
+        drawn = self._draw_batch(1, (mem.rows, mem.cols), shapes,
+                                 [self.rng if rng is None else rng])
+        result = drawn.result_of(0)
+        if drawn.rows.size:
+            mem.flip_many(drawn.rows, drawn.cols)
+        for plane, d, br, bc in result.check_flips:
+            store.flip(plane, d, br, bc)
         return result
 
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
                     ) -> BatchInjectionResult:
-        rngs = _resolve_rngs(rngs, self.rng, batch)
-        data_events, check_events = [], []
-        for i, rng in enumerate(rngs):
-            rows, cols = self._draw_mask_indices(rng, data_shape)
-            if rows.size:
-                data_events.append((i, rows, cols))
-            if plane_shapes and self.include_check_bits:
-                for plane_id, shape in enumerate(plane_shapes):
-                    ds, brs, bcs = self._draw_mask_indices(rng, shape)
-                    if ds.size:
-                        check_events.append((i, plane_id, ds, brs, bcs))
-        return BatchInjectionResult.from_events(batch, data_events,
-                                                check_events)
+        if not self.include_check_bits:
+            plane_shapes = None
+        shapes = ((tuple(data_shape),) if self.exposes_data else ()) \
+            + tuple(tuple(s) for s in plane_shapes or ())
+        sizes = [math.prod(s) for s in shapes]
+        cells = sum(sizes)
+        drawn = [bernoulli_positions(rng, cells, self.probability)
+                 for rng in _resolve_rngs(rngs, self.rng, batch)]
+        trial = np.repeat(np.arange(batch, dtype=np.int64),
+                          [d.size for d in drawn])
+        pos = np.concatenate(drawn) if drawn else trial
+
+        # Split the flat positions back into (trial, *cell) events per
+        # part of the field.
+        events = []
+        start = 0
+        for shape, size in zip(shapes, sizes):
+            sel = (pos >= start) & (pos < start + size)
+            events.append((trial[sel],
+                           *np.unravel_index(pos[sel] - start, shape)))
+            start += size
+        empty = np.empty(0, dtype=np.int64)
+        data = events.pop(0) if self.exposes_data else (empty,) * 3
+        check = [empty] * 5
+        if events:
+            check = [np.concatenate(column) for column in zip(*(
+                (t, np.full(t.size, plane_id, dtype=np.int64), *cell)
+                for plane_id, (t, *cell) in enumerate(events)))]
+        return BatchInjectionResult(batch, *data, *check)
 
 
-class UniformInjector(MaskFieldInjector):
+class UniformInjector(BernoulliFieldInjector):
     """Paper's model: i.i.d. upsets with per-bit probability ``p``.
 
     ``p`` is usually derived from an SER and an exposure window via
@@ -466,11 +483,6 @@ class UniformInjector(MaskFieldInjector):
         """Injector with ``p = 1 - exp(-lambda T / 1e9)``."""
         return cls(probability_from_fit(ser_fit_per_bit, hours), seed,
                    include_check_bits)
-
-    def _draw_mask_indices(self, rng: np.random.Generator,
-                           shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-        """Indices of cells upset this round (one Bernoulli field draw)."""
-        return np.nonzero(rng.random(shape) < self.probability)
 
 
 class DeterministicInjector(FaultInjector):
@@ -668,8 +680,10 @@ class LinearBurstInjector(FaultInjector):
         return BatchInjectionResult.from_events(batch, data_events, [])
 
 
-class CheckBitInjector(FaultInjector):
+class CheckBitInjector(BernoulliFieldInjector):
     """Uniform upsets restricted to the check memory (CMEM-only faults)."""
+
+    exposes_data = False
 
     def __init__(self, probability: float, seed: SeedLike = None):
         if not 0.0 <= probability <= 1.0:
@@ -680,34 +694,3 @@ class CheckBitInjector(FaultInjector):
     def to_config(self) -> dict:
         return {"kind": "check_bit",
                 "params": {"probability": self.probability}}
-
-    def inject(self, mem: CrossbarArray,
-               store: Optional[CheckStore] = None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
-        rng = self.rng if rng is None else rng
-        result = InjectionResult()
-        if store is None:
-            return result
-        for plane, arr in (("leading", store.lead), ("counter", store.ctr)):
-            cmask = rng.random(arr.shape) < self.probability
-            ds, brs, bcs = np.nonzero(cmask)
-            for d, br, bc in zip(ds.tolist(), brs.tolist(), bcs.tolist()):
-                store.flip(plane, d, br, bc)
-                result.check_flips.append((plane, d, br, bc))
-        return result
-
-    def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
-                    plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
-                    ) -> BatchInjectionResult:
-        if not plane_shapes:
-            return BatchInjectionResult.from_events(batch, [], [])
-        rngs = _resolve_rngs(rngs, self.rng, batch)
-        check_events = []
-        for i, rng in enumerate(rngs):
-            for plane_id, shape in enumerate(plane_shapes):
-                cmask = rng.random(shape) < self.probability
-                ds, brs, bcs = np.nonzero(cmask)
-                if ds.size:
-                    check_events.append((i, plane_id, ds, brs, bcs))
-        return BatchInjectionResult.from_events(batch, [], check_events)

@@ -35,8 +35,9 @@ to it, per-trial runs are shard-layout invariant).
 
 Seeding: the single ``seed`` is split into independent data-fill and
 injection streams with :func:`repro.utils.rng.spawn_rngs` (sequential
-modes) or used as the root entropy of per-trial ``SeedSequence`` children
-(per-trial mode) — no ad-hoc single-stream consumption.
+modes) or used as the root entropy of the keyed per-trial streams
+(per-trial mode, :func:`repro.utils.rng.trial_stream`) — no ad-hoc
+single-stream consumption.
 """
 
 from __future__ import annotations

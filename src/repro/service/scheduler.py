@@ -1080,14 +1080,17 @@ class CampaignService:
                             parent_span: Optional[str] = None) -> int:
         """Re-enqueue ``done`` units whose checkpoint never materialized.
 
-        A unit can be acked while its span is still in ``pending`` only
-        when the checkpoint the ack vouched for is unreadable — torn by
-        a crash mid-write and quarantined by the store's integrity
-        check. :meth:`SqliteBroker.requeue_unit` sends such a unit
-        around again against its remaining attempts budget, and turns
-        it terminally ``failed`` once the budget is spent — so silent
-        corruption degrades into a structured job failure, never a
-        dispatcher hang. Returns the number of units re-enqueued.
+        A unit acked while its span is still in ``pending`` either
+        checkpointed and acked after the dispatcher's last store scan —
+        the span's checkpoint is re-read here, and a readable one is
+        left for the next scan — or vouched for a checkpoint that is
+        unreadable: torn by a crash mid-write and quarantined by the
+        store's integrity check. :meth:`SqliteBroker.requeue_unit`
+        sends such a unit around again against its remaining attempts
+        budget, and turns it terminally ``failed`` once the budget is
+        spent — so silent corruption degrades into a structured job
+        failure, never a dispatcher hang. Returns the number of units
+        re-enqueued.
         """
         requeued = 0
         reason = "acked checkpoint missing or quarantined in the store"
@@ -1096,6 +1099,8 @@ class CampaignService:
                 continue
             span = _unit_span(unit.unit_id)
             if span is None or span not in pending:
+                continue
+            if self.store.get_shard(job.key, *span) is not None:
                 continue
             self.broker.requeue_unit(unit.unit_id, reason)
             requeued += 1

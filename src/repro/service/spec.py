@@ -61,7 +61,7 @@ from repro.faults.serialize import (
 )
 from repro.utils.backend import available_backends
 from repro.utils.canonical import content_hash
-from repro.utils.rng import resolve_entropy
+from repro.utils.rng import DRAW_CONTRACT, resolve_entropy
 
 # ---------------------------------------------------------------------- #
 # Injector specifications
@@ -183,12 +183,17 @@ class JobSpec:
 
         Defined only for normalized specs: without concrete entropy two
         submissions are *not* the same work, so there is nothing to
-        dedupe against.
+        dedupe against. The key also hashes the campaign draw contract
+        version (:data:`repro.utils.rng.DRAW_CONTRACT`): the same spec
+        yields different tallies under another contract, so records and
+        shard checkpoints written under one are never served or merged
+        under another.
         """
         if self.seed is None:
             raise ValueError("cache_key requires a normalized spec "
                              "(seed resolved to concrete entropy)")
-        return content_hash(self.to_dict())
+        return content_hash({"draw_contract": DRAW_CONTRACT,
+                             "spec": self.to_dict()})
 
     # -- validation ----------------------------------------------------- #
 

@@ -183,7 +183,7 @@ class TestJobPhaseLedger:
         assert record["job_key"] == job.key
         metrics = {s["metric"] for s in record["samples"]}
         assert "phase.total_s_per_trial" in metrics
-        assert any(m.startswith("phase.encode") for m in metrics)
+        assert any(m.startswith("phase.decode_sweep") for m in metrics)
         # per-trial normalisation: values are small positive seconds
         for sample in record["samples"]:
             assert 0 < sample["value"] < 10

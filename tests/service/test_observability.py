@@ -69,9 +69,9 @@ class TestLocalTrace:
     def test_phases_merged_onto_job_record(self, tmp_path):
         (job,) = run_local(tmp_path, spec_for())
         assert isinstance(job.phases, dict)
-        # the packed engine reports every profiled phase it ran; the
-        # u8 path packs, encodes, injects, sweeps, and tallies
-        for phase in ("encode", "inject", "decode_sweep", "tally"):
+        # the engine reports every profiled phase it ran: it injects
+        # into zero data, sweeps, and tallies
+        for phase in ("inject", "decode_sweep", "tally"):
             assert phase in job.phases, job.phases
             assert job.phases[phase] > 0
         assert set(job.phases) <= set(PROFILE_PHASES)
