@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p7.add_argument("spec", help="path to a JSON job spec ('-' for stdin)")
     p7.add_argument("--url", default=_default_service_url())
     p7.add_argument("--wait", action="store_true",
-                    help="poll until the job settles, print final record")
+                    help="wait until the job settles, print final record")
     p7.add_argument("--timeout", type=float, default=300.0,
                     help="--wait deadline in seconds")
     p7.set_defaults(func=_cmd_submit)
@@ -650,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p9.add_argument("--lease-ttl", type=float, default=30.0,
                     help="seconds a claim survives without heartbeat")
     p9.add_argument("--poll-interval", type=float, default=0.2,
-                    help="idle sleep between empty claims")
+                    help="idle sleep between empty claims (HTTP "
+                         "claims long-poll instead)")
     p9.add_argument("--max-units", type=int, default=None,
                     help="exit after this many units (default: run "
                          "until killed)")

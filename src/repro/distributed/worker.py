@@ -26,7 +26,11 @@ Two transports implement :class:`WorkSource`:
 :class:`HttpWorkSource`    Multi-host topology: the worker speaks to
                            the service's ``/units/*`` HTTP endpoints;
                            the service performs store writes, so only
-                           the URL crosses hosts.
+                           the URL crosses hosts. An empty claim holds
+                           at the service (up to
+                           :data:`CLAIM_WAIT_S`) until units are
+                           published, so an idle worker needs no
+                           sleep-poll.
 =====================  ================================================
 """
 
@@ -65,6 +69,11 @@ _CHECKPOINT_SECONDS = obs_metrics.histogram(
     "repro_checkpoint_write_seconds",
     "Wall seconds spent persisting a span checkpoint (complete call).")
 
+#: Seconds an HTTP worker's empty claim asks the service to hold while
+#: waiting for units (the long-poll claim); also how soon a ``stop``
+#: lands while the worker is idle.
+CLAIM_WAIT_S = 1.0
+
 
 def default_worker_id() -> str:
     """A fleet-unique worker identity: host, pid, and a random tail."""
@@ -74,6 +83,10 @@ def default_worker_id() -> str:
 
 class WorkSource:
     """Transport abstraction between a worker and its dispatcher."""
+
+    #: Seconds an empty :meth:`claim` may block waiting for work (0:
+    #: it answers at once and the worker sleep-polls between claims).
+    claim_wait_s = 0.0
 
     def claim(self, owner: str,
               ttl_s: float) -> Optional[Tuple[str, str, int]]:
@@ -155,9 +168,13 @@ class HttpWorkSource(WorkSource):
 
     def __init__(self, client: ServiceClient) -> None:
         self.client = client
+        # Well inside the HTTP timeout, or a held claim reads as a
+        # dead service.
+        self.claim_wait_s = min(CLAIM_WAIT_S, client.timeout / 2)
 
     def claim(self, owner, ttl_s):
-        unit = self.client.claim_unit(owner, ttl_s)
+        unit = self.client.claim_unit(owner, ttl_s,
+                                      wait_s=self.claim_wait_s)
         if unit is None:
             return None
         return (unit["unit_id"], unit["payload"],
@@ -254,7 +271,10 @@ class ShardWorker:
         Seconds a claim survives without heartbeat. The re-enqueue
         latency after ``kill -9``, traded against heartbeat traffic.
     poll_interval_s:
-        Idle sleep between empty claims.
+        Envelope of the jittered idle sleep between empty claims, and
+        of the first claim-error backoff. There is no idle sleep after
+        a claim that itself held for work (the HTTP topology's
+        long-poll claim, :attr:`WorkSource.claim_wait_s`).
     """
 
     def __init__(self, source: WorkSource,
@@ -308,7 +328,9 @@ class ShardWorker:
         the very service restarts the store's resume semantics are
         built for. Such error time counts toward ``idle_exit_s``.
         Empty-queue idle polls are jittered too, decorrelating claim
-        traffic across the fleet.
+        traffic across the fleet — except after a claim that already
+        held for :attr:`WorkSource.claim_wait_s` (long-poll claims):
+        it paced the loop itself.
 
         Sleeps block on ``stop.wait`` when a ``stop`` event is given,
         so a shutdown request interrupts the wait immediately instead
@@ -316,6 +338,7 @@ class ShardWorker:
         """
         backoff = RetryPolicy(initial_s=self.poll_interval_s, cap_s=5.0)
         idle_poll = poll_policy(self.poll_interval_s)
+        claim_wait_s = getattr(self.source, "claim_wait_s", 0.0)
         processed = 0
         idle_since: Optional[float] = None
         claim_errors = 0
@@ -324,6 +347,7 @@ class ShardWorker:
                 return processed
             if max_units is not None and processed >= max_units:
                 return processed
+            claimed_at = time.monotonic()
             try:
                 ran = self.run_once()
             except Exception as exc:  # noqa: BLE001 - daemon must outlive claims
@@ -348,6 +372,8 @@ class ShardWorker:
             if claim_errors:
                 interrupted = not backoff.sleep(claim_errors - 1,
                                                 stop=stop)
+            elif claim_wait_s > 0 and now - claimed_at >= claim_wait_s / 2:
+                continue  # the claim held for work: no idle sleep
             else:
                 interrupted = not idle_poll.sleep(0, stop=stop)
             if interrupted:

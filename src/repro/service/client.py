@@ -1,8 +1,9 @@
 """Python client for the campaign service's HTTP surface.
 
 Thin, blocking, stdlib-only (``urllib``): the shape a user script or a
-CI smoke test wants. Submit a spec, poll until it settles, read the
-result::
+CI smoke test wants. Submit a spec, wait until it settles (status
+long-polls that the service answers the moment the job settles), read
+the result::
 
     from repro.service import CampaignJobSpec, InjectorSpec, ServiceClient
 
@@ -19,6 +20,7 @@ result::
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 from typing import List, Optional, Union
@@ -26,6 +28,12 @@ from typing import List, Optional, Union
 from repro.service.spec import JobSpec
 from repro.utils.retry import Deadline, RetryPolicy, note_giveup, \
     poll_policy
+
+
+#: Longest hold one :meth:`ServiceClient.wait` long-poll asks for. It
+#: stays under the HTTP timeout (and under half of a shorter one), so a
+#: held request never reads as an unreachable service.
+LONG_POLL_S = 10.0
 
 
 class ServiceUnavailableError(ConnectionError):
@@ -129,9 +137,11 @@ class ServiceClient:
             spec = spec.to_dict()
         return self._request("POST", "/jobs", spec)
 
-    def status(self, job_id: str) -> dict:
-        """The current record of ``job_id``."""
-        return self._request("GET", f"/jobs/{job_id}")
+    def status(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """The record of ``job_id``; with ``wait_s``, a long-poll the
+        service answers once the job settles or ``wait_s`` passes."""
+        query = f"?wait={wait_s:.3f}" if wait_s > 0 else ""
+        return self._request("GET", f"/jobs/{job_id}{query}")
 
     def jobs(self) -> List[dict]:
         """Every job record the service instance has accepted."""
@@ -139,7 +149,14 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll_interval: float = 0.1) -> dict:
-        """Poll until ``job_id`` settles; return its terminal record.
+        """Wait until ``job_id`` settles; return its terminal record.
+
+        Each status read is a long-poll (:meth:`status` with
+        ``wait_s``) in slices of at most :data:`LONG_POLL_S`, so the
+        answer arrives as the job settles. A read answered early and
+        unsettled (a server that ignores ``wait``, or one shutting
+        down) falls back to a jittered ``poll_interval`` sleep, so the
+        loop never spins.
 
         Raises :class:`JobFailedError` when the job fails and
         :class:`TimeoutError` when ``timeout`` elapses first. The two
@@ -155,8 +172,9 @@ class ServiceClient:
         :class:`RetryPolicy` (capped exponential, full jitter) until
         the deadline — the same transport-error policy the worker
         daemon's claim loop uses
-        (:meth:`repro.distributed.worker.ShardWorker.run`). Only the
-        deadline turns persistent unreachability into an error.
+        (:meth:`repro.distributed.worker.ShardWorker.run`), starting at
+        ``poll_interval``. Only the deadline turns persistent
+        unreachability into an error.
         """
         deadline = Deadline.after(timeout)
         backoff = RetryPolicy(initial_s=poll_interval, cap_s=5.0)
@@ -164,8 +182,10 @@ class ServiceClient:
         errors = 0
         last_state: Optional[str] = None
         while True:
+            asked = min(LONG_POLL_S, self.timeout / 2, deadline.remaining())
+            sent = time.monotonic()
             try:
-                record = self.status(job_id)
+                record = self.status(job_id, wait_s=asked)
             except ServiceUnavailableError as exc:
                 errors += 1
                 if deadline.expired():
@@ -195,21 +215,26 @@ class ServiceClient:
                     f"job {job_id} still {record['state']!r} after "
                     f"{timeout:.1f}s; the service is reachable — this "
                     f"is a slow or stuck job, not a dead service")
-            steady.sleep(0, deadline=deadline)
+            if time.monotonic() - sent < asked / 2:
+                steady.sleep(0, deadline=deadline)
 
     # ------------------------------------------------------------------ #
     # Worker transport (the HTTP half of repro.distributed.worker)
     # ------------------------------------------------------------------ #
 
-    def claim_unit(self, worker: str,
-                   ttl_s: float = 30.0) -> Optional[dict]:
+    def claim_unit(self, worker: str, ttl_s: float = 30.0,
+                   wait_s: float = 0.0) -> Optional[dict]:
         """Claim one work unit under a TTL lease (``None`` when idle).
 
-        Only answered by services running ``execution="distributed"``;
-        otherwise the server returns 409, surfaced as ``ValueError``.
+        With ``wait_s``, an empty claim holds at the service until
+        units are published or ``wait_s`` passes. Only answered by
+        services running ``execution="distributed"``; otherwise the
+        server returns 409, surfaced as ``ValueError``.
         """
-        return self._request("POST", "/units/claim",
-                             {"worker": worker, "ttl_s": ttl_s})["unit"]
+        payload = {"worker": worker, "ttl_s": ttl_s}
+        if wait_s > 0:
+            payload["wait_s"] = wait_s
+        return self._request("POST", "/units/claim", payload)["unit"]
 
     def heartbeat_unit(self, unit_id: str, worker: str,
                        ttl_s: float = 30.0) -> bool:

@@ -49,10 +49,17 @@ Two **execution modes** share this pipeline (``execution=`` knob):
     locally; any number of ``repro worker`` processes — same host via
     the shared store path, or other hosts via the HTTP unit endpoints
     — claim, execute, and write tallies back through the *same* atomic
-    shard-checkpoint path. Completion is driven by the store: the
-    dispatcher polls for checkpoints, so worker identity is invisible
-    to the result and the bit-for-bit contract is unchanged. Adaptive
-    and logic jobs are not span-decomposable and always run locally.
+    shard-checkpoint path. Completion is read from the store, so worker
+    identity is invisible to the result and the bit-for-bit contract
+    is unchanged. The HTTP unit endpoints
+    (:meth:`CampaignService.complete_unit`, :meth:`~CampaignService.
+    fail_unit`) hand each landed span to the job's dispatcher and wake
+    it; shared-store workers write checkpoints without telling the
+    service, so a jittered store scan, escalating while it finds
+    nothing, stays as the wake-up's timeout. Empty HTTP claims
+    (:meth:`CampaignService.claim_unit`) likewise hold until the
+    dispatcher publishes units. Adaptive and logic jobs are not
+    span-decomposable and always run locally.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ _UNIT_REQUEUES = obs_metrics.counter(
     "materialized.")
 _DISPATCH_POLLS = obs_metrics.counter(
     "repro_dispatch_polls_total",
-    "Store polls while awaiting worker-written checkpoints.")
+    "Timed-out store scans while awaiting worker-written checkpoints.")
 # Point-in-time gauges, refreshed from shared state at every
 # /metrics scrape (the registry itself is process-local).
 _JOBS_GAUGE = obs_metrics.gauge(
@@ -145,6 +152,19 @@ def _unit_span(unit_id: str) -> Optional[tuple]:
     match = _UNIT_ID.search(unit_id)
     return None if match is None else (int(match.group(1)),
                                        int(match.group(2)))
+
+
+async def _first_set(timeout_s: float,
+                     *events: Optional[asyncio.Event]) -> None:
+    """Return once any of ``events`` is set or ``timeout_s`` passes."""
+    waiters = [asyncio.ensure_future(event.wait())
+               for event in events if event is not None]
+    try:
+        await asyncio.wait(waiters, timeout=max(timeout_s, 0.0),
+                           return_when=asyncio.FIRST_COMPLETED)
+    finally:
+        for waiter in waiters:
+            waiter.cancel()
 
 
 class UnitFailedError(RuntimeError):
@@ -357,8 +377,11 @@ class CampaignService:
         Extra keyword options for the queue backend (``path=...`` for
         ``"sqlite"``; defaults to the broker path).
     dispatch_poll_s:
-        Distributed mode: seconds between store polls while waiting
-        for worker-written checkpoints.
+        Distributed mode: initial envelope of the jittered store scan
+        for worker-written checkpoints (it escalates to 10x while it
+        finds nothing). HTTP workers' completions wake the dispatcher
+        at once; the scan is the timeout that catches shared-store
+        workers and lost checkpoints.
     """
 
     def __init__(self, store: Union[ResultStore, str], workers: int = 2,
@@ -422,6 +445,12 @@ class CampaignService:
         self._jobs: Dict[str, JobRecord] = {}
         self._inflight: Dict[str, str] = {}       # key -> leader job id
         self._followers: Dict[str, List[str]] = {}  # key -> follower ids
+        # key -> the dispatching job's inbox of unit-endpoint notes: a
+        # landed (lo, hi) span, or None for a unit failure.
+        self._inboxes: Dict[str, asyncio.Queue] = {}
+        # Set (and swapped for a fresh one) whenever units become
+        # claimable; empty HTTP claims wait on it.
+        self._claimable: Optional[asyncio.Event] = None
         self._seq = 0
         self._queue: Optional[JobQueue] = None
         self._pool: Optional[Executor] = None
@@ -449,6 +478,7 @@ class CampaignService:
             self.broker = await asyncio.to_thread(
                 lambda: SqliteBroker(self.broker_path,
                                      **self.broker_options))
+        self._claimable = asyncio.Event()
         pool_cls = ProcessPoolExecutor if self.executor_kind == "process" \
             else ThreadPoolExecutor
         self._pool = pool_cls(max_workers=self.workers)
@@ -616,6 +646,17 @@ class CampaignService:
         await asyncio.wait_for(job.done_event.wait(), timeout)
         return job
 
+    async def wait_status(self, job_id: str, wait_s: float,
+                          stop: Optional[asyncio.Event] = None
+                          ) -> JobRecord:
+        """The record of ``job_id`` once it settles, after ``wait_s``
+        seconds, or once ``stop`` is set, whichever comes first
+        (KeyError if unknown) — the job-status long-poll."""
+        job = self._jobs[job_id]
+        if wait_s > 0 and not job.done_event.is_set():
+            await _first_set(wait_s, job.done_event, stop)
+        return job
+
     def info(self) -> dict:
         """Live service introspection (static info + instance state)."""
         out = service_info()
@@ -706,6 +747,71 @@ class CampaignService:
         """
         return obs_perf.jobs_report(self.store.read_perf(),
                                     threshold=threshold)
+
+    # ------------------------------------------------------------------ #
+    # Worker transport (the HTTP unit endpoints; distributed mode)
+    # ------------------------------------------------------------------ #
+
+    async def claim_unit(self, worker: str, ttl_s: float,
+                         wait_s: float = 0.0,
+                         stop: Optional[asyncio.Event] = None):
+        """Claim one work unit for ``worker`` (``None`` when idle).
+
+        An empty claim holds up to ``wait_s`` seconds, until units are
+        published or requeued or ``stop`` is set, and claims again on
+        each wake — so an idle HTTP worker needs no sleep-poll of its
+        own. Returns the broker's :class:`WorkUnit`.
+        """
+        loop = asyncio.get_running_loop()
+        until = loop.time() + wait_s
+        while True:
+            # Take the event before claiming: units published while the
+            # claim runs must still wake the wait below.
+            claimable = self._claimable
+            unit = await asyncio.to_thread(self.broker.claim, worker,
+                                           ttl_s)
+            if unit is not None or (stop is not None and stop.is_set()):
+                return unit
+            await _first_set(until - loop.time(), claimable, stop)
+            if not claimable.is_set():
+                return None
+
+    async def complete_unit(self, unit_id: str, worker: str,
+                            job_key: str, lo: int, hi: int, tallies,
+                            phases: Optional[dict] = None) -> bool:
+        """Checkpoint an HTTP worker's span tallies, ack its unit, and
+        hand the span to the job's dispatcher. Returns the ack."""
+        # Checkpoint first, ack second — the same ordering the
+        # shared-store worker uses, for the same resume reason.
+        await asyncio.to_thread(self.store.put_shard, job_key, lo, hi,
+                                tallies, phases=phases)
+        try:
+            return await asyncio.to_thread(self.broker.ack, unit_id,
+                                           worker)
+        finally:
+            self._notify_dispatcher(job_key, (lo, hi))
+
+    async def fail_unit(self, unit_id: str, worker: str, error: str,
+                        requeue: bool = True) -> bool:
+        """Report an HTTP worker's unit failure. Wakes the job's
+        dispatcher (a terminal failure fails the job) and the waiting
+        claims (a requeued unit is claimable again)."""
+        reported = await asyncio.to_thread(self.broker.fail, unit_id,
+                                           worker, error, requeue)
+        if reported:
+            self._notify_dispatcher(unit_id.rpartition(":")[0], None)
+            self._wake_claims()
+        return reported
+
+    def _notify_dispatcher(self, job_key: str,
+                           note: Optional[tuple]) -> None:
+        inbox = self._inboxes.get(job_key)
+        if inbox is not None:
+            inbox.put_nowait(note)
+
+    def _wake_claims(self) -> None:
+        claimable, self._claimable = self._claimable, asyncio.Event()
+        claimable.set()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -968,12 +1074,15 @@ class CampaignService:
         fleet: spans without a checkpoint become broker work units
         (hash-stamped wire payloads, idempotent unit ids), and
         completion is read back *from the store* — a worker's ack is
-        bookkeeping, the checkpoint file is the truth, so dispatcher
-        and workers never need a direct channel. A terminally failed
-        unit (poison payload, repeated worker crashes reported as
-        terminal) fails the job with the worker's error; abandoned
-        leases are invisible here because the broker re-enqueues them
-        on claim.
+        bookkeeping, the checkpoint file is the truth. The HTTP unit
+        endpoints put each landed span (or a failure note) in the job's
+        inbox, and a wake reads only those spans; shared-store workers
+        need no channel at all, because the inbox wait times out into a
+        scan of every pending span on the escalating
+        ``dispatch_poll_s`` schedule. A terminally failed unit (poison
+        payload, repeated worker crashes reported as terminal) fails
+        the job with the worker's error; abandoned leases are invisible
+        here because the broker re-enqueues them on claim.
         """
         # Function-scope import: repro.distributed depends on the
         # service layer's store/client, so the dependency must point
@@ -1018,27 +1127,22 @@ class CampaignService:
                     attrs={"unit": unit_id, "lo": lo, "hi": hi}))
             self.tracer.emit_records(job.id, records)
 
-        await asyncio.to_thread(publish_all)
-        pending = set(missing)
-        # Escalating jittered poll: tight while checkpoints are landing,
-        # backing off (capped at 10x) through idle stretches so a big
-        # fleet of dispatchers doesn't hammer the store in lockstep.
-        poll = RetryPolicy(initial_s=self.dispatch_poll_s,
-                           cap_s=self.dispatch_poll_s * 10)
-        idle = 0
-        while pending:
-            _DISPATCH_POLLS.inc()
-            progressed = False
-            for lo, hi in sorted(pending):
-                tallies = await asyncio.to_thread(self.store.get_shard,
-                                                  job.key, lo, hi)
+        async def collect(spans: List[tuple]) -> bool:
+            """Record the spans whose checkpoint reads back; True if
+            any did."""
+            if not spans:
+                return False
+            found = await asyncio.to_thread(
+                lambda: [self.store.get_shard(job.key, lo, hi)
+                         for lo, hi in spans])
+            for span, tallies in zip(spans, found):
                 if tallies is not None:
-                    results[(lo, hi)] = tallies
-                    pending.discard((lo, hi))
+                    results[span] = tallies
+                    pending.discard(span)
                     job.shards_done += 1
-                    progressed = True
-            if not pending:
-                break
+            return any(tallies is not None for tallies in found)
+
+        async def fail_on_failed_units() -> None:
             failed = await asyncio.to_thread(self.broker.failed_units,
                                              job.key)
             # A failed unit only fails the job while its span is still
@@ -1057,21 +1161,55 @@ class CampaignService:
                 # written stay — they are the resume currency.
                 await asyncio.to_thread(self.broker.clear_group, job.key)
                 raise UnitFailedError(unit_id, error)
-            if not progressed:
-                # The inverse hazard of the ack/expiry race above: a
-                # unit acked 'done' whose checkpoint is *gone* (torn
-                # write quarantined by the store's integrity check).
-                # Without this sweep the dispatcher would poll forever
-                # for a file nobody will ever write again.
-                requeued = await asyncio.to_thread(
-                    self._requeue_lost_units, job, pending, parent_span)
-                if requeued:
-                    progressed = True
-            if progressed:
-                idle = 0
-            else:
-                idle += 1
-                await poll.sleep_async(idle - 1)
+
+        pending = set(missing)
+        inbox: asyncio.Queue = asyncio.Queue()
+        self._inboxes[job.key] = inbox
+        try:
+            await asyncio.to_thread(publish_all)
+            self._wake_claims()
+            # The inbox wait's timeout: a jittered store scan, tight
+            # while it finds checkpoints, backing off (capped at 10x)
+            # through idle stretches so a big fleet of dispatchers
+            # doesn't hammer the store in lockstep. Wakes do not move
+            # it, so a busy inbox never starves the scan.
+            poll = RetryPolicy(initial_s=self.dispatch_poll_s,
+                               cap_s=self.dispatch_poll_s * 10)
+            loop = asyncio.get_running_loop()
+            idle = 0
+            scan_at = loop.time() + poll.delay_s(idle)
+            while pending:
+                try:
+                    notes = [await asyncio.wait_for(
+                        inbox.get(), scan_at - loop.time())]
+                except asyncio.TimeoutError:
+                    _DISPATCH_POLLS.inc()
+                    progressed = await collect(sorted(pending))
+                    if pending:
+                        await fail_on_failed_units()
+                    if pending and not progressed:
+                        # The inverse hazard of the ack/expiry race
+                        # above: a unit acked 'done' whose checkpoint
+                        # is *gone* (torn write quarantined by the
+                        # store's integrity check). Without this sweep
+                        # the dispatcher would wait forever for a file
+                        # nobody will ever write again.
+                        if await asyncio.to_thread(
+                                self._requeue_lost_units, job, pending,
+                                parent_span):
+                            self._wake_claims()
+                            progressed = True
+                    idle = 0 if progressed else idle + 1
+                    scan_at = loop.time() + poll.delay_s(idle)
+                    continue
+                while not inbox.empty():
+                    notes.append(inbox.get_nowait())
+                await collect(sorted({n for n in notes if n in pending}))
+                if None in notes and pending:
+                    await fail_on_failed_units()
+        finally:
+            if self._inboxes.get(job.key) is inbox:
+                del self._inboxes[job.key]
         await asyncio.to_thread(self.broker.clear_group, job.key)
         merged = merge_results([results[span] for span in bounds])
         return result_to_dict(merged)

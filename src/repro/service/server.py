@@ -14,8 +14,14 @@ the container bakes in numpy + pytest and nothing else) that exposes a
 ``POST /jobs``              submit a :class:`JobSpec` (the JSON body is
                             the spec's ``to_dict`` form) -> job record
 ``GET  /jobs``              every job record this instance accepted
-``GET  /jobs/<id>``         one job record (404 when unknown)
-``POST /units/claim``       claim one work unit under a TTL lease
+``GET  /jobs/<id>``         one job record (404 when unknown);
+                            ``?wait=<s>`` long-polls: the answer comes
+                            when the job settles or after
+                            ``min(s, MAX_WAIT_S)`` seconds
+``POST /units/claim``       claim one work unit under a TTL lease; an
+                            empty claim with ``wait_s`` holds until
+                            units are published (at most
+                            ``MAX_WAIT_S``)
 ``POST /units/heartbeat``   extend a worker's lease
 ``POST /units/ack``         ack a unit whose checkpoint already exists
 ``POST /units/complete``    upload span tallies + ack (the server
@@ -43,17 +49,20 @@ workers run. They answer 409 unless the service runs
 
 The server speaks just enough HTTP/1.1 for ``urllib`` and ``curl``
 (request line + headers + ``Content-Length`` body, one request per
-connection); it is an operator surface for submit-and-poll clients, not
-a general web server. Responses are JSON — except ``/metrics``, which
-serves the Prometheus text format — and errors use ``{"error": ...}``
-with the matching status code.
+connection); it is an operator surface for submit-and-wait clients,
+not a general web server. :meth:`ServiceServer.close` answers
+in-flight long-polls at once. Responses are JSON — except
+``/metrics``, which serves the Prometheus text format — and errors use
+``{"error": ...}`` with the matching status code.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Tuple
+import math
+import urllib.parse
+from typing import Optional, Set, Tuple
 
 from repro.service.scheduler import CampaignService
 
@@ -62,7 +71,15 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Seconds a client gets to deliver its whole request; a stalled or
 #: half-open connection must not pin a handler coroutine forever.
+#: Answering may take longer (long-polls, ``/trace`` of a big job).
 READ_TIMEOUT_S = 30.0
+
+#: Cap on a long-poll's hold (``?wait=`` and ``wait_s``); below
+#: :data:`ServiceClient`'s default 30-s HTTP timeout.
+MAX_WAIT_S = 15.0
+
+#: Seconds :meth:`ServiceServer.close` lets in-flight answers finish.
+CLOSE_GRACE_S = 1.0
 
 #: Header lines accepted before the request is rejected as malformed.
 MAX_HEADER_LINES = 100
@@ -73,6 +90,26 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+class _BadRequest(Exception):
+    """A request rejected while it is read (answered 4xx)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _wait_seconds(value) -> float:
+    """A client's long-poll wait, clamped to ``[0, MAX_WAIT_S]``."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"wait must be a number of seconds, "
+                         f"got {value!r}") from None
+    if not math.isfinite(seconds):
+        raise ValueError(f"wait must be finite, got {value!r}")
+    return min(max(seconds, 0.0), MAX_WAIT_S)
 
 
 class PlainText:
@@ -93,6 +130,9 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        # Set by close(): in-flight long-polls answer at once.
+        self._closing = asyncio.Event()
+        self._handlers: Set[asyncio.Task] = set()
 
     @property
     def url(self) -> str:
@@ -101,6 +141,7 @@ class ServiceServer:
 
     async def start(self) -> "ServiceServer":
         await self.service.start()
+        self._closing = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         # port=0 asks the OS for a free port; reflect the real one.
@@ -110,14 +151,27 @@ class ServiceServer:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Held long-polls answer now, and close waits (briefly) for
+            # every answer to be written: from Python 3.12.1
+            # wait_closed() would wait for open connections anyway,
+            # and before it the loop's shutdown would cancel them.
+            self._closing.set()
+            if self._handlers:
+                await asyncio.wait(set(self._handlers),
+                                   timeout=CLOSE_GRACE_S)
             await self._server.wait_closed()
             self._server = None
         await self.service.close()
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then :meth:`close`. (asyncio's own
+        ``serve_forever`` would wait out the long-polls on cancel.)"""
         if self._server is None:
             await self.start()
-        await self._server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.close()
 
     async def __aenter__(self) -> "ServiceServer":
         return await self.start()
@@ -131,11 +185,25 @@ class ServiceServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            status, payload = await asyncio.wait_for(
-                self._respond(reader), timeout=READ_TIMEOUT_S)
-        except asyncio.TimeoutError:
-            status, payload = 400, {"error": "request read timed out"}
+            await self._answer(reader, writer)
+        finally:
+            self._handlers.discard(task)
+
+    async def _answer(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        try:
+            # Only reading is bounded: routes may take longer.
+            try:
+                method, target, body = await asyncio.wait_for(
+                    self._read_request(reader), timeout=READ_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                raise _BadRequest(400, "request read timed out") from None
+            status, payload = await self._route(method, target, body)
+        except _BadRequest as exc:
+            status, payload = exc.status, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - connection boundary
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         if isinstance(payload, PlainText):
@@ -160,13 +228,15 @@ class ServiceServer:
             except ConnectionError:
                 pass
 
-    async def _respond(self, reader: asyncio.StreamReader
-                       ) -> Tuple[int, dict]:
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader
+                            ) -> Tuple[str, str, bytes]:
+        """``(method, target, body)`` of one request (:class:`_BadRequest`
+        when malformed)."""
         request = await reader.readline()
         parts = request.decode("latin-1").split()
         if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, path = parts[0].upper(), parts[1]
+            raise _BadRequest(400, "malformed request line")
         length = 0
         for _ in range(MAX_HEADER_LINES):
             line = await reader.readline()
@@ -177,19 +247,21 @@ class ServiceServer:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    return 400, {"error": "bad Content-Length"}
+                    raise _BadRequest(400, "bad Content-Length") from None
         else:
-            return 400, {"error": f"more than {MAX_HEADER_LINES} "
-                                  f"header lines"}
+            raise _BadRequest(400, f"more than {MAX_HEADER_LINES} "
+                                   f"header lines")
         if length < 0:
-            return 400, {"error": "negative Content-Length"}
+            raise _BadRequest(400, "negative Content-Length")
         if length > MAX_BODY_BYTES:
-            return 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+            raise _BadRequest(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
-        return await self._route(method, path, body)
+        return parts[0].upper(), parts[1], body
 
-    async def _route(self, method: str, path: str,
+    async def _route(self, method: str, target: str,
                      body: bytes) -> Tuple[int, dict]:
+        url = urllib.parse.urlsplit(target)
+        path = url.path
         if path == "/healthz" and method == "GET":
             return 200, {"ok": True}
         if path == "/health" and method == "GET":
@@ -236,10 +308,18 @@ class ServiceServer:
             return 200, job.to_dict()
         if path.startswith("/jobs/") and method == "GET":
             job_id = path[len("/jobs/"):]
+            wait = urllib.parse.parse_qs(
+                url.query, keep_blank_values=True).get("wait")
             try:
-                return 200, self.service.status(job_id).to_dict()
+                wait_s = _wait_seconds(wait[-1]) if wait else 0.0
+            except ValueError as exc:
+                return 400, {"error": str(exc)}
+            try:
+                job = await self.service.wait_status(
+                    job_id, wait_s, stop=self._closing)
             except KeyError:
                 return 404, {"error": f"unknown job {job_id!r}"}
+            return 200, job.to_dict()
         if path.startswith("/units/") and method == "POST":
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
@@ -264,9 +344,11 @@ class ServiceServer:
                                   "are unavailable"}
         try:
             if path == "/units/claim":
-                worker = str(payload["worker"])
-                ttl_s = float(payload.get("ttl_s", 30.0))
-                unit = await asyncio.to_thread(broker.claim, worker, ttl_s)
+                unit = await self.service.claim_unit(
+                    str(payload["worker"]),
+                    float(payload.get("ttl_s", 30.0)),
+                    _wait_seconds(payload.get("wait_s", 0.0)),
+                    stop=self._closing)
                 if unit is None:
                     return 200, {"unit": None}
                 return 200, {"unit": {"unit_id": unit.unit_id,
@@ -285,25 +367,18 @@ class ServiceServer:
                 return 200, {"ok": ok}
             if path == "/units/complete":
                 from repro.service.spec import result_from_dict
-                tallies = result_from_dict(dict(payload["result"]))
-                lo, hi = int(payload["lo"]), int(payload["hi"])
                 phases = payload.get("phases")
-                phases = dict(phases) if isinstance(phases, dict) \
-                    else None
-                # Checkpoint first, ack second — the same ordering the
-                # shared-store worker uses, for the same resume reason.
-                await asyncio.to_thread(
-                    self.service.store.put_shard,
-                    str(payload["job_key"]), lo, hi, tallies,
-                    phases=phases)
-                ok = await asyncio.to_thread(
-                    broker.ack, str(payload["unit_id"]),
-                    str(payload["worker"]))
+                ok = await self.service.complete_unit(
+                    str(payload["unit_id"]), str(payload["worker"]),
+                    str(payload["job_key"]), int(payload["lo"]),
+                    int(payload["hi"]),
+                    result_from_dict(dict(payload["result"])),
+                    phases=dict(phases) if isinstance(phases, dict)
+                    else None)
                 return 200, {"ok": ok}
             if path == "/units/fail":
-                ok = await asyncio.to_thread(
-                    broker.fail, str(payload["unit_id"]),
-                    str(payload["worker"]),
+                ok = await self.service.fail_unit(
+                    str(payload["unit_id"]), str(payload["worker"]),
                     str(payload.get("error", "worker failure")),
                     bool(payload.get("requeue", True)))
                 return 200, {"ok": ok}

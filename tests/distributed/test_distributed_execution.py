@@ -279,7 +279,7 @@ class TestHttpTopology:
                     await service.wait(job.id, timeout=300)
                 finally:
                     stop.set()
-                    thread.join(timeout=10)
+                    await asyncio.to_thread(thread.join, 10)
                 return job
 
         job = asyncio.run(main())

@@ -266,7 +266,7 @@ class TestHttpTopology:
                         ServiceClient(server.url).trace, job.id)
                 finally:
                     stop.set()
-                    thread.join(timeout=10)
+                    await asyncio.to_thread(thread.join, 10)
                 return job, events
 
         job, events = asyncio.run(main())

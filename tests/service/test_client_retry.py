@@ -24,7 +24,7 @@ class FlakyClient(ServiceClient):
         self.script = list(script)
         self.polls = 0
 
-    def status(self, job_id):
+    def status(self, job_id, wait_s=0.0):
         self.polls += 1
         step = self.script.pop(0) if self.script else self.script_default
         if isinstance(step, Exception):
@@ -55,7 +55,7 @@ class TestWait:
         assert client.polls == 6
 
     def test_persistent_outage_becomes_timeout(self):
-        def always_down(job_id):
+        def always_down(job_id, wait_s=0.0):
             raise DOWN
 
         client = FlakyClient([])
@@ -87,7 +87,7 @@ class TestTimeoutFlavours:
         client = FlakyClient([])
         calls = iter(range(1_000_000))
 
-        def one_good_poll_then_down(job_id):
+        def one_good_poll_then_down(job_id, wait_s=0.0):
             if next(calls) == 0:
                 return {"state": "running"}
             raise DOWN
@@ -102,7 +102,8 @@ class TestTimeoutFlavours:
 
     def test_dead_service_never_observed(self):
         client = FlakyClient([])
-        client.status = lambda job_id: (_ for _ in ()).throw(DOWN)
+        client.status = \
+            lambda job_id, wait_s=0.0: (_ for _ in ()).throw(DOWN)
         with pytest.raises(TimeoutError,
                            match="never observed"):
             client.wait("j", timeout=0.2, poll_interval=0.01)

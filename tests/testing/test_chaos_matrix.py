@@ -223,7 +223,7 @@ class TestMatrixHttp:
                         chaos_client.wait, job.id, 300.0, 0.02)
                 finally:
                     stop.set()
-                    thread.join(timeout=10)
+                    await asyncio.to_thread(thread.join, 10)
                 return record
 
         record = asyncio.run(main())
