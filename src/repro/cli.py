@@ -168,6 +168,8 @@ def _cmd_info(args) -> int:
     print(f"injector kinds: {', '.join(info['injector_kinds'])}")
     print(f"queue backends: {', '.join(info['queue_backends'])}")
     print(f"execution modes: {', '.join(info['execution_modes'])}")
+    print(f"draw contract: v{info['draw_contract']} "
+          f"(wire version {info['wire_version']})")
     print("service: serve (start), submit (enqueue a spec), "
           "status (poll a job), worker (join a distributed fleet), "
           "store gc (evict old results)")

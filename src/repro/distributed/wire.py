@@ -47,8 +47,10 @@ WIRE_FORMAT = "repro/shard-task"
 #: 5 = campaign draw contract v2 (:data:`repro.utils.rng.DRAW_CONTRACT`:
 #: keyed per-trial Philox streams, sparse Bernoulli fault fields). The
 #: task schema is unchanged, but the same task now yields different
-#: tallies, so a worker on the old contract must not run its units.
-WIRE_VERSION = 5
+#: tallies, so a worker on the old contract must not run its units;
+#: 6 = campaign draw contract v3 (one Bernoulli fault field per 64-trial
+#: group); the same task again yields different tallies.
+WIRE_VERSION = 6
 
 
 class WireFormatError(ValueError):

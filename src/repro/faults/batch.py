@@ -50,23 +50,30 @@ The engine has two seeding modes, selected by ``seeding=``:
     would need shard ``k-1``'s stream position).
 
 ``"per-trial"`` (default and required for multi-process runs)
-    Draw contract v2 (:data:`repro.utils.rng.DRAW_CONTRACT`): trial
-    ``i`` addresses its streams directly by a keyed counter-based
-    generator, ``Philox(key=entropy, counter=[0, 0, i, stream])``
-    (:func:`repro.utils.rng.trial_stream`); the injector draws from
-    stream 1 and the scalar reference fills its data from stream 0.
-    Because the mapping depends only on ``(entropy, i)``, the tallies
+    Draw contract v3 (:data:`repro.utils.rng.DRAW_CONTRACT`): every
+    draw is addressed directly by a keyed counter-based generator under
+    the campaign entropy. The Bernoulli-field injectors (uniform,
+    check-bit, drift) draw one field per aligned 64-trial group —
+    group ``g = i // 64`` from ``Philox(key=entropy, counter=[0, 1, g,
+    stream])``, trial ``i`` keeping row ``i % 64`` — and
+    :meth:`BatchCampaign.run_range_seeded` draws each group a span
+    touches once, however ``batch_size`` splits it. The burst
+    injectors draw per trial from ``Philox(key=entropy, counter=[0, 0,
+    i, stream])`` (:func:`repro.utils.rng.trial_stream`). Injection uses
+    stream 1; the scalar reference fills its data from trial stream 0.
+    Because every draw depends only on ``(entropy, i)``, the tallies
     are invariant under the shard layout: any ``workers`` count, any
     ``batch_size``, and any contiguous partition of the trial range
-    produce identical results. :func:`run_reference` replays the same
-    per-trial streams through ``FaultCampaign.run_trial`` (real data
-    from stream 0, faults from stream 1) — the differential harness in
-    ``tests/faults/test_batch_equivalence.py`` pins both equivalences.
+    produce identical results. :func:`run_reference` replays trial
+    ``i`` through ``FaultCampaign.run_trial`` (real data from stream 0,
+    faults from the one-trial span ``[i, i + 1)`` of stream 1) — the
+    differential harness in ``tests/faults/test_batch_equivalence.py``
+    pins both equivalences.
 
-The uniform-field injectors draw each trial's fault field sparsely: a
-Binomial(cells, p) count, then a uniform subset of the exposed cells
-(:func:`repro.utils.rng.bernoulli_positions`), identically in the
-scalar and batched paths.
+The Bernoulli fields are drawn sparsely by geometric gaps
+(:func:`repro.utils.rng.bernoulli_positions`): per trial from the
+injector's own stream in sequential mode, per group under per-trial
+seeding.
 
 Sharding uses a ``concurrent.futures`` process pool: trials are split
 into contiguous ranges (:func:`repro.utils.rng.shard_bounds`), each
@@ -151,7 +158,7 @@ trials at once.
   of zero-padded state); derived masks built with complements may carry
   garbage there, so every unpacking consumer trims to the true ``B``.
 * **Seeding stays layout-invariant:** injector draws happen host-side
-  per trial *before* any layout decision and are converted to flip
+  *before* any layout decision and are converted to flip
   events that apply to either layout. Both seeding contracts above
   therefore hold verbatim under ``packing="u64"``: a sequential packed
   run is bit-identical to the scalar ``FaultCampaign`` and a per-trial
@@ -331,14 +338,17 @@ class BatchCampaign:
 
         The building block of sharded campaigns: results depend only on
         ``(entropy, lo, hi)``, never on how ranges are grouped into
-        shards or chunked into batches.
+        shards or chunked into batches. The blocks share one
+        :class:`~repro.utils.rng.TrialStreams`, so a 64-trial group that
+        straddles two blocks is drawn once.
         """
+        streams = TrialStreams(entropy, lo, hi, INJECT_STREAM)
         chunks = []
         start = lo
         while start < hi:
             batch = min(self.batch_size, hi - start)
-            chunks.append(self._run_block(batch, inject_rngs=TrialStreams(
-                entropy, start, start + batch, INJECT_STREAM)))
+            chunks.append(self._run_block(
+                batch, inject_rngs=streams.span(start, start + batch)))
             start += batch
         return merge_results(chunks)
 
@@ -347,12 +357,13 @@ class BatchCampaign:
     # ------------------------------------------------------------------ #
 
     def _run_block(self, batch: int,
-                   inject_rngs: Optional[Sequence[np.random.Generator]],
+                   inject_rngs: Optional[TrialStreams],
                    ) -> CampaignResult:
         """One stacked block of ``batch`` trials on all-zero data.
 
         ``inject_rngs`` of ``None`` selects sequential mode (the
-        injector's own stream). The injector draws per trial, host-side,
+        injector's own stream); a :class:`~repro.utils.rng.TrialStreams`
+        span selects per-trial seeding. The injector draws host-side,
         before the layout (``packing``) comes into play, which is what
         makes the tallies packing-invariant.
         """
@@ -375,7 +386,7 @@ class BatchCampaign:
         )
 
     def _execute_u8(self, batch: int,
-                    inject_rngs: Optional[Sequence[np.random.Generator]],
+                    inject_rngs: Optional[TrialStreams],
                     ) -> tuple:
         """Unpacked ``(B, n, n)`` uint8 execution of one block.
 
@@ -417,7 +428,7 @@ class BatchCampaign:
         return injection, counts
 
     def _execute_packed(self, batch: int,
-                        inject_rngs: Optional[Sequence[np.random.Generator]],
+                        inject_rngs: Optional[TrialStreams],
                         ) -> tuple:
         """Bit-sliced ``(W, n, n)`` uint64 execution of one block.
 
@@ -635,14 +646,16 @@ def run_reference(grid: BlockGrid, injector: FaultInjector, entropy: int,
     """Scalar replay of a per-trial-seeded batched run.
 
     Trial ``i`` fills real random data from stream
-    :data:`~repro.utils.rng.DATA_STREAM` and draws its faults from
-    stream :data:`~repro.utils.rng.INJECT_STREAM` — the stream the
-    batched engine injects from (draw contract v2). For the diagonal
-    code this drives :meth:`FaultCampaign.run_trial`; other registered
-    codes replay the same streams through the code's per-block
-    ``encode_block``/``decode_block`` pair. Either way this is the
-    reference side of the differential harness, and its real data makes
-    it the witness of the engine's zero-data premise. Slow by
+    :data:`~repro.utils.rng.DATA_STREAM` and replays its faults from its
+    one-trial span ``[i, i + 1)`` of stream
+    :data:`~repro.utils.rng.INJECT_STREAM` — the draw the batched engine
+    injects (draw contract v3: a Bernoulli-field injector draws trial
+    ``i``'s whole 64-trial group and keeps row ``i % 64``). For the
+    diagonal code this drives :meth:`FaultCampaign.run_trial`; other
+    registered codes replay the same streams through the code's
+    per-block ``encode_block``/``decode_block`` pair. Either way this is
+    the reference side of the differential harness, and its real data
+    makes it the witness of the engine's zero-data premise. Slow by
     construction; use for verification, not production sweeps.
     """
     if code == "diagonal":
@@ -652,7 +665,7 @@ def run_reference(grid: BlockGrid, injector: FaultInjector, entropy: int,
         for i in range(trials):
             kind, faults, multi = campaign.run_trial(
                 data_rng=trial_stream(entropy, i, DATA_STREAM),
-                inject_rng=trial_stream(entropy, i, INJECT_STREAM))
+                inject_rng=TrialStreams(entropy, i, i + 1, INJECT_STREAM))
             out.trials += 1
             out.injected_faults += faults
             out.blocks_with_multi_faults += multi
@@ -668,7 +681,7 @@ def _run_reference_code(grid: BlockGrid, injector: FaultInjector,
     """Per-block Python replay for non-diagonal registry codes.
 
     Fills random data from each trial's data stream, draws faults from
-    its injection stream through the injector's
+    its one-trial injection span through the injector's
     :meth:`FaultInjector._draw_batch` with the code's plane shapes —
     the draw the batched engine makes — and decodes block by block
     through :meth:`repro.core.registry.BlockCode.decode_block`.
@@ -680,7 +693,6 @@ def _run_reference_code(grid: BlockGrid, injector: FaultInjector,
     out = CampaignResult()
     for i in range(trials):
         data_rng = trial_stream(entropy, i, DATA_STREAM)
-        inject_rng = trial_stream(entropy, i, INJECT_STREAM)
         data = data_rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         planes = [np.zeros(shape, dtype=np.uint8)
                   for shape in blockcode.plane_shapes]
@@ -692,7 +704,8 @@ def _run_reference_code(grid: BlockGrid, injector: FaultInjector,
         golden = data.copy()
         golden_planes = [p.copy() for p in planes]
 
-        injection = injector._draw_batch(1, (n, n), shapes, [inject_rng])
+        injection = injector._draw_batch(
+            1, (n, n), shapes, TrialStreams(entropy, i, i + 1, INJECT_STREAM))
         if injection.trial.size:
             np.bitwise_xor.at(data, (injection.rows, injection.cols), 1)
         for p in range(len(planes)):

@@ -19,7 +19,7 @@ model of Sec. V-A empirically (DESIGN.md experiment E7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.core.checker import BlockChecker
 from repro.core.checkstore import CheckStore
 from repro.core.code import DecodeStatus, DiagonalParityCode
 from repro.faults.injector import FaultInjector, UniformInjector
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike, TrialStreams, make_rng
 from repro.xbar.crossbar import CrossbarArray
 
 
@@ -85,14 +85,16 @@ class FaultCampaign:
         self.code = DiagonalParityCode(grid)
 
     def run_trial(self, data_rng: Optional[np.random.Generator] = None,
-                  inject_rng: Optional[np.random.Generator] = None,
+                  inject_rng: Optional[Union[np.random.Generator,
+                                             TrialStreams]] = None,
                   ) -> tuple[str, int, int]:
         """One trial; returns (classification, faults, multi_fault_blocks).
 
         ``data_rng``/``inject_rng`` override the campaign and injector
-        streams for this trial. The batched engine's differential harness
-        uses them to replay a per-trial-seeded sharded run through this
-        scalar reference implementation.
+        streams for this trial (``inject_rng`` as
+        :meth:`FaultInjector.inject` takes it). The batched engine's
+        differential harness uses them to replay a per-trial-seeded
+        sharded run through this scalar reference implementation.
         """
         n = self.grid.n
         mem = CrossbarArray(n, n, "campaign-mem")

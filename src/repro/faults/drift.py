@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.faults.injector import BernoulliFieldInjector
 from repro.faults.ser import HOURS_PER_FIT_UNIT
-from repro.utils.rng import SeedLike, make_rng, trial_rngs
+from repro.utils.rng import INJECT_STREAM, SeedLike, make_rng, trial_stream
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,16 @@ class DriftSimulator:
         """Monte-Carlo estimate of the per-cell flip probability.
 
         With ``entropy=None`` the simulator's own stream is consumed
-        trial by trial (sequential mode). An integer ``entropy`` derives
-        each trial's stream from ``SeedSequence(entropy, spawn_key=(i,))``
-        (:func:`repro.utils.rng.trial_rngs`), making the estimate
+        trial by trial (sequential mode). An integer ``entropy`` draws
+        trial ``i`` from its keyed injection stream
+        (:func:`repro.utils.rng.trial_stream`), making the estimate
         invariant under any partition of the trial range — the same
         per-trial contract as the batched campaign engine.
         """
         total = 0
         for i in range(trials):
-            rng = None if entropy is None else trial_rngs(entropy, i, 1)[0]
+            rng = None if entropy is None \
+                else trial_stream(entropy, i, INJECT_STREAM)
             total += int(self.simulate_window(window_hours,
                                               refresh_period_hours,
                                               rng=rng).sum())

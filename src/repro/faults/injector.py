@@ -11,19 +11,26 @@ models through :meth:`FaultInjector.inject_batch`, which upsets a stack of
 ``B`` trials held as ``(B, n, n)`` / ``(B, m, b, b)`` tensors, and through
 :meth:`FaultInjector.inject_batch_packed`, which upsets the bit-sliced
 ``uint64`` layout (64 trials per word, :mod:`repro.utils.bitpack`). All
-paths share the RNG-consuming draw core (:meth:`FaultInjector
-._draw_batch`), and every implementation draws per trial in the scalar
-order, so a batched run — packed or not — consumes an injector's stream
-exactly as ``B`` scalar :meth:`inject` calls would; the host-side draws
-are converted to flip events first and only the application step
-depends on the layout. This is the property the differential test
-harnesses (`tests/faults/test_batch_equivalence.py`,
+paths, scalar :meth:`inject` included, share the RNG-consuming draw core
+(:meth:`FaultInjector._draw_batch`); the host-side draws are converted to
+flip events first and only the application step depends on the layout.
+
+A round draws from one of two sources. ``None`` consumes the injector's
+own stream trial by trial in the scalar order, so a sequential batched
+run — packed or not — consumes it exactly as ``B`` scalar :meth:`inject`
+calls would. A :class:`repro.utils.rng.TrialStreams` range selects the
+per-trial-seeded draw contract of :mod:`repro.utils.rng`, and a one-trial
+range is how the scalar reference replays trial ``i``. This is what the
+differential test harnesses (`tests/faults/test_batch_equivalence.py`,
 `tests/faults/test_packed_equivalence.py`) pin down.
 
 The uniform-field injectors (uniform, check-bit, drift) share one draw
-(:class:`BernoulliFieldInjector`): per trial, one sparse Bernoulli field
-(:func:`repro.utils.rng.bernoulli_positions`) over the concatenated
-exposed cells — data cells row-major, then check plane 0, plane 1, ...
+(:class:`BernoulliFieldInjector`): a sparse Bernoulli field over the
+concatenated exposed cells — data cells row-major, then check plane 0,
+plane 1, ... — per trial from the injector's own stream
+(:func:`repro.utils.rng.bernoulli_positions`), or per 64-trial group
+under per-trial seeding (:meth:`repro.utils.rng.TrialStreams
+.bernoulli_field`). The burst injectors draw per trial either way.
 
 Check planes are code-defined: the diagonal code stores two ``(m, b, b)``
 planes (leading, counter), the row+column product code two, and the
@@ -36,14 +43,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.checkstore import CheckStore
 from repro.faults.ser import probability_from_fit
 from repro.utils.backend import BackendLike, get_backend
-from repro.utils.rng import SeedLike, bernoulli_positions, make_rng
+from repro.utils.rng import (
+    SeedLike,
+    TrialStreams,
+    bernoulli_positions,
+    make_rng,
+)
 from repro.xbar.crossbar import CrossbarArray
 
 #: Plane codes used by the flat batched ground truth.
@@ -246,10 +258,9 @@ def _resolve_rngs(rngs, default_rng: Optional[np.random.Generator],
     ``None`` falls back to the injector's own stream consumed sequentially
     across trials — the scalar-compatible mode. An explicit sized
     iterable (one generator per trial, e.g. a :class:`repro.utils.rng
-    .TrialStreams`) enables the sharded per-trial seeding of
-    :mod:`repro.faults.batch`. Callers consume each generator before
-    taking the next, since a :class:`~repro.utils.rng.TrialStreams`
-    re-addresses one generator in place.
+    .TrialStreams`) is used as given. Callers consume each generator
+    before taking the next, since a :class:`~repro.utils.rng
+    .TrialStreams` re-addresses one generator in place.
     """
     if rngs is None:
         return [default_rng] * batch
@@ -259,7 +270,7 @@ def _resolve_rngs(rngs, default_rng: Optional[np.random.Generator],
 
 
 class FaultInjector:
-    """Base class; concrete injectors override :meth:`inject`."""
+    """Base class; concrete injectors implement :meth:`_draw_batch`."""
 
     def to_config(self) -> dict:
         """This injector's declarative ``{"kind", "params"}`` config.
@@ -279,13 +290,26 @@ class FaultInjector:
 
     def inject(self, mem: CrossbarArray,
                store: Optional[CheckStore] = None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
+               rng: Optional[Union[np.random.Generator, TrialStreams]]
+               = None) -> InjectionResult:
         """Apply one round of upsets; return the ground truth.
 
-        ``rng`` overrides the injector's own stream for this round — the
-        hook the per-trial-seeded differential reference uses.
+        ``rng`` overrides the injector's own stream for this round: a
+        generator, or a one-trial :class:`~repro.utils.rng.TrialStreams`
+        span — the hook the per-trial-seeded differential reference
+        uses. The round is :meth:`_draw_batch` for one trial.
         """
-        raise NotImplementedError
+        shapes = None if store is None else (store.lead.shape,
+                                              store.ctr.shape)
+        rngs = rng if isinstance(rng, TrialStreams) \
+            else [self.rng if rng is None else rng]
+        drawn = self._draw_batch(1, (mem.rows, mem.cols), shapes, rngs)
+        result = drawn.result_of(0)
+        if drawn.rows.size:
+            mem.flip_many(drawn.rows, drawn.cols)
+        for plane, d, br, bc in result.check_flips:
+            store.flip(plane, d, br, bc)
+        return result
 
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
@@ -293,15 +317,18 @@ class FaultInjector:
                     ) -> BatchInjectionResult:
         """Draw one round of upsets for ``batch`` trials (no application).
 
-        The layout-independent core both :meth:`inject_batch` and
-        :meth:`inject_batch_packed` share: concrete injectors implement
-        their per-trial draws here, in the scalar draw order, and the
-        base class applies the resulting ground truth to whichever
-        tensor layout is in play. ``plane_shapes`` is the code-ordered
-        tuple of per-trial check-plane shapes — ``((m, b, b), (m, b, b))``
-        for the diagonal layout, ``((r, b, b),)`` for a single-plane
-        matrix code — or ``None``/empty when check memory is not exposed.
-        Draws happen per plane in tuple order, after the data draw.
+        The layout-independent core :meth:`inject`, :meth:`inject_batch`
+        and :meth:`inject_batch_packed` share: concrete injectors
+        implement their draws here, and the base class applies the
+        resulting ground truth to whichever tensor layout is in play.
+        ``rngs`` is ``None`` (the injector's own stream, per trial in
+        the scalar order), a :class:`~repro.utils.rng.TrialStreams`
+        range, or one generator per trial. ``plane_shapes`` is the
+        code-ordered tuple of per-trial check-plane shapes —
+        ``((m, b, b), (m, b, b))`` for the diagonal layout,
+        ``((r, b, b),)`` for a single-plane matrix code — or
+        ``None``/empty when check memory is not exposed. Draws happen
+        per plane in tuple order, after the data draw.
         """
         raise NotImplementedError
 
@@ -358,9 +385,10 @@ class FaultInjector:
         ``(W, rk, b, b)`` check-bit words (empty when not exposed).
         ``batch`` is the true trial count (it cannot be recovered from
         ``W`` when ``batch % 64 != 0``). The RNG draws are identical to
-        the unpacked path — same per-trial order, same host-side streams
-        — so both seeding contracts of :mod:`repro.faults.batch` hold
-        regardless of layout; only the application step differs
+        the unpacked path — the same :meth:`_draw_batch` on the same
+        host-side streams — so both seeding contracts of
+        :mod:`repro.faults.batch` hold regardless of layout; only the
+        application step differs
         (:meth:`BatchInjectionResult.apply_planes_packed`).
         """
         planes = tuple(planes)
@@ -390,33 +418,26 @@ class BernoulliFieldInjector(FaultInjector):
     One round of one trial flips every cell of the concatenated exposed
     field — data cells row-major, then check plane 0, plane 1, ... in
     code order — independently with probability ``self.probability``.
-    The field is drawn sparsely by :func:`repro.utils.rng
-    .bernoulli_positions` (one call per trial), and :meth:`inject` and
-    :meth:`_draw_batch` share that one body, so sequential-seeded
-    batched runs are bit-identical to ``B`` scalar :meth:`inject` calls
-    for every subclass. Subclasses set ``probability``, ``rng``,
-    ``include_check_bits`` (whether check planes are exposed) and
-    ``exposes_data`` (whether data cells are).
+    :meth:`_draw_batch` draws the fields sparsely in one of two ways:
+
+    * from the injector's own stream (or one generator per trial), one
+      :func:`repro.utils.rng.bernoulli_positions` call per trial, which
+      scalar :meth:`inject` shares, so sequential-seeded batched runs
+      are bit-identical to ``B`` scalar :meth:`inject` calls;
+    * from a :class:`repro.utils.rng.TrialStreams` range, one
+      :meth:`~repro.utils.rng.TrialStreams.bernoulli_field` call, which
+      draws each 64-trial group the range touches once (draw contract
+      v3).
+
+    Subclasses set ``probability``, ``rng``, ``include_check_bits``
+    (whether check planes are exposed) and ``exposes_data`` (whether
+    data cells are).
     """
 
     probability: float
     rng: np.random.Generator
     include_check_bits: bool = True
     exposes_data: bool = True
-
-    def inject(self, mem: CrossbarArray,
-               store: Optional[CheckStore] = None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
-        shapes = None if store is None else (store.lead.shape,
-                                              store.ctr.shape)
-        drawn = self._draw_batch(1, (mem.rows, mem.cols), shapes,
-                                 [self.rng if rng is None else rng])
-        result = drawn.result_of(0)
-        if drawn.rows.size:
-            mem.flip_many(drawn.rows, drawn.cols)
-        for plane, d, br, bc in result.check_flips:
-            store.flip(plane, d, br, bc)
-        return result
 
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
@@ -428,11 +449,15 @@ class BernoulliFieldInjector(FaultInjector):
             + tuple(tuple(s) for s in plane_shapes or ())
         sizes = [math.prod(s) for s in shapes]
         cells = sum(sizes)
-        drawn = [bernoulli_positions(rng, cells, self.probability)
-                 for rng in _resolve_rngs(rngs, self.rng, batch)]
-        trial = np.repeat(np.arange(batch, dtype=np.int64),
-                          [d.size for d in drawn])
-        pos = np.concatenate(drawn) if drawn else trial
+        rngs = _resolve_rngs(rngs, self.rng, batch)
+        if isinstance(rngs, TrialStreams):
+            trial, pos = rngs.bernoulli_field(cells, self.probability)
+        else:
+            drawn = [bernoulli_positions(rng, cells, self.probability)
+                     for rng in rngs]
+            trial = np.repeat(np.arange(batch, dtype=np.int64),
+                              [d.size for d in drawn])
+            pos = np.concatenate(drawn) if drawn else trial
 
         # Split the flat positions back into (trial, *cell) events per
         # part of the field.
@@ -578,16 +603,6 @@ class BurstInjector(FaultInjector):
                         hit.add((r, c))
         return sorted(hit)
 
-    def inject(self, mem: CrossbarArray,
-               store: Optional[CheckStore] = None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
-        rng = self.rng if rng is None else rng
-        result = InjectionResult()
-        for r, c in self._strike_cells(rng, mem.rows, mem.cols):
-            mem.flip(r, c)
-            result.data_flips.append((r, c))
-        return result
-
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
@@ -656,17 +671,6 @@ class LinearBurstInjector(FaultInjector):
         if self.orientation == "row":
             return lanes, span
         return span, lanes
-
-    def inject(self, mem: CrossbarArray,
-               store: Optional[CheckStore] = None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
-        rng = self.rng if rng is None else rng
-        result = InjectionResult()
-        rows, cols = self._burst_cells(rng, mem.rows, mem.cols)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            mem.flip(r, c)
-            result.data_flips.append((r, c))
-        return result
 
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],

@@ -95,7 +95,7 @@ from repro.service.store import ResultStore
 from repro.utils.backend import available_backends
 from repro.utils.retry import RetryPolicy
 from repro.utils.kernels import available_kernels, native_available
-from repro.utils.rng import shard_bounds
+from repro.utils.rng import DRAW_CONTRACT, shard_bounds
 
 #: Default trials per service shard (work-unit granularity: small enough
 #: to checkpoint often, large enough to amortize engine rebuild).
@@ -193,10 +193,15 @@ def service_info() -> dict:
     this build serves. ``native_kernels_available`` reports whether the
     compiled extension actually imported here (registration alone does
     not imply it built), so fleet operators can tell at a glance which
-    hosts run the compiled hot loops.
+    hosts run the compiled hot loops. ``draw_contract`` and
+    ``wire_version`` say which tallies this build computes and which
+    workers it can dispatch to: hosts must agree on both.
     """
+    from repro.distributed.wire import WIRE_VERSION
     return {
         "version": repro.__version__,
+        "draw_contract": DRAW_CONTRACT,
+        "wire_version": WIRE_VERSION,
         "backends": list(available_backends()),
         "packings": list(PACKINGS),
         "codes": list(code_names()),

@@ -8,28 +8,50 @@ the same seed always produces the same fault pattern.
 Campaign draw contract (version :data:`DRAW_CONTRACT`)
 ======================================================
 
-Per-trial-seeded campaigns address every trial's randomness directly by
-a keyed counter-based generator: root entropy ``e``, trial ``i`` and
-stream ``s`` map to ``Generator(Philox(key=[e mod 2**64, e >> 64],
-counter=[0, 0, i, s]))`` (:func:`trial_stream`). Stream
+Per-trial-seeded campaigns address their randomness directly by a keyed
+counter-based generator, ``Generator(Philox(key=[e mod 2**64, e >> 64],
+counter=[0, space, index, s]))`` for root entropy ``e`` and stream
+``s``. Entropy must lie in ``[0, 2**128)`` — it is the Philox key, and
+truncating it would make distinct entropies collide. Stream
 :data:`INJECT_STREAM` feeds the fault injector; stream
-:data:`DATA_STREAM` fills the scalar reference's random data. Entropy
-must lie in ``[0, 2**128)`` — it is the Philox key, and truncating it
-would make distinct entropies collide. :class:`TrialStreams` walks a
-trial range by re-addressing one bit generator's counter, which yields
-the same streams as building one generator per trial at a fraction of
-the cost.
+:data:`DATA_STREAM` fills the scalar reference's random data.
 
-Uniform fault fields are drawn sparsely (:func:`bernoulli_positions`):
-the number of upset cells is Binomial(cells, p) and their positions a
-uniform subset of that size — exactly the distribution of ``cells``
-independent Bernoulli(p) flips, at a cost that scales with the faults
-rather than the cells.
+* **Group fields (space 1).** The Bernoulli-field injectors (uniform,
+  check-bit, drift) draw once per aligned group of
+  :data:`GROUP_TRIALS` trials — the 64 trials one packed ``uint64``
+  word holds. Group ``g = i // 64`` draws one Bernoulli(p) field over
+  ``64 * cells`` cells from counter ``[0, 1, g, s]``, trial-major with
+  each trial's cells in the injector's layout; trial ``i`` gets row
+  ``i % 64`` of it (:meth:`TrialStreams.bernoulli_field`). A span that
+  starts or ends inside a group draws the whole group and keeps its
+  own trials, so any partition of a campaign into spans and blocks
+  replays identical fields.
+* **Trial streams (space 0).** Everything else stays per trial: trial
+  ``i`` draws from counter ``[0, 0, i, s]`` (:func:`trial_stream`) —
+  the burst injectors' strikes and the scalar reference's data fill.
+  :class:`TrialStreams` walks a trial range by re-addressing one bit
+  generator's counter, which yields the same streams as building one
+  generator per trial at a fraction of the cost.
+
+Bernoulli fields are drawn sparsely by geometric gaps
+(:func:`bernoulli_positions`): the distance from one upset cell to the
+next is Geometric(p), so the upset positions are the running sums of
+``Generator.geometric(p)`` draws minus one, up to the field size —
+exactly the distribution of independent Bernoulli(p) flips, at a cost
+that scales with the faults rather than the cells. The gaps are drawn
+in chunks whose size is a fixed function of the field size and ``p``,
+and every gap is clipped at the field size plus one before summing
+(numpy returns ``INT64_MAX`` for the gaps of tiny ``p``; a gap that
+long already leaves the field). Sequential-seeded runs, and scalar
+:meth:`repro.faults.injector.FaultInjector.inject` on the injector's
+own stream, draw one field per trial with the same sampler.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+import copy
+import math
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
@@ -39,11 +61,18 @@ SeedLike = Union[int, np.random.Generator, None]
 #: sparse Bernoulli draw). Results persisted under one version are never
 #: served for another: service cache keys and the shard wire format are
 #: stamped with it.
-DRAW_CONTRACT = 2
+DRAW_CONTRACT = 3
 
 #: Per-trial stream ids (the last Philox counter word).
 DATA_STREAM = 0
 INJECT_STREAM = 1
+
+#: Trials per Bernoulli group field: one packed ``uint64`` word's worth.
+GROUP_TRIALS = 64
+
+#: Address spaces of the Philox counter's second word.
+_TRIAL_SPACE = 0
+_GROUP_SPACE = 1
 
 _WORD = 1 << 64
 
@@ -113,10 +142,17 @@ def _entropy_key(entropy: int) -> np.ndarray:
     return np.array([entropy % _WORD, entropy // _WORD], dtype=np.uint64)
 
 
-def _counter(trial: int, stream: int) -> np.ndarray:
-    if not 0 <= trial < _WORD:
-        raise ValueError(f"trial index must lie in [0, 2**64), got {trial}")
-    return np.array([0, 0, trial, stream], dtype=np.uint64)
+def _philox(key: np.ndarray, space: int, index: int,
+            stream: int) -> np.random.Generator:
+    """Generator at counter ``[0, space, index, stream]`` under ``key``."""
+    return np.random.Generator(np.random.Philox(
+        key=key, counter=_counter(space, index, stream)))
+
+
+def _counter(space: int, index: int, stream: int) -> np.ndarray:
+    if not 0 <= index < _WORD:
+        raise ValueError(f"trial index must lie in [0, 2**64), got {index}")
+    return np.array([0, space, index, stream], dtype=np.uint64)
 
 
 def trial_stream(entropy: int, trial: int,
@@ -127,8 +163,10 @@ def trial_stream(entropy: int, trial: int,
     so any partition of a campaign into shards replays identical
     per-trial streams.
     """
-    return np.random.Generator(np.random.Philox(
-        key=_entropy_key(entropy), counter=_counter(trial, stream)))
+    return _philox(_entropy_key(entropy), _TRIAL_SPACE, trial, stream)
+
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 class TrialStreams:
@@ -137,7 +175,9 @@ class TrialStreams:
     Iterating yields one generator per trial, equal to
     :func:`trial_stream` for that trial. It is the *same* generator
     object re-addressed in place, so each must be consumed before the
-    iteration advances.
+    iteration advances. :meth:`bernoulli_field` draws the range's
+    Bernoulli fields by 64-trial group instead (see the module
+    docstring).
     """
 
     def __init__(self, entropy: int, lo: int, hi: int, stream: int):
@@ -146,6 +186,10 @@ class TrialStreams:
                              f"[0, 2**64)")
         self.key = _entropy_key(entropy)
         self.lo, self.hi, self.stream = lo, hi, stream
+        # The last group field drawn, keyed by (group, cells, p); shared
+        # with every sub-range from span(), so engine blocks that split
+        # a group draw it once.
+        self._fields: dict = {}
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -157,12 +201,66 @@ class TrialStreams:
         # to each trial's counter before its draws.
         state = bit_generator.state
         for trial in range(self.lo, self.hi):
-            state["state"]["counter"] = _counter(trial, self.stream)
+            state["state"]["counter"] = _counter(_TRIAL_SPACE, trial,
+                                                 self.stream)
             bit_generator.state = state
             yield generator
 
+    def span(self, lo: int, hi: int) -> "TrialStreams":
+        """The sub-range ``[lo, hi)``, sharing this range's group fields."""
+        if not self.lo <= lo <= hi <= self.hi:
+            raise ValueError(f"span [{lo}, {hi}) is not inside "
+                             f"[{self.lo}, {self.hi})")
+        sub = copy.copy(self)
+        sub.lo, sub.hi = lo, hi
+        return sub
 
-_NO_POSITIONS = np.empty(0, dtype=np.int64)
+    def bernoulli_field(self, cells: int, probability: float
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Upset cells of every trial's Bernoulli(p) field over ``cells``.
+
+        Returns ``(trial, cell)`` int64 arrays, ``trial`` counted from
+        ``lo``, sorted trial-major and by cell within a trial. Each
+        group the range touches is drawn once, by
+        :func:`bernoulli_positions` over its ``64 * cells`` field, and
+        split into ``(trial, cell)`` by ``divmod(position, cells)``.
+        """
+        if self.lo == self.hi or cells == 0 or probability == 0:
+            return _NO_POSITIONS, _NO_POSITIONS
+        trials, hits = [], []
+        for group in range(self.lo // GROUP_TRIALS,
+                           (self.hi - 1) // GROUP_TRIALS + 1):
+            trial, cell = self._group_field(group, cells, probability)
+            base = group * GROUP_TRIALS
+            a, b = np.searchsorted(trial, (self.lo - base, self.hi - base))
+            trials.append(trial[a:b] + (base - self.lo))
+            hits.append(cell[a:b])
+        return np.concatenate(trials), np.concatenate(hits)
+
+    def _group_field(self, group: int, cells: int, probability: float
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slot, cell)`` of group ``group``'s field (slot = ``i % 64``)."""
+        key = (group, cells, probability)
+        field = self._fields.get(key)
+        if field is None:
+            positions = bernoulli_positions(
+                _philox(self.key, _GROUP_SPACE, group, self.stream),
+                GROUP_TRIALS * cells, probability)
+            field = np.divmod(positions, cells)
+            self._fields.clear()
+            self._fields[key] = field
+        return field
+
+
+def _gap_chunk(size: int, probability: float) -> int:
+    """Gaps per ``geometric`` call for a ``size``-cell field.
+
+    The mean count needed to leave the field plus a four-sigma margin,
+    so one call almost always suffices. Part of the draw contract: it
+    fixes how far a sequential stream advances per field.
+    """
+    mean = size * probability
+    return int(mean + 4.0 * math.sqrt(mean)) + 16
 
 
 def bernoulli_positions(rng: np.random.Generator, cells: int,
@@ -170,44 +268,27 @@ def bernoulli_positions(rng: np.random.Generator, cells: int,
     """Sorted positions of the upset cells of one Bernoulli field.
 
     Equal in distribution to ``np.flatnonzero(rng.random(cells) <
-    probability)``, drawn exactly but sparsely: a count ``k ~
-    Binomial(cells, probability)``, then a uniform ``k``-subset of
-    ``range(cells)`` (``Generator.choice`` without replacement). Each
-    call consumes ``rng`` the same way whatever the caller, which is
-    what keeps scalar and batched injection bit-identical.
+    probability)``, drawn exactly but sparsely by geometric gaps (see
+    the module docstring). Each call consumes ``rng`` the same way
+    whatever the caller, which is what keeps scalar and batched
+    injection bit-identical.
     """
-    if cells == 0:
+    if cells == 0 or probability == 0:
         return _NO_POSITIONS
-    k = int(rng.binomial(cells, probability))
-    if k == 0:
-        return _NO_POSITIONS
-    positions = rng.choice(cells, k, replace=False, shuffle=False)
-    positions.sort()
-    return positions
-
-
-def trial_seed_sequence(entropy: int, trial: int) -> np.random.SeedSequence:
-    """The seed sequence of trial ``trial`` under root ``entropy``.
-
-    Equivalent to ``SeedSequence(entropy).spawn(trial + 1)[trial]`` but
-    O(1): the child is addressed directly by its spawn key. Because the
-    mapping depends only on ``(entropy, trial)``, any partition of a
-    campaign into shards reproduces identical per-trial streams.
-    """
-    return np.random.SeedSequence(entropy, spawn_key=(trial,))
-
-
-def trial_rngs(entropy: int, trial: int,
-               streams: int = 2) -> list[np.random.Generator]:
-    """Independent ``SeedSequence``-derived generators for one trial.
-
-    The trial's seed sequence is split into ``streams`` children that
-    never interleave. The per-trial estimate of
-    :meth:`repro.faults.drift.DriftSimulator.empirical_flip_probability`
-    draws from these; campaigns use :func:`trial_stream` instead.
-    """
-    return [np.random.default_rng(s)
-            for s in trial_seed_sequence(entropy, trial).spawn(streams)]
+    chunk = _gap_chunk(cells, probability)
+    found = []
+    last = -1  # the previous upset position
+    while last < cells:
+        positions = rng.geometric(probability, chunk)
+        # Any gap past the field ends it; clipping keeps the sum from
+        # overflowing when numpy returns INT64_MAX (tiny p).
+        np.minimum(positions, cells + 1, out=positions)
+        np.cumsum(positions, out=positions)
+        positions += last
+        found.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(found)
+    return positions[:np.searchsorted(positions, cells)]
 
 
 def shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:

@@ -51,11 +51,10 @@ def publish_span(broker, key, lo, hi, code, seed=3):
 
 
 class TestWireVersion:
-    def test_version_is_five(self):
-        """Version 5 moved campaigns to draw contract v2 (version 4 put
-        the unit dispatch envelope on the versioned surface); bump
-        again if it changes."""
-        assert WIRE_VERSION == 5
+    def test_version_is_six(self):
+        """Version 6 moved campaigns to draw contract v3 (version 5 to
+        v2); bump again if it changes."""
+        assert WIRE_VERSION == 6
 
     def test_envelope_carries_code(self):
         task = runner("hsiao").shard_task(0, 32)

@@ -19,6 +19,7 @@ from repro.distributed import (
     HttpWorkSource,
     ShardWorker,
     SqliteBroker,
+    WIRE_VERSION,
 )
 from repro.service import (
     CampaignJobSpec,
@@ -30,6 +31,7 @@ from repro.service import (
     result_from_dict,
     service_info,
 )
+from repro.utils.rng import DRAW_CONTRACT
 
 UNIFORM = InjectorSpec("uniform", {"probability": 2e-3})
 
@@ -350,6 +352,8 @@ class TestIntrospection:
         assert info["execution_modes"] == ["local", "distributed"]
         assert "sqlite" in info["queue_backends"]
         assert "memory" in info["queue_backends"]
+        assert info["draw_contract"] == DRAW_CONTRACT
+        assert info["wire_version"] == WIRE_VERSION
 
     def test_instance_info_reports_broker_state(self, tmp_path):
         async def main():

@@ -29,7 +29,7 @@ from repro.reliability.drift_analysis import (
     simulate_drift_survival,
     validate_drift_model,
 )
-from repro.utils.rng import trial_rngs
+from repro.utils.rng import INJECT_STREAM, trial_stream
 from repro.xbar.crossbar import CrossbarArray
 
 #: Aggressive model so small campaigns actually see flips.
@@ -75,7 +75,7 @@ class TestDriftSimulatorSeeding:
         p = sim.empirical_flip_probability(24.0, None, trials=3, entropy=7)
         total = 0
         for i in range(3):
-            rng = trial_rngs(7, i, 1)[0]
+            rng = trial_stream(7, i, INJECT_STREAM)
             total += int(window_flip_mask(HOT, rng, (800,), 24.0,
                                           None).sum())
         assert p == total / (800 * 3)

@@ -32,7 +32,7 @@ from repro.faults import (
     merge_results,
 )
 from repro.utils.backend import TracingBackend
-from repro.utils.rng import shard_bounds, trial_rngs
+from repro.utils.rng import shard_bounds
 
 #: Small geometries: (n, m) with n a multiple of odd m.
 geometries = st.sampled_from([(9, 3), (15, 3), (15, 5), (25, 5)])
@@ -146,13 +146,6 @@ class TestCampaignProperties:
             for lo, hi in shard_bounds(trials, shards)])
         assert whole.as_dict() == sharded.as_dict()
 
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 50))
-    @settings(max_examples=25)
-    def test_trial_streams_reproducible(self, entropy, trial):
-        a_data, a_inj = trial_rngs(entropy, trial)
-        b_data, b_inj = trial_rngs(entropy, trial)
-        assert (a_data.integers(0, 1000, 8) == b_data.integers(0, 1000, 8)).all()
-        assert (a_inj.random(8) == b_inj.random(8)).all()
 
 
 #: Injector factories spanning the whole simulator family; each takes a

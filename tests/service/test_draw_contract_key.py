@@ -3,11 +3,14 @@
 The campaign draw contract (:data:`repro.utils.rng.DRAW_CONTRACT`) fixes
 which tallies a ``(spec, entropy)`` pair yields, so the service's cache
 key stamps it. A store written before the stamp existed keyed records
-and shard checkpoints by the bare spec hash; the same spec must miss
-them, recompute, and match the in-process runner.
+and shard checkpoints by the bare spec hash, and a store written under
+contract v2 by the v2-stamped hash; the same spec must miss both,
+recompute, and match the in-process runner.
 """
 
 import asyncio
+
+import pytest
 
 from repro.faults.campaign import CampaignResult
 from repro.service import (
@@ -34,6 +37,12 @@ def unstamped_key(spec) -> str:
     return content_hash(spec.normalized().to_dict())
 
 
+def v2_key(spec) -> str:
+    """The cache key of a store written under draw contract v2."""
+    return content_hash({"draw_contract": 2,
+                         "spec": spec.normalized().to_dict()})
+
+
 def run_one(store):
     async def main():
         async with CampaignService(store, workers=1,
@@ -53,9 +62,12 @@ class TestContractStampedKey:
             {"draw_contract": DRAW_CONTRACT, "spec": spec.to_dict()})
         assert spec.cache_key() != unstamped_key(SPEC)
 
-    def test_unstamped_record_and_checkpoints_are_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("stale_key", [unstamped_key, v2_key])
+    def test_unstamped_record_and_checkpoints_are_a_miss(self, tmp_path,
+                                                         stale_key):
+        """Unstamped, or stamped with an older contract: both miss."""
         store = ResultStore(tmp_path)
-        old = unstamped_key(SPEC)
+        old = stale_key(SPEC)
         stale = result_to_dict(CampaignResult(trials=128, silent=128))
         store.put(old, {"result": stale, "shards": {"total": len(SPANS)}})
         for lo, hi in SPANS:

@@ -8,8 +8,6 @@ from repro.utils.rng import (
     resolve_entropy,
     shard_bounds,
     spawn_rngs,
-    trial_rngs,
-    trial_seed_sequence,
 )
 
 
@@ -56,26 +54,6 @@ class TestResolveEntropy:
     def test_generator_rejected(self):
         with pytest.raises(ValueError):
             resolve_entropy(np.random.default_rng(0))
-
-
-class TestTrialSeeding:
-    def test_matches_spawn(self):
-        """Direct spawn-key addressing equals SeedSequence.spawn."""
-        root = np.random.SeedSequence(7)
-        children = root.spawn(5)
-        for i, child in enumerate(children):
-            direct = trial_seed_sequence(7, i)
-            a = np.random.default_rng(child).integers(0, 10**9, 4)
-            b = np.random.default_rng(direct).integers(0, 10**9, 4)
-            assert (a == b).all()
-
-    def test_streams_independent_per_trial(self):
-        a = trial_rngs(3, 0)[0].integers(0, 10**9)
-        b = trial_rngs(3, 1)[0].integers(0, 10**9)
-        assert a != b
-
-    def test_stream_count(self):
-        assert len(trial_rngs(0, 0, streams=3)) == 3
 
 
 class TestShardBounds:
