@@ -26,10 +26,21 @@ layout generalized to code-defined plane counts and depths:
 * ``hsiao`` / ``hamming_ext`` — one ``(r, b, b)`` plane of algebraic
   check bits (``r ~ log2(m^2)``, far below ``2m``).
 
-All codes are exactly single-error-correcting / double-error-detecting
-per block codeword, so campaign outcomes are comparable one-to-one; the
-differences the selector (:mod:`repro.analysis.selector`) trades off are
-storage overhead, MAGIC update cost, and kernel throughput.
+Every code is linear, block-local, and decodes by column matching: a
+block's syndrome is the XOR of its faulty cells' columns, the decoder
+corrects exactly the syndromes equal to one column (so every single-cell
+error of the codeword is restored), and it flags every other nonzero
+syndrome uncorrectable. The fault-centric campaign engine
+(:mod:`repro.faults.batch`) rests on that premise, and
+:func:`build_code` checks it (linearity, and that every single-cell
+error is restored). It is not double-error detection: ``hsiao`` and
+``hamming_ext`` detect every double error, but ``diagonal`` and
+``rowcol`` do not — a data error plus the check bit of its own diagonal
+(or row) leaves a syndrome equal to one check-bit column, which decodes
+as a single check-bit error, and the trial ends silent. Campaign
+outcomes are comparable one-to-one; the differences the selector
+(:mod:`repro.analysis.selector`) trades off are storage overhead, MAGIC
+update cost, and kernel throughput.
 
 Matrix codes as difference equations
 ====================================
@@ -113,6 +124,7 @@ __all__ = [
     "register_code",
     "build_code",
     "check_linear",
+    "check_single_errors",
     "code_names",
     "CODE_KINDS",
 ]
@@ -121,12 +133,14 @@ __all__ = [
 class BlockCode:
     """Interface every registered per-block code implements.
 
-    The campaign engine only touches this surface: plane geometry,
-    batched encode (u8 and u64-packed), batched check-and-correct
-    returning a sweep report with per-trial ``uncorrectable_any``, and
-    the scalar per-block encode/decode the differential reference
-    replays. Storage and update-cost accessors feed the selector and
-    the area model.
+    The campaign engine touches only the plane geometry and the scalar
+    per-block ``encode_block`` (its syndrome columns);
+    :func:`build_code` checks ``decode_block`` against the engine's
+    premise, and the scalar reference replays both. The batched encode
+    and check-and-correct kernels (u8 and u64-packed, with a sweep
+    report carrying per-trial ``uncorrectable_any``) are the
+    differential suites' reference. Storage and update-cost accessors
+    feed the selector and the area model.
     """
 
     #: Registered name (set by subclasses).
@@ -732,8 +746,9 @@ def code_names() -> Tuple[str, ...]:
     return tuple(sorted(CODE_KINDS))
 
 
-#: ``(name, builder, n, m)`` combinations that passed the linearity check.
-_LINEAR_CHECKED: set = set()
+#: ``(name, builder, n, m)`` combinations that passed the linearity and
+#: single-error checks.
+_PREMISE_CHECKED: set = set()
 
 #: Seeded random block pairs the linearity check encodes.
 _LINEARITY_PAIRS = 8
@@ -768,12 +783,55 @@ def check_linear(code: BlockCode, m: int) -> None:
                              f"encode(a ^ b) != encode(a) ^ encode(b)")
 
 
+def check_single_errors(code: BlockCode, m: int) -> None:
+    """Refuse ``code`` unless it restores every single-cell error.
+
+    The campaign engine counts a block with one faulty cell as restored
+    without decoding it (:mod:`repro.faults.batch`). On one seeded
+    random ``m x m`` block, flips each data cell and each check bit in
+    turn, decodes with ``decode_block``, applies the correction and
+    requires the block and its check bits back; raises ``ValueError``
+    on the first failure.
+    """
+    rng = np.random.default_rng(0)
+    block = rng.integers(0, 2, size=(m, m), dtype=np.uint8)
+    planes = [np.asarray(bits, dtype=np.uint8)
+              for bits in code.encode_block(block)]
+
+    def restores(data: np.ndarray, stored: List[np.ndarray]) -> bool:
+        outcome = code.decode_block(data, *stored)
+        if isinstance(outcome, DataError):
+            data[outcome.row, outcome.col] ^= 1
+        elif isinstance(outcome, CheckBitError):
+            stored[code.plane_names.index(outcome.plane)][outcome.index] ^= 1
+        return np.array_equal(data, block) and all(
+            np.array_equal(x, y) for x, y in zip(stored, planes))
+
+    for r in range(m):
+        for c in range(m):
+            data = block.copy()
+            data[r, c] ^= 1
+            if not restores(data, [p.copy() for p in planes]):
+                raise ValueError(
+                    f"code {code.name!r} does not restore a single data "
+                    f"error at block cell ({r}, {c})")
+    for p, bits in enumerate(planes):
+        for j in range(bits.size):
+            stored = [x.copy() for x in planes]
+            stored[p][j] ^= 1
+            if not restores(block.copy(), stored):
+                raise ValueError(
+                    f"code {code.name!r} does not restore a single error "
+                    f"of check bit {j} in plane {code.plane_names[p]!r}")
+
+
 def build_code(name: str, grid: BlockGrid) -> BlockCode:
     """Instantiate a registered code for ``grid``.
 
     The first build of each (code, geometry) runs :func:`check_linear`
-    on the code's block encoder; a builder result without one cannot
-    run a campaign and is returned unchecked.
+    on the code's block encoder and :func:`check_single_errors` on its
+    block decoder; a builder result without an encoder cannot run a
+    campaign and is returned unchecked.
     """
     try:
         builder = CODE_KINDS[name]
@@ -783,7 +841,8 @@ def build_code(name: str, grid: BlockGrid) -> BlockCode:
             f"{', '.join(code_names())}") from None
     code = builder(grid)
     checked = (name, builder, grid.n, grid.m)
-    if hasattr(code, "encode_block") and checked not in _LINEAR_CHECKED:
+    if hasattr(code, "encode_block") and checked not in _PREMISE_CHECKED:
         check_linear(code, grid.m)
-        _LINEAR_CHECKED.add(checked)
+        check_single_errors(code, grid.m)
+        _PREMISE_CHECKED.add(checked)
     return code

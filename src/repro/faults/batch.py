@@ -4,35 +4,62 @@ The scalar :class:`repro.faults.campaign.FaultCampaign` runs one trial at
 a time: fresh crossbar, random data, encode, inject, full Python-loop
 check sweep. That loop is the slowest path in the repo (the Sec. V-A
 binomial-model validation and the MTTF benches all sit on it). This
-module runs ``B`` trials as stacked tensors instead, and simulates only
-the error pattern:
+module runs ``B`` trials per block and simulates only the error pattern,
+at a cost that scales with the faults rather than the cells:
 
-* state            — all-zero ``(B, n, n)`` data and ``(B, rk, b, b)``
-  check-plane stacks, one per code plane (the default diagonal code
-  stores the leading/counter pair);
 * injection        — :meth:`repro.faults.injector.FaultInjector
-  .inject_batch_planes`, flat ground-truth event arrays;
-* check sweep      — :meth:`repro.core.registry.BlockCode
-  .check_batched`, one vectorized syndrome/decode/correct pass over
-  every block of every trial;
-* classification   — a trial whose final state has any nonzero word is
-  damaged; per-trial reductions give the same
+  .draw_events`: flat ``(trial, cell)`` events in the exposed-field
+  layout (data row-major, then each check plane);
+* block keys       — one table per (n, m, code) maps a cell to
+  ``block * cells_per_block + local`` and a local cell to its uint64
+  syndrome column; the events' ``trial``-keyed block keys are sorted, so
+  each faulty block's events sit together;
+* decode           — duplicate events cancel in pairs, and only blocks
+  left with two or more faulty cells are decoded: their syndrome is the
+  XOR of the cells' columns, and a nonzero syndrome that matches no
+  column is flagged uncorrectable;
+* classification   — per-trial counts give the same
   :class:`repro.faults.campaign.CampaignResult` tallies the scalar
   campaign produces.
 
-Zero data (the linearity premise)
-=================================
+Exactness (the column-matching premise)
+=======================================
 
-Every registered code is linear: ``encode(0) == 0`` and ``encode(a ^ b)
-== encode(a) ^ encode(b)``, so the syndromes, and with them every
-decode and correction, depend only on the error pattern. A trial on
-random data ends with ``data ^ residual`` where a trial on zero data
-ends with ``residual``; both are restored exactly when the residual
-error is zero. The engine therefore skips the data fill, the encode and
-the golden copies. :func:`repro.core.registry.build_code` refuses a
-code that fails a seeded linearity check, and the scalar
-:class:`~repro.faults.campaign.FaultCampaign` keeps real random data,
-so the differential suites keep witnessing the premise.
+Every registered code is linear over GF(2): ``encode(0) == 0`` and
+``encode(a ^ b) == encode(a) ^ encode(b)``, so the syndromes, and with
+them every decode and correction, depend only on the error pattern. A
+trial on random data ends with ``data ^ residual`` where a trial on zero
+data ends with ``residual``; both are restored exactly when the residual
+error is zero. The engine therefore never fills data, encodes, or keeps
+golden copies.
+
+Every registered code is also block-local and decodes by column
+matching: a block's syndrome is the XOR of its faulty cells' columns
+(a data cell's column is the code's ``encode_block`` of the unit block,
+a check cell's is a unit vector), the decoder corrects exactly the
+syndromes equal to one column, and flags every other nonzero syndrome
+uncorrectable. So a block with one faulty cell is always restored, a
+block with two or more never is (a correction flips one cell, which
+leaves at least one wrong), and a trial is
+
+* ``clean`` with no events, ``corrected`` when no block keeps two or
+  more faulty cells,
+* ``detected`` when one of those blocks has a nonzero syndrome that
+  matches no column, and ``silent`` otherwise —
+
+exactly as the full check sweep decides. None of this needs the codes to
+detect every double error, and ``diagonal`` and ``rowcol`` do not: a
+data error plus the check bit of its own diagonal (or row) matches a
+single check-bit column and ends silent, on both paths.
+:func:`repro.core.registry.build_code` refuses a code that fails a
+seeded linearity check or does not restore every single-cell error of a
+block. The scalar :class:`~repro.faults.campaign.FaultCampaign` and
+:func:`run_reference` keep real random data and the codes' own
+decoders, and the per-code tensor sweeps
+(:meth:`repro.core.registry.BlockCode.check_batched_packed`) stay as
+the reference of ``tests/faults/test_fault_centric.py``, so the
+differential suites keep witnessing both premises. Memory per block is
+proportional to the events, not to ``B * n**2``.
 
 Seeding + sharding contract
 ===========================
@@ -79,11 +106,7 @@ Sharding uses a ``concurrent.futures`` process pool: trials are split
 into contiguous ranges (:func:`repro.utils.rng.shard_bounds`), each
 worker rebuilds the engine from a picklable :class:`ShardTask` (grid
 geometry, injector, entropy, backend name) and runs its range in
-``batch_size`` chunks. Peak memory per block, measured at ``n=129``
-and ``batch_size=64``, is about ``7 * batch_size * n**2`` bytes for
-``u8`` (the state stack is one of those, the check sweep's temporaries
-the rest) and under ``2 * batch_size * n**2`` for ``u64``, so large-``n``
-sweeps should lower ``batch_size`` rather than trials.
+``batch_size`` chunks.
 
 Service-sharded execution
 -------------------------
@@ -121,34 +144,30 @@ too, including after worker deaths and lease re-enqueues
 Array backends
 ==============
 
-All tensor arithmetic dispatches through an
+The block does its array work through an
 :class:`repro.utils.backend.ArrayBackend` handle (``backend=`` on
 :class:`BatchCampaign` / :class:`CampaignRunner`, default numpy or
-``$REPRO_BACKEND``). Random draws are *always* host-side numpy flip
-events scatter-applied onto the backend's state, so both seeding
-contracts above are backend-independent: a sequential run under any
-backend produces the same tallies as the numpy run, bit for bit, as
-long as the backend's arithmetic is exact (integer/boolean ops are, on
-every supported backend).
+``$REPRO_BACKEND``) on events staged with ``from_numpy``. Random draws
+are *always* host-side numpy, so both seeding contracts above are
+backend-independent: a run under any backend produces the same tallies
+as the numpy run, bit for bit, as long as the backend's integer
+arithmetic is exact.
 
-Orthogonally, ``kernels=`` selects the host-side kernel tier
-(:mod:`repro.utils.kernels`: pure numpy, or the optional compiled
-extension) for the packed layout's word-level hot loops. Tiers are
-bit-identical by contract, engage only when the resolved backend's
-arrays are plain numpy, and — like the backend — cross process
-boundaries by resolved *name* on every :class:`ShardTask`, so sharded,
-service, and distributed executions record exactly which tier computed
-each span and fail loudly on a worker that cannot provide it.
+``kernels=`` (the host-side kernel tier of :mod:`repro.utils.kernels`)
+and ``packing=`` are accepted, validated and carried by every
+:class:`ShardTask` and service spec, so spec hashes and the wire are
+unchanged, but they no longer choose a campaign path: every
+configuration runs the same block.
 
 Packed bit-slice layout
 =======================
 
-``packing="u64"`` on :class:`BatchCampaign` / :class:`CampaignRunner`
-switches the execution tensors from one uint8 byte per trial bit to the
-bit-sliced layout of :mod:`repro.utils.bitpack`: the batch dimension is
-packed 64 trials per ``uint64`` word, so a ``(B, n, n)`` stack becomes
-``(ceil(B/64), n, n)`` words and every XOR/AND/OR kernel op processes 64
-trials at once.
+The per-code tensor kernels (:meth:`repro.core.registry.BlockCode
+.check_batched_packed`, the injectors' ``inject_batch_packed``) work on
+the bit-sliced layout of :mod:`repro.utils.bitpack`: the batch dimension
+is packed 64 trials per ``uint64`` word, so a ``(B, n, n)`` stack
+becomes ``(ceil(B/64), n, n)`` words and every XOR/AND/OR op processes
+64 trials at once.
 
 * **Word layout:** trial ``i`` occupies bit ``i % 64`` (little-endian:
   bit ``j`` of a word is ``(word >> j) & 1``) of word ``i // 64``.
@@ -157,26 +176,22 @@ trials at once.
   are never written by injection or correction (all flip masks are ANDs
   of zero-padded state); derived masks built with complements may carry
   garbage there, so every unpacking consumer trims to the true ``B``.
-* **Seeding stays layout-invariant:** injector draws happen host-side
-  *before* any layout decision and are converted to flip
-  events that apply to either layout. Both seeding contracts above
-  therefore hold verbatim under ``packing="u64"``: a sequential packed
-  run is bit-identical to the scalar ``FaultCampaign`` and a per-trial
-  packed run is shard-layout invariant, for any ``B % 64`` remainder.
-  The differential suite ``tests/faults/test_packed_equivalence.py``
-  pins packed == unpacked == scalar across the injector family.
+
+They are off the campaign path and stay as the reference the
+differential suites (``tests/faults/test_packed_equivalence.py``,
+``tests/faults/test_fault_centric.py``) compare the block against.
 
 Every simulator in the library rides this engine: uniform/burst/check-bit
 SER campaigns, the drift-window campaigns of
 :class:`repro.faults.drift.DriftInjector`, and the linear-burst survival
 analysis of :mod:`repro.reliability.burst` all dispatch through
 :class:`CampaignRunner`, inheriting batching, sharding, adaptive
-sampling (:meth:`CampaignRunner.run_adaptive`), backend selection, and
-the packed layout switch.
+sampling (:meth:`CampaignRunner.run_adaptive`) and backend selection.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter_ns
@@ -190,13 +205,10 @@ from repro.core.code import (
     DataError,
     Uncorrectable,
 )
-from repro.core.registry import build_code, code_names
-from repro.utils.bitops import words_for
-from repro.utils.bitpack import or_reduce_words, pack_batch, popcount_words
+from repro.core.registry import CODE_KINDS, BlockCode, build_code, code_names
 from repro.faults.campaign import CampaignResult, FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import PhaseProfile
 from repro.utils.backend import (
     ArrayBackend,
     BackendLike,
@@ -216,13 +228,17 @@ from repro.utils.rng import (
 )
 from repro.utils.stats import wilson_interval
 
-#: Default trials per vectorized block (see the module docstring for the
-#: peak state it implies).
+#: Default trials per engine block.
 DEFAULT_BATCH_SIZE = 64
 
-#: Tensor layouts of the vectorized engine: one byte per trial bit
-#: (``"u8"``) or 64 trials bit-sliced into each uint64 word (``"u64"``).
+#: Accepted ``packing`` values: the per-code kernels' tensor layouts, one
+#: byte per trial bit (``"u8"``) or 64 trials bit-sliced into each uint64
+#: word (``"u64"``). Validated and carried for spec and wire
+#: compatibility; the campaign block is the same for both.
 PACKINGS = ("u8", "u64")
+
+#: Most check bits a campaign block may carry: its syndrome is one uint64.
+MAX_SYNDROME_BITS = 64
 
 #: The campaign phases the engine's profiler times per block (the
 #: worker/scheduler add ``checkpoint_write`` at the persistence layer).
@@ -239,6 +255,17 @@ _PHASE_SECONDS = obs_metrics.counter(
     "repro_shard_phase_seconds_total",
     "Cumulative seconds spent per campaign phase (profiled shards).",
     ("phase",))
+#: The per-shard metric handles, resolved once (a shard takes well under
+#: a millisecond, so per-call label checks would show in its budget).
+_PHASE_HANDLES = {phase: _PHASE_SECONDS.labels(phase=phase)
+                  for phase in PROFILE_PHASES}
+
+
+@functools.lru_cache(maxsize=64)
+def _shard_handles(kernels: str, packing: str, code: str) -> tuple:
+    """``(runs, seconds)`` metric handles of one shard configuration."""
+    return (_SHARD_RUNS.labels(kernels=kernels, packing=packing, code=code),
+            _SHARD_SECONDS.labels(kernels=kernels, packing=packing))
 
 
 def derive_campaign_seeds(seed: SeedLike, seeding: Optional[str],
@@ -278,8 +305,83 @@ def merge_results(results: Sequence[CampaignResult]) -> CampaignResult:
     return out
 
 
+@dataclass(frozen=True)
+class BlockTable:
+    """Cell-to-block map and syndrome columns of one (n, m, code).
+
+    Locals ``0 .. m*m - 1`` of a block are its data cells row-major, the
+    rest its check bits in code order (plane 0's ``rk`` bits, then plane
+    1's, ...). ``key[c]`` is ``block * cells_per_block + local`` of
+    exposed-field cell ``c`` (:func:`repro.faults.injector
+    .field_offsets` layout, with every plane present). ``column[local]``
+    is that cell's syndrome column, the block's check bits concatenated
+    in the same order: the code's ``encode_block`` of the unit block for
+    a data cell, a unit vector for a check bit. ``columns`` holds them
+    sorted, for matching.
+    """
+
+    blocks: int
+    cells_per_block: int
+    key: np.ndarray
+    column: np.ndarray
+    columns: np.ndarray
+
+
+def block_table(code: BlockCode) -> BlockTable:
+    """Build the :class:`BlockTable` of ``code`` on its grid.
+
+    Raises ``ValueError`` for a block with more than
+    :data:`MAX_SYNDROME_BITS` check bits.
+    """
+    n, m = code.grid.n, code.grid.m
+    b = code.grid.blocks_per_side
+    depths = code.plane_depths
+    checks = sum(depths)
+    if checks > MAX_SYNDROME_BITS:
+        raise ValueError(
+            f"code {code.name!r} has {checks} check bits per block; the "
+            f"campaign engine holds a block's syndrome in one uint64 "
+            f"(at most {MAX_SYNDROME_BITS} bits)")
+    k = m * m
+    per_block = k + checks
+    lanes = np.arange(n, dtype=np.int64)
+    # Data cell (r, c) lies in block (r // m, c // m) at local
+    # (r % m) * m + c % m.
+    row_part = (lanes // m) * (b * per_block) + (lanes % m) * m
+    col_part = (lanes // m) * per_block + lanes % m
+    keys = [(row_part[:, None] + col_part[None, :]).reshape(-1)]
+    block_base = np.arange(b * b, dtype=np.int64) * per_block
+    local = k
+    for rk in depths:
+        bits = np.arange(local, local + rk, dtype=np.int64)
+        keys.append((bits[:, None] + block_base[None, :]).reshape(-1))
+        local += rk
+    columns = []
+    for cell in range(k):
+        unit = np.zeros(k, dtype=np.uint8)
+        unit[cell] = 1
+        bits = np.concatenate([
+            np.asarray(plane, dtype=np.uint8).reshape(-1)
+            for plane in code.encode_block(unit.reshape(m, m))])
+        columns.append(sum(int(bit) << j for j, bit in enumerate(bits)))
+    columns += [1 << j for j in range(checks)]
+    column = np.asarray(columns, dtype=np.uint64)
+    table = BlockTable(blocks=b * b, cells_per_block=per_block,
+                       key=np.concatenate(keys), column=column,
+                       columns=np.sort(column))
+    for arr in (table.key, table.column, table.columns):
+        arr.setflags(write=False)  # shared by every engine of the geometry
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_block_table(name: str, builder, n: int, m: int) -> BlockTable:
+    """:func:`block_table` per (code name, registered builder, n, m)."""
+    return block_table(builder(BlockGrid(n, m)))
+
+
 class BatchCampaign:
-    """Vectorized inject-check-verify engine over stacked trials.
+    """Fault-centric inject-check-verify engine over blocks of trials.
 
     Produces the same :class:`CampaignResult` tallies as the scalar
     :class:`FaultCampaign` (see the module docstring for the exact
@@ -292,8 +394,7 @@ class BatchCampaign:
                  seed: SeedLike = None, include_check_bits: bool = True,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  backend: BackendLike = None, packing: str = "u8",
-                 code: str = "diagonal", kernels: KernelsLike = None,
-                 profile: Optional[PhaseProfile] = None):
+                 code: str = "diagonal", kernels: KernelsLike = None):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if packing not in PACKINGS:
@@ -308,12 +409,22 @@ class BatchCampaign:
         self.code_name = code
         self.code = build_code(code, grid)
         self.kernels = get_kernels(kernels)
-        #: Optional per-phase nanosecond accumulator (observability).
-        #: Timestamps are read unconditionally in the block path — two
-        #: ``perf_counter_ns`` calls per phase — but only stored when a
-        #: profile is attached, so the None case stays branch-cheap and
-        #: the tallies are identical either way.
-        self.profile = profile
+        #: Nanoseconds per phase of :data:`PROFILE_PHASES`, summed over
+        #: every block this engine ran; every block adds to all three.
+        #: The sums cost three integer adds per block, so they run
+        #: unconditionally, and :func:`run_shard_task_profiled` reports
+        #: them only when observability is enabled.
+        self.phase_ns = dict.fromkeys(PROFILE_PHASES, 0)
+        self._data_shape = (grid.n, grid.n)
+        self._plane_shapes = self.code.plane_shapes \
+            if include_check_bits else None
+        table = _cached_block_table(code, CODE_KINDS[code], grid.n, grid.m)
+        self._table = table
+        self._key = self.backend.from_numpy(table.key)
+        self._column = self.backend.from_numpy(table.column)
+        self._columns = self.backend.from_numpy(table.columns)
+        #: Key distance between consecutive trials' events.
+        self._trial_stride = table.blocks * table.cells_per_block
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -353,141 +464,102 @@ class BatchCampaign:
         return merge_results(chunks)
 
     # ------------------------------------------------------------------ #
-    # Vectorized core
+    # Fault-centric core
     # ------------------------------------------------------------------ #
 
     def _run_block(self, batch: int,
                    inject_rngs: Optional[TrialStreams],
                    ) -> CampaignResult:
-        """One stacked block of ``batch`` trials on all-zero data.
+        """One block of ``batch`` trials, from its fault events.
 
         ``inject_rngs`` of ``None`` selects sequential mode (the
         injector's own stream); a :class:`~repro.utils.rng.TrialStreams`
-        span selects per-trial seeding. The injector draws host-side,
-        before the layout (``packing``) comes into play, which is what
-        makes the tallies packing-invariant.
+        span selects per-trial seeding.
         """
-        if self.packing == "u64":
-            injection, counts = self._execute_packed(batch, inject_rngs)
-        else:
-            injection, counts = self._execute_u8(batch, inject_rngs)
-        clean, corrected, detected, silent = counts
+        be = self.backend
+        xp = be.xp
+        per_block = self._table.cells_per_block
+        t0 = perf_counter_ns()
+        trial, cell = self.injector.draw_events(
+            batch, self._data_shape, self._plane_shapes, inject_rngs)
+        t1 = perf_counter_ns()
 
-        totals = injection.totals
-        multi = injection.multi_fault_blocks(self.grid)
-        return CampaignResult(
+        trial, cell = be.from_numpy(trial), be.from_numpy(cell)
+        # Each event's trial-keyed block key; sorted, a block's events
+        # sit together.
+        keys = self._key[cell]
+        keys += trial * self._trial_stride
+        keys.sort()
+        blocks = keys // per_block
+        # again[i]: events i and i + 1 hit the same block.
+        again = xp.flatnonzero(blocks[1:] == blocks[:-1])
+        multi = 0
+        lost = caught = 0
+        if again.size:
+            # A block hit k >= 2 times (duplicates included) is a run of
+            # k - 1 consecutive indices in ``again``.
+            multi = 1 + int(xp.count_nonzero(xp.diff(again) > 1))
+            member = xp.zeros(keys.size, dtype=bool)
+            member[again] = True
+            member[again + 1] = True
+            damaged, flagged = self._decode(keys[member])
+            lost, caught = _distinct(xp, damaged), _distinct(xp, flagged)
+        t2 = perf_counter_ns()
+
+        faulty = int(xp.count_nonzero(xp.bincount(trial, minlength=batch)))
+        result = CampaignResult(
             trials=batch,
-            clean=clean,
-            corrected=corrected,
-            detected=detected,
-            silent=silent,
-            injected_faults=int(totals.sum()),
-            blocks_with_multi_faults=int(multi.sum()),
+            clean=batch - faulty,
+            corrected=faulty - lost,
+            detected=caught,
+            silent=lost - caught,
+            injected_faults=int(keys.size),
+            blocks_with_multi_faults=multi,
         )
+        ns = self.phase_ns
+        ns["inject"] += t1 - t0
+        ns["decode_sweep"] += t2 - t1
+        ns["tally"] += perf_counter_ns() - t2
+        return result
 
-    def _execute_u8(self, batch: int,
-                    inject_rngs: Optional[TrialStreams],
-                    ) -> tuple:
-        """Unpacked ``(B, n, n)`` uint8 execution of one block.
+    def _decode(self, keys) -> tuple:
+        """Decode the blocks left with two or more faulty cells.
 
-        Returns ``(injection, (clean, corrected, detected, silent))``.
+        ``keys`` are the sorted keys of the events in blocks hit at
+        least twice. Returns the sorted trials of the blocks that keep
+        two or more faulty cells once duplicates cancel, and of those
+        whose syndrome is nonzero and matches no column (flagged
+        uncorrectable).
         """
-        be = self.backend
-        xp = be.xp
-        t0 = perf_counter_ns()
-        data = xp.zeros((batch, self.grid.n, self.grid.n), dtype=xp.uint8)
-        planes = tuple(xp.zeros((batch,) + shape, dtype=xp.uint8)
-                       for shape in self.code.plane_shapes)
-        injection = self.injector.inject_batch_planes(
-            data, planes if self.include_check_bits else (),
-            rngs=inject_rngs, backend=be)
-        t1 = perf_counter_ns()
+        xp = self.backend.xp
+        per_block = self._table.cells_per_block
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            # A cell flipped an even number of times is intact.
+            first = xp.flatnonzero(xp.concatenate(([True], ~repeat)))
+            flips = xp.diff(xp.concatenate((first, [keys.size])))
+            keys = keys[first[flips % 2 == 1]]
+            if not keys.size:
+                return keys, keys
+        blocks = keys // per_block
+        start = xp.flatnonzero(xp.concatenate(([True],
+                                               blocks[1:] != blocks[:-1])))
+        several = xp.diff(xp.concatenate((start, [keys.size]))) >= 2
+        syndrome = xp.bitwise_xor.reduceat(self._column[keys % per_block],
+                                           start)[several]
+        columns = self._columns
+        nearest = xp.minimum(xp.searchsorted(columns, syndrome),
+                             columns.size - 1)
+        flagged = (syndrome != 0) & (columns[nearest] != syndrome)
+        damaged = blocks[start[several]] // self._table.blocks
+        return damaged, damaged[flagged]
 
-        sweep = self.code.check_batched(data, planes, correct=True,
-                                        backend=be)
-        t2 = perf_counter_ns()
 
-        # Zero data: a trial is restored iff every word is zero again.
-        damaged = data.reshape(batch, -1).any(axis=1)
-        for p in planes:
-            damaged = damaged | p.reshape(batch, -1).any(axis=1)
-        damaged = be.to_numpy(damaged)
-        uncorrectable = be.to_numpy(sweep.uncorrectable_any)
-
-        clean = injection.totals == 0
-        corrected = ~clean & ~damaged
-        detected = ~clean & damaged & uncorrectable
-        silent = ~clean & damaged & ~uncorrectable
-        counts = (int(clean.sum()), int(corrected.sum()),
-                  int(detected.sum()), int(silent.sum()))
-        if self.profile is not None:
-            profile = self.profile
-            profile.add("inject", t1 - t0)
-            profile.add("decode_sweep", t2 - t1)
-            profile.add("tally", perf_counter_ns() - t2)
-        return injection, counts
-
-    def _execute_packed(self, batch: int,
-                        inject_rngs: Optional[TrialStreams],
-                        ) -> tuple:
-        """Bit-sliced ``(W, n, n)`` uint64 execution of one block.
-
-        Every per-trial tensor op is a word op over 64 trials.
-        Classification stays in the packed domain end to end: the
-        damaged flags OR-reduce the final words, the faulty-trial flags
-        are the packed ``totals != 0`` mask, and the four tallies fall
-        out of word popcounts — no state tensor is ever unpacked.
-
-        Returns ``(injection, (clean, corrected, detected, silent))``.
-        """
-        be = self.backend
-        xp = be.xp
-        kern = self.kernels
-        t0 = perf_counter_ns()
-        nwords = words_for(batch)
-        words = xp.zeros((nwords, self.grid.n, self.grid.n),
-                         dtype=xp.uint64)
-        planes = tuple(xp.zeros((nwords,) + shape, dtype=xp.uint64)
-                       for shape in self.code.plane_shapes)
-        injection = self.injector.inject_batch_planes_packed(
-            batch, words, planes if self.include_check_bits else (),
-            rngs=inject_rngs, backend=be)
-        t1 = perf_counter_ns()
-
-        sweep = self.code.check_batched_packed(words, planes, batch,
-                                               correct=True, backend=be,
-                                               kernels=kern)
-        t2 = perf_counter_ns()
-
-        damaged = or_reduce_words(words, axis=(1, 2), backend=be)
-        for p in planes:
-            damaged = damaged | or_reduce_words(p, axis=(1, 2, 3),
-                                                backend=be)
-        # Word-level tallies. ``faulty`` packs the host-side ground-truth
-        # totals (zero-padded tail), so ANDing with it also clears any
-        # tail garbage the complements below would otherwise admit;
-        # ``uncorrectable`` is built from zero-padded syndromes and needs
-        # no extra masking beyond that same AND.
-        faulty = pack_batch(injection.totals != 0, backend=be, kernels=kern)
-        uncorrectable = or_reduce_words(sweep.decode.uncorrectable,
-                                        axis=(1, 2), backend=be)
-        corrected = faulty & ~damaged
-        detected = faulty & damaged & uncorrectable
-        silent = faulty & damaged & ~uncorrectable
-
-        def count(mask_words) -> int:
-            return int(be.to_numpy(popcount_words(
-                mask_words, backend=be, kernels=kern)).sum())
-
-        n_faulty = count(faulty)
-        counts = (batch - n_faulty, count(corrected),
-                  count(detected), count(silent))
-        if self.profile is not None:
-            profile = self.profile
-            profile.add("inject", t1 - t0)
-            profile.add("decode_sweep", t2 - t1)
-            profile.add("tally", perf_counter_ns() - t2)
-        return injection, counts
+def _distinct(xp, values) -> int:
+    """Count of distinct values in the sorted array ``values``."""
+    if not values.size:
+        return 0
+    return 1 + int(xp.count_nonzero(values[1:] != values[:-1]))
 
 
 # ---------------------------------------------------------------------- #
@@ -620,23 +692,22 @@ def run_shard_task_profiled(task: ShardTask
             f"the register_kernels() call must run at import time of a "
             f"module the worker imports, not interactively in the "
             f"parent") from exc
-    profile = PhaseProfile() if obs_metrics.is_enabled() else None
     engine = BatchCampaign(BlockGrid(task.n, task.m), task.injector,
                            include_check_bits=task.include_check_bits,
                            batch_size=task.batch_size,
                            backend=backend, packing=task.packing,
-                           code=task.code, kernels=kernels,
-                           profile=profile)
+                           code=task.code, kernels=kernels)
     t0 = perf_counter_ns()
     result = engine.run_range_seeded(task.entropy, task.lo, task.hi)
     elapsed_ns = perf_counter_ns() - t0
-    phases = profile.as_dict() if profile is not None else {}
-    _SHARD_RUNS.inc(kernels=kernels.name, packing=task.packing,
-                    code=task.code)
-    _SHARD_SECONDS.observe(elapsed_ns / 1e9, kernels=kernels.name,
-                           packing=task.packing)
+    runs, seconds = _shard_handles(kernels.name, task.packing, task.code)
+    runs.inc()
+    seconds.observe(elapsed_ns / 1e9)
+    if not obs_metrics.is_enabled():
+        return result, {}
+    phases = engine.phase_ns
     for phase, ns in phases.items():
-        _PHASE_SECONDS.inc(ns / 1e9, phase=phase)
+        _PHASE_HANDLES[phase].inc(ns / 1e9)
     return result, phases
 
 
@@ -807,24 +878,22 @@ class CampaignRunner:
         name must be registered at import time of a module workers
         import; built-in names always resolve.
     packing:
-        ``"u8"`` (default, one byte per trial bit) or ``"u64"`` (the
-        bit-sliced layout: 64 trials packed per uint64 word — see the
-        module docstring). Tallies are identical either way; ``"u64"``
-        cuts memory traffic 8x on the campaign kernels. Only meaningful
-        for the batched engine.
+        ``"u8"`` (default) or ``"u64"``: the per-code kernels' tensor
+        layouts. Validated and carried on every shard task (and so in
+        service spec hashes), but the campaign block is the same for
+        both — see the module docstring.
     code:
         Registered block-code name (:func:`repro.core.registry
         .code_names`); default ``"diagonal"``. The scalar engine is the
         diagonal reference implementation, so ``engine="scalar"``
         requires the default.
     kernels:
-        Host-side kernel tier for the word-level hot loops — a
+        Host-side kernel tier of the per-code word-level kernels — a
         :class:`repro.utils.kernels.KernelTier`, a registered name, or
         ``None`` (``$REPRO_KERNELS`` / auto). Resolved eagerly to a
         concrete tier; sharded runs ship the **resolved name** to each
         worker (like the backend name), so a worker without the compiled
-        extension fails loudly instead of silently switching code paths.
-        Tiers are bit-identical — this only affects throughput.
+        extension fails loudly. The campaign block does not use it.
     """
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,

@@ -6,31 +6,37 @@ a :class:`repro.xbar.CrossbarArray` (and optionally check-bits in a
 describing exactly what was flipped — campaigns need the ground truth to
 classify ECC behaviour as corrected / detected / miscorrected.
 
-The batched campaign engine (:mod:`repro.faults.batch`) drives the same
-models through :meth:`FaultInjector.inject_batch`, which upsets a stack of
-``B`` trials held as ``(B, n, n)`` / ``(B, m, b, b)`` tensors, and through
-:meth:`FaultInjector.inject_batch_packed`, which upsets the bit-sliced
-``uint64`` layout (64 trials per word, :mod:`repro.utils.bitpack`). All
-paths, scalar :meth:`inject` included, share the RNG-consuming draw core
-(:meth:`FaultInjector._draw_batch`); the host-side draws are converted to
-flip events first and only the application step depends on the layout.
+Every draw has one core, :meth:`FaultInjector.draw_events`: one round
+for ``B`` trials as flat ``(trial, cell)`` events in the *exposed-field
+layout* — data cells row-major, then check plane 0, plane 1, ... each
+row-major over its ``(rk, b, b)`` shape, with the part boundaries given
+by :func:`field_offsets`. The batched campaign engine
+(:mod:`repro.faults.batch`) consumes these events directly. Everything
+else goes through the base class's unravel (:meth:`FaultInjector
+._draw_batch`, a :class:`BatchInjectionResult`): scalar :meth:`inject`,
+the scalar reference, and the tensor appliers the differential suites
+use as their reference — :meth:`FaultInjector.inject_batch`, which
+upsets a stack of ``B`` trials held as ``(B, n, n)`` / ``(B, m, b, b)``
+tensors, and :meth:`FaultInjector.inject_batch_packed`, which upsets the
+bit-sliced ``uint64`` layout (64 trials per word,
+:mod:`repro.utils.bitpack`).
 
 A round draws from one of two sources. ``None`` consumes the injector's
 own stream trial by trial in the scalar order, so a sequential batched
-run — packed or not — consumes it exactly as ``B`` scalar :meth:`inject`
-calls would. A :class:`repro.utils.rng.TrialStreams` range selects the
-per-trial-seeded draw contract of :mod:`repro.utils.rng`, and a one-trial
-range is how the scalar reference replays trial ``i``. This is what the
-differential test harnesses (`tests/faults/test_batch_equivalence.py`,
+run consumes it exactly as ``B`` scalar :meth:`inject` calls would. A
+:class:`repro.utils.rng.TrialStreams` range selects the per-trial-seeded
+draw contract of :mod:`repro.utils.rng`, and a one-trial range is how
+the scalar reference replays trial ``i``. This is what the differential
+test harnesses (`tests/faults/test_batch_equivalence.py`,
 `tests/faults/test_packed_equivalence.py`) pin down.
 
 The uniform-field injectors (uniform, check-bit, drift) share one draw
 (:class:`BernoulliFieldInjector`): a sparse Bernoulli field over the
-concatenated exposed cells — data cells row-major, then check plane 0,
-plane 1, ... — per trial from the injector's own stream
+exposed cells, per trial from the injector's own stream
 (:func:`repro.utils.rng.bernoulli_positions`), or per 64-trial group
 under per-trial seeding (:meth:`repro.utils.rng.TrialStreams
-.bernoulli_field`). The burst injectors draw per trial either way.
+.bernoulli_field`). Its positions already are exposed-field cells. The
+burst injectors draw per trial either way and emit ``row * n + col``.
 
 Check planes are code-defined: the diagonal code stores two ``(m, b, b)``
 planes (leading, counter), the row+column product code two, and the
@@ -62,6 +68,24 @@ from repro.xbar.crossbar import CrossbarArray
 PLANE_LEADING = 0
 PLANE_COUNTER = 1
 PLANE_NAMES = ("leading", "counter")
+
+
+def field_offsets(data_shape: Tuple[int, ...],
+                  plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
+                  ) -> Tuple[int, ...]:
+    """Part boundaries of the exposed-field layout.
+
+    The layout of every injector's ``(trial, cell)`` events: data cells
+    row-major over ``data_shape``, then check plane 0, plane 1, ...
+    each row-major over its shape (none when ``plane_shapes`` is
+    ``None`` or empty). Part ``k`` (0 = data, ``k`` = plane ``k - 1``)
+    holds cells ``[offsets[k], offsets[k + 1])``, so ``offsets[-1]`` is
+    the exposed cell count.
+    """
+    offsets = [0, math.prod(data_shape)]
+    for shape in plane_shapes or ():
+        offsets.append(offsets[-1] + math.prod(shape))
+    return tuple(offsets)
 
 
 @dataclass
@@ -105,42 +129,29 @@ class BatchInjectionResult:
     check_bc: np.ndarray
 
     @classmethod
-    def from_events(cls, batch: int,
-                    data_events: Sequence[Tuple[int, np.ndarray, np.ndarray]],
-                    check_events: Sequence[Tuple[int, int, np.ndarray,
-                                                 np.ndarray, np.ndarray]],
-                    ) -> "BatchInjectionResult":
-        """Assemble from per-trial event lists.
+    def from_cells(cls, batch: int, trial: np.ndarray, cell: np.ndarray,
+                   data_shape: Tuple[int, ...],
+                   plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
+                   ) -> "BatchInjectionResult":
+        """Unravel ``(trial, cell)`` events in the exposed-field layout.
 
-        ``data_events`` holds ``(trial, rows, cols)`` tuples and
-        ``check_events`` holds ``(trial, plane, ds, brs, bcs)`` tuples.
+        ``cell`` indexes the layout :func:`field_offsets` describes for
+        ``data_shape`` and ``plane_shapes``; events keep their order
+        within the data part and within the check part.
         """
-        i64 = np.int64
-        if data_events:
-            trial = np.concatenate([np.full(r.size, t, dtype=i64)
-                                    for t, r, _ in data_events])
-            rows = np.concatenate([np.asarray(r, dtype=i64)
-                                   for _, r, _ in data_events])
-            cols = np.concatenate([np.asarray(c, dtype=i64)
-                                   for _, _, c in data_events])
-        else:
-            trial = rows = cols = np.empty(0, dtype=i64)
-        if check_events:
-            check_trial = np.concatenate([np.full(d.size, t, dtype=i64)
-                                          for t, _, d, _, _ in check_events])
-            check_plane = np.concatenate([np.full(d.size, p, dtype=i64)
-                                          for _, p, d, _, _ in check_events])
-            check_d = np.concatenate([np.asarray(d, dtype=i64)
-                                      for _, _, d, _, _ in check_events])
-            check_br = np.concatenate([np.asarray(br, dtype=i64)
-                                       for _, _, _, br, _ in check_events])
-            check_bc = np.concatenate([np.asarray(bc, dtype=i64)
-                                       for _, _, _, _, bc in check_events])
-        else:
-            check_trial = check_plane = check_d = check_br = check_bc = \
-                np.empty(0, dtype=i64)
-        return cls(batch, trial, rows, cols, check_trial, check_plane,
-                   check_d, check_br, check_bc)
+        offsets = field_offsets(data_shape, plane_shapes)
+        is_data = cell < offsets[1]
+        rows, cols = np.unravel_index(cell[is_data], data_shape)
+        check_cell = cell[~is_data]
+        check_plane = np.searchsorted(offsets, check_cell, side="right") - 2
+        check_d, check_br, check_bc = (np.empty_like(check_cell)
+                                       for _ in range(3))
+        for plane_id, shape in enumerate(plane_shapes or ()):
+            sel = check_plane == plane_id
+            check_d[sel], check_br[sel], check_bc[sel] = np.unravel_index(
+                check_cell[sel] - offsets[plane_id + 1], shape)
+        return cls(batch, trial[is_data], rows, cols, trial[~is_data],
+                   check_plane, check_d, check_br, check_bc)
 
     @property
     def totals(self) -> np.ndarray:
@@ -270,7 +281,7 @@ def _resolve_rngs(rngs, default_rng: Optional[np.random.Generator],
 
 
 class FaultInjector:
-    """Base class; concrete injectors implement :meth:`_draw_batch`."""
+    """Base class; concrete injectors implement :meth:`draw_events`."""
 
     def to_config(self) -> dict:
         """This injector's declarative ``{"kind", "params"}`` config.
@@ -311,26 +322,35 @@ class FaultInjector:
             store.flip(plane, d, br, bc)
         return result
 
+    def draw_events(self, batch: int, data_shape: Tuple[int, ...],
+                    plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
+                    rngs: Optional[Sequence[np.random.Generator]],
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw one round of upsets for ``batch`` trials (no application).
+
+        Returns int64 ``(trial, cell)`` event arrays, ``cell`` in the
+        exposed-field layout of :func:`field_offsets`; a cell listed
+        twice for one trial flips twice. Concrete injectors implement
+        their draws here. ``rngs`` is ``None`` (the injector's own
+        stream, per trial in the scalar order), a
+        :class:`~repro.utils.rng.TrialStreams` range, or one generator
+        per trial. ``plane_shapes`` is the code-ordered tuple of
+        per-trial check-plane shapes — ``((m, b, b), (m, b, b))`` for
+        the diagonal layout, ``((r, b, b),)`` for a single-plane matrix
+        code — or ``None``/empty when check memory is not exposed.
+        """
+        raise NotImplementedError
+
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
                     ) -> BatchInjectionResult:
-        """Draw one round of upsets for ``batch`` trials (no application).
-
-        The layout-independent core :meth:`inject`, :meth:`inject_batch`
-        and :meth:`inject_batch_packed` share: concrete injectors
-        implement their draws here, and the base class applies the
-        resulting ground truth to whichever tensor layout is in play.
-        ``rngs`` is ``None`` (the injector's own stream, per trial in
-        the scalar order), a :class:`~repro.utils.rng.TrialStreams`
-        range, or one generator per trial. ``plane_shapes`` is the
-        code-ordered tuple of per-trial check-plane shapes —
-        ``((m, b, b), (m, b, b))`` for the diagonal layout,
-        ``((r, b, b),)`` for a single-plane matrix code — or
-        ``None``/empty when check memory is not exposed. Draws happen
-        per plane in tuple order, after the data draw.
-        """
-        raise NotImplementedError
+        """:meth:`draw_events`, unravelled into a
+        :class:`BatchInjectionResult` — the ground truth :meth:`inject`,
+        :meth:`inject_batch` and :meth:`inject_batch_packed` apply."""
+        trial, cell = self.draw_events(batch, data_shape, plane_shapes, rngs)
+        return BatchInjectionResult.from_cells(batch, trial, cell,
+                                               data_shape, plane_shapes)
 
     def inject_batch_planes(self, data, planes: Sequence = (),
                             rngs: Optional[Sequence[np.random.Generator]]
@@ -418,7 +438,7 @@ class BernoulliFieldInjector(FaultInjector):
     One round of one trial flips every cell of the concatenated exposed
     field — data cells row-major, then check plane 0, plane 1, ... in
     code order — independently with probability ``self.probability``.
-    :meth:`_draw_batch` draws the fields sparsely in one of two ways:
+    :meth:`draw_events` draws the fields sparsely in one of two ways:
 
     * from the injector's own stream (or one generator per trial), one
       :func:`repro.utils.rng.bernoulli_positions` call per trial, which
@@ -439,16 +459,17 @@ class BernoulliFieldInjector(FaultInjector):
     include_check_bits: bool = True
     exposes_data: bool = True
 
-    def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
+    def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
-                    ) -> BatchInjectionResult:
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         if not self.include_check_bits:
             plane_shapes = None
-        shapes = ((tuple(data_shape),) if self.exposes_data else ()) \
-            + tuple(tuple(s) for s in plane_shapes or ())
-        sizes = [math.prod(s) for s in shapes]
-        cells = sum(sizes)
+        offsets = field_offsets(data_shape, plane_shapes)
+        # The field is the exposed layout itself, minus the data part
+        # when data cells are not exposed.
+        start = 0 if self.exposes_data else offsets[1]
+        cells = offsets[-1] - start
         rngs = _resolve_rngs(rngs, self.rng, batch)
         if isinstance(rngs, TrialStreams):
             trial, pos = rngs.bernoulli_field(cells, self.probability)
@@ -458,24 +479,7 @@ class BernoulliFieldInjector(FaultInjector):
             trial = np.repeat(np.arange(batch, dtype=np.int64),
                               [d.size for d in drawn])
             pos = np.concatenate(drawn) if drawn else trial
-
-        # Split the flat positions back into (trial, *cell) events per
-        # part of the field.
-        events = []
-        start = 0
-        for shape, size in zip(shapes, sizes):
-            sel = (pos >= start) & (pos < start + size)
-            events.append((trial[sel],
-                           *np.unravel_index(pos[sel] - start, shape)))
-            start += size
-        empty = np.empty(0, dtype=np.int64)
-        data = events.pop(0) if self.exposes_data else (empty,) * 3
-        check = [empty] * 5
-        if events:
-            check = [np.concatenate(column) for column in zip(*(
-                (t, np.full(t.size, plane_id, dtype=np.int64), *cell)
-                for plane_id, (t, *cell) in enumerate(events)))]
-        return BatchInjectionResult(batch, *data, *check)
+        return trial, (pos + start if start else pos)
 
 
 class UniformInjector(BernoulliFieldInjector):
@@ -538,25 +542,22 @@ class DeterministicInjector(FaultInjector):
                 result.check_flips.append((plane, d, br, bc))
         return result
 
-    def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
+    def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
-                    ) -> BatchInjectionResult:
-        rows = np.asarray([r for r, _ in self.data_flips], dtype=np.int64)
-        cols = np.asarray([c for _, c in self.data_flips], dtype=np.int64)
-        data_events = [(i, rows, cols) for i in range(batch)] \
-            if rows.size else []
-        check_events = []
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        cells = [int(np.ravel_multi_index((r, c), data_shape))
+                 for r, c in self.data_flips]
         if plane_shapes and self.check_flips:
-            names = self.plane_names if self.plane_names is not None \
-                else PLANE_NAMES
-            for i in range(batch):
-                for plane, d, br, bc in self.check_flips:
-                    check_events.append((
-                        i, list(names).index(plane),
-                        np.asarray([d]), np.asarray([br]), np.asarray([bc])))
-        return BatchInjectionResult.from_events(batch, data_events,
-                                                check_events)
+            names = list(self.plane_names if self.plane_names is not None
+                         else PLANE_NAMES)
+            offsets = field_offsets(data_shape, plane_shapes)
+            for plane, d, br, bc in self.check_flips:
+                p = names.index(plane)
+                cells.append(offsets[p + 1] + int(np.ravel_multi_index(
+                    (d, br, bc), plane_shapes[p])))
+        trial = np.repeat(np.arange(batch, dtype=np.int64), len(cells))
+        return trial, np.tile(np.asarray(cells, dtype=np.int64), batch)
 
 
 class BurstInjector(FaultInjector):
@@ -603,18 +604,18 @@ class BurstInjector(FaultInjector):
                         hit.add((r, c))
         return sorted(hit)
 
-    def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
+    def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
-                    ) -> BatchInjectionResult:
-        rngs = _resolve_rngs(rngs, self.rng, batch)
-        data_events = []
-        for i, rng in enumerate(rngs):
-            cells = self._strike_cells(rng, data_shape[0], data_shape[1])
-            if cells:
-                arr = np.asarray(cells, dtype=np.int64)
-                data_events.append((i, arr[:, 0], arr[:, 1]))
-        return BatchInjectionResult.from_events(batch, data_events, [])
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        rows, cols = data_shape
+        trial, cell = [], []
+        for i, rng in enumerate(_resolve_rngs(rngs, self.rng, batch)):
+            for r, c in self._strike_cells(rng, rows, cols):
+                trial.append(i)
+                cell.append(r * cols + c)
+        return (np.asarray(trial, dtype=np.int64),
+                np.asarray(cell, dtype=np.int64))
 
 
 class LinearBurstInjector(FaultInjector):
@@ -672,16 +673,18 @@ class LinearBurstInjector(FaultInjector):
             return lanes, span
         return span, lanes
 
-    def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
+    def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
-                    ) -> BatchInjectionResult:
-        rngs = _resolve_rngs(rngs, self.rng, batch)
-        data_events = []
-        for i, rng in enumerate(rngs):
-            rows, cols = self._burst_cells(rng, data_shape[0], data_shape[1])
-            data_events.append((i, rows, cols))
-        return BatchInjectionResult.from_events(batch, data_events, [])
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        rows, cols = data_shape
+        cells = [r * cols + c for r, c in (
+            self._burst_cells(rng, rows, cols)
+            for rng in _resolve_rngs(rngs, self.rng, batch))]
+        trial = np.repeat(np.arange(batch, dtype=np.int64), self.length)
+        cell = np.concatenate(cells) if cells \
+            else np.empty(0, dtype=np.int64)
+        return trial, cell
 
 
 class CheckBitInjector(BernoulliFieldInjector):

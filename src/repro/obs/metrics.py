@@ -118,8 +118,39 @@ class _Metric:
         with self._lock:
             self._children.clear()
 
+    def _add(self, key: Tuple[str, ...], amount: float) -> None:
+        with self._lock:
+            self._children[key] = self._children.get(key, 0) + amount
+
+    def labels(self, **labels: str) -> "BoundMetric":
+        """This metric with its labels checked and resolved once.
+
+        The hot-path form: the returned handle's ``inc`` / ``observe``
+        skip the per-call label check and record into the same child
+        as the labelled call would.
+        """
+        return BoundMetric(self, self._key(labels))
+
     def samples(self) -> List[str]:  # pragma: no cover - interface
         raise NotImplementedError
+
+
+class BoundMetric:
+    """One label set of a metric (see :meth:`_Metric.labels`)."""
+
+    __slots__ = ("metric", "key")
+
+    def __init__(self, metric: _Metric, key: Tuple[str, ...]) -> None:
+        self.metric = metric
+        self.key = key
+
+    def inc(self, amount: float = 1) -> None:
+        if _enabled:
+            self.metric._add(self.key, amount)
+
+    def observe(self, value: float) -> None:
+        if _enabled:
+            self.metric._observe(self.key, value)
 
 
 class Counter(_Metric):
@@ -130,9 +161,7 @@ class Counter(_Metric):
     def inc(self, amount: float = 1, **labels: str) -> None:
         if not _enabled:
             return
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0) + amount
+        self._add(self._key(labels), amount)
 
     def value(self, **labels: str) -> float:
         with self._lock:
@@ -165,9 +194,7 @@ class Gauge(_Metric):
     def inc(self, amount: float = 1, **labels: str) -> None:
         if not _enabled:
             return
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0) + amount
+        self._add(self._key(labels), amount)
 
     def dec(self, amount: float = 1, **labels: str) -> None:
         self.inc(-amount, **labels)
@@ -200,7 +227,9 @@ class Histogram(_Metric):
     def observe(self, value: float, **labels: str) -> None:
         if not _enabled:
             return
-        key = self._key(labels)
+        self._observe(self._key(labels), value)
+
+    def _observe(self, key: Tuple[str, ...], value: float) -> None:
         with self._lock:
             child = self._children.get(key)
             if child is None:

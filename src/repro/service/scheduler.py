@@ -610,7 +610,7 @@ class CampaignService:
                 continue
             job.state = "queued"
             job.started_at = None
-            job.shards_done = job.shards_cached = 0
+            job.shards_total = job.shards_done = job.shards_cached = 0
             if job.key in self._inflight:
                 self._followers.setdefault(job.key, []).append(job.id)
                 continue

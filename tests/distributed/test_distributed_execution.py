@@ -206,7 +206,16 @@ class TestWorkerLoss:
                     tmp_path, executor="thread", shard_trials=64,
                     execution="distributed",
                     dispatch_poll_s=0.02) as service:
-                # the persisted job re-enqueued itself at start()
+                # the persisted job re-enqueued itself at start(). Its
+                # first checkpoint scan sets shards_total; the fleet
+                # starts only after it, so no surviving unit of the
+                # first service can land before the scan counts the
+                # pre-restart checkpoints.
+                async def scanned():
+                    while service.status(job_id).shards_total == 0:
+                        await asyncio.sleep(0.01)
+
+                await asyncio.wait_for(scanned(), timeout=60)
                 with Fleet(tmp_path, service.broker_path, n=2):
                     return await service.wait(job_id, timeout=300)
 

@@ -141,6 +141,43 @@ class TestHistogram:
         assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS
 
 
+class TestBoundHandles:
+    def test_bound_counter_records_into_the_labelled_child(self, registry,
+                                                            enabled):
+        c = registry.counter("repro_ops_total", labelnames=("kind",))
+        bound = c.labels(kind="a")
+        bound.inc()
+        bound.inc(2)
+        c.inc(kind="a")
+        assert c.value(kind="a") == 4
+        assert c.value(kind="b") == 0
+
+    def test_bound_histogram_observes_into_the_labelled_child(
+            self, registry, enabled):
+        h = registry.histogram("repro_lat_seconds", labelnames=("kind",),
+                               buckets=(0.1, 1.0))
+        h.labels(kind="a").observe(0.5)
+        h.observe(5.0, kind="a")
+        assert h.child(kind="a")["counts"] == [0, 1, 1]
+
+    def test_labels_are_checked_once_at_binding(self, registry):
+        c = registry.counter("repro_ops_total", labelnames=("kind",))
+        with pytest.raises(ValueError, match="expects labels"):
+            c.labels(other="a")
+
+    def test_bound_handles_honour_the_switch(self, registry):
+        c = registry.counter("repro_ops_total", labelnames=("kind",))
+        h = registry.histogram("repro_lat_seconds")
+        bound, bound_h = c.labels(kind="a"), h.labels()
+        previous = set_enabled(False)
+        try:
+            bound.inc()
+            bound_h.observe(0.5)
+            assert c.value(kind="a") == 0 and h.child() is None
+        finally:
+            set_enabled(previous)
+
+
 class TestRender:
     def test_help_type_and_samples(self, registry, enabled):
         c = registry.counter("repro_ops_total", "operations",
