@@ -26,6 +26,7 @@ contract.
 from __future__ import annotations
 
 import json
+from typing import Optional, Tuple
 
 from repro.faults.batch import ShardTask
 from repro.utils.canonical import canonical_json, content_hash
@@ -168,3 +169,20 @@ def decode_unit_envelope(text: str) -> dict:
     trace = envelope.get("trace")
     envelope["trace"] = trace if isinstance(trace, dict) else None
     return envelope
+
+
+def unit_routing(text: str
+                 ) -> Optional[Tuple[str, int, int, Optional[dict]]]:
+    """``(job_key, lo, hi, trace)`` of a unit payload, or ``None``.
+
+    The cheap read a transport makes at claim time: the routing fields
+    and the trace block, without the task's version/digest checks. A
+    payload that does not decode reads as ``None``; the worker then
+    fails it as poison.
+    """
+    try:
+        envelope = decode_unit_envelope(text)
+        return (str(envelope["job_key"]), int(envelope["lo"]),
+                int(envelope["hi"]), envelope["trace"])
+    except (TypeError, ValueError):  # WireFormatError is a ValueError
+        return None

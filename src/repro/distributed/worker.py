@@ -19,18 +19,40 @@ contracts:
 
 Two transports implement :class:`WorkSource`:
 
-=====================  ================================================
+=========================  ============================================
 :class:`BrokerWorkSource`  Shared-store topology: the worker opens the
                            service's broker file and result store
-                           directly (same host or shared local disk).
+                           directly (same host: the broker runs in
+                           WAL mode).
 :class:`HttpWorkSource`    Multi-host topology: the worker speaks to
                            the service's ``/units/*`` HTTP endpoints;
                            the service performs store writes, so only
-                           the URL crosses hosts. An empty claim holds
-                           at the service (up to
+                           the URL crosses hosts. A unit costs two
+                           requests, claim and complete: the claim
+                           answer says whether the span is already
+                           checkpointed, and the worker's trace records
+                           ride the next complete, fail or ack body.
+                           An empty claim holds at the service (up to
                            :data:`CLAIM_WAIT_S`) until units are
                            published, so an idle worker needs no
                            sleep-poll.
+=========================  ============================================
+
+Who records which trace record of a unit (all under the job's
+``job.execute`` span, named by the worker's id as ``proc``):
+
+=====================  ================================================
+``unit.claim``         the transport, before the worker sees the unit
+                       (over HTTP, the service before it answers), so
+                       a worker killed mid-span still leaves its claim;
+                       plus ``unit.reattempt`` when ``attempts > 1``
+``unit.execute``       the worker: the span around the engine run,
+                       with the per-phase profile
+``unit.dedupe_ack``,   the worker: a span found already checkpointed,
+``unit.fail``          or an execution failure
+``unit.complete``      the transport, after the checkpoint write and
+                       the ack: ``checkpoint_write_ns`` times both,
+                       ``lease_lost`` is a refused ack
 =====================  ================================================
 """
 
@@ -41,7 +63,7 @@ import socket
 import threading
 import time
 from time import perf_counter_ns
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 import uuid
 
 from repro.distributed.broker import DEFAULT_LEASE_TTL_S, SqliteBroker
@@ -49,6 +71,7 @@ from repro.distributed.wire import (
     WireFormatError,
     decode_unit_envelope,
     task_from_wire_dict,
+    unit_routing,
 )
 from repro.faults.batch import run_shard_task_profiled
 from repro.faults.campaign import CampaignResult
@@ -81,6 +104,92 @@ def default_worker_id() -> str:
             f"{uuid.uuid4().hex[:6]}")
 
 
+def claim_records(tracer: Tracer, trace: Optional[dict], unit_id: str,
+                  lo: int, hi: int, attempts: int,
+                  owner: str) -> List[dict]:
+    """The claim evidence of one unit, stamped for worker ``owner``.
+
+    ``unit.claim``, plus ``unit.reattempt`` (error status) when an
+    earlier attempt was lost to a lease expiry or a requeue. Empty
+    when the unit is untraced or ``tracer`` is inactive.
+    """
+    trace_id = (trace or {}).get("id")
+    if not trace_id or not tracer.active:
+        return []
+    attrs = {"unit": unit_id, "lo": lo, "hi": hi, "attempts": attempts}
+    records = [tracer.event_record(trace_id, "unit.claim",
+                                   parent=trace.get("span"), attrs=attrs,
+                                   proc=owner)]
+    if attempts > 1:
+        records.append(tracer.event_record(
+            trace_id, "unit.reattempt", parent=trace.get("span"),
+            attrs=attrs, status="error", proc=owner))
+    return records
+
+
+def complete_records(tracer: Tracer, trace: Optional[dict],
+                     unit_id: str, checkpoint_write_ns: int,
+                     acked: bool, owner: str) -> List[dict]:
+    """The ``unit.complete`` record of one unit, stamped for ``owner``
+    (empty when the unit is untraced or ``tracer`` is inactive)."""
+    trace_id = (trace or {}).get("id")
+    if not trace_id or not tracer.active:
+        return []
+    return [tracer.event_record(
+        trace_id, "unit.complete", parent=trace.get("span"),
+        attrs={"unit": unit_id, "checkpoint_write_ns": checkpoint_write_ns,
+               "lease_lost": not acked}, proc=owner)]
+
+
+def append_records(store: ResultStore, records: Iterable[dict]) -> None:
+    """Append trace records to ``store``, one batch per trace id.
+
+    Telemetry: records without a string trace id are dropped, and a
+    failed append is swallowed, never raised into a unit's lifecycle.
+    """
+    by_trace: Dict[str, List[dict]] = {}
+    for record in records:
+        trace_id = record.get("trace") if isinstance(record, dict) \
+            else None
+        if isinstance(trace_id, str):
+            by_trace.setdefault(trace_id, []).append(record)
+    for trace_id, batch in by_trace.items():
+        try:
+            store.append_events(trace_id, batch)
+        except Exception:  # noqa: BLE001 - telemetry must never raise
+            pass
+
+
+class _ClaimInHand(threading.local):
+    """Per worker thread: the unit a source last handed out.
+
+    Its id and routing (``(job_key, lo, hi, trace)``, or ``None`` for a
+    payload that does not decode); over HTTP also the claim answer's
+    ``checkpointed`` flag, and the trace records waiting for the next
+    request body.
+    """
+
+    unit_id: Optional[str] = None
+    routing: Optional[tuple] = None
+    checkpointed = False
+
+    def __init__(self) -> None:
+        self.events: List[dict] = []
+
+    def hold(self, unit_id: str, payload: str,
+             checkpointed: bool = False) -> Optional[tuple]:
+        self.unit_id = unit_id
+        self.routing = unit_routing(payload)
+        self.checkpointed = checkpointed
+        return self.routing
+
+    def trace(self, unit_id: str) -> Optional[dict]:
+        """The trace block of ``unit_id`` if it is the unit in hand."""
+        if unit_id != self.unit_id or self.routing is None:
+            return None
+        return self.routing[3]
+
+
 class WorkSource:
     """Transport abstraction between a worker and its dispatcher."""
 
@@ -93,7 +202,7 @@ class WorkSource:
         """``(unit_id, payload_text, attempts)`` of a claimed unit, or
         ``None``. ``attempts`` counts this claim too, so a value above
         1 means the unit was retried or reclaimed after a lease expiry
-        — the worker surfaces that in the trace."""
+        — the claim evidence surfaces that in the trace."""
         raise NotImplementedError
 
     def heartbeat(self, unit_id: str, owner: str, ttl_s: float) -> bool:
@@ -121,23 +230,36 @@ class WorkSource:
         return False
 
     def record_events(self, trace_id: str, events: List[dict]) -> None:
-        """Persist a batch of trace events (best-effort; default none).
+        """Take a batch of the worker's trace records (default: drop).
 
         Telemetry only: implementations must never let a failure here
         propagate into the unit lifecycle."""
 
 
 class BrokerWorkSource(WorkSource):
-    """Direct broker + store access (shared-store topology)."""
+    """Direct broker + store access (shared-store topology).
+
+    Records the claim and completion evidence itself, straight into
+    the store it holds; the worker's own records append as they come.
+    """
 
     def __init__(self, broker: SqliteBroker, store: ResultStore) -> None:
         self.broker = broker
         self.store = store
+        self.tracer = Tracer(store.append_events)
+        self._held = _ClaimInHand()
 
     def claim(self, owner, ttl_s):
         unit = self.broker.claim(owner, ttl_s)
-        return None if unit is None else (unit.unit_id, unit.payload,
-                                          unit.attempts)
+        if unit is None:
+            return None
+        routing = self._held.hold(unit.unit_id, unit.payload)
+        if routing is not None:
+            _job_key, lo, hi, trace = routing
+            append_records(self.store, claim_records(
+                self.tracer, trace, unit.unit_id, lo, hi, unit.attempts,
+                owner))
+        return unit.unit_id, unit.payload, unit.attempts
 
     def heartbeat(self, unit_id, owner, ttl_s):
         return self.broker.heartbeat(unit_id, owner, ttl_s)
@@ -147,8 +269,12 @@ class BrokerWorkSource(WorkSource):
         # Checkpoint first, ack second: a crash in between leaves a
         # leased unit whose span is already durable — the next claimer
         # sees the checkpoint and acks without recomputing.
+        t0 = perf_counter_ns()
         self.store.put_shard(job_key, lo, hi, tallies, phases=phases)
-        self.broker.ack(unit_id, owner)
+        acked = self.broker.ack(unit_id, owner)
+        append_records(self.store, complete_records(
+            self.tracer, self._held.trace(unit_id), unit_id,
+            perf_counter_ns() - t0, acked, owner))
 
     def ack(self, unit_id, owner):
         return self.broker.ack(unit_id, owner)
@@ -164,19 +290,29 @@ class BrokerWorkSource(WorkSource):
 
 
 class HttpWorkSource(WorkSource):
-    """The service's ``/units/*`` endpoints (multi-host topology)."""
+    """The service's ``/units/*`` endpoints (multi-host topology).
+
+    Two requests per unit: the claim answer carries the dedupe flag
+    (the service reads the checkpoint and records the claim before it
+    answers), and the worker's trace records wait in a per-thread
+    buffer for the next complete, fail or ack body, where the service
+    appends them next to the ``unit.complete`` record it stamps.
+    """
 
     def __init__(self, client: ServiceClient) -> None:
         self.client = client
         # Well inside the HTTP timeout, or a held claim reads as a
         # dead service.
         self.claim_wait_s = min(CLAIM_WAIT_S, client.timeout / 2)
+        self._held = _ClaimInHand()
 
     def claim(self, owner, ttl_s):
         unit = self.client.claim_unit(owner, ttl_s,
                                       wait_s=self.claim_wait_s)
         if unit is None:
             return None
+        self._held.hold(unit["unit_id"], unit["payload"],
+                        bool(unit.get("checkpointed")))
         return (unit["unit_id"], unit["payload"],
                 int(unit.get("attempts") or 1))
 
@@ -186,19 +322,30 @@ class HttpWorkSource(WorkSource):
     def complete(self, unit_id, owner, job_key, lo, hi, tallies,
                  phases=None):
         self.client.complete_unit(unit_id, owner, job_key, lo, hi,
-                                  result_to_dict(tallies), phases=phases)
+                                  result_to_dict(tallies), phases=phases,
+                                  trace=self._held.trace(unit_id),
+                                  events=self._take_events())
 
     def ack(self, unit_id, owner):
-        return self.client.ack_unit(unit_id, owner)
+        return self.client.ack_unit(unit_id, owner,
+                                    events=self._take_events())
 
     def fail(self, unit_id, owner, error, requeue):
-        self.client.fail_unit(unit_id, owner, error, requeue)
+        self.client.fail_unit(unit_id, owner, error, requeue,
+                              events=self._take_events())
 
     def shard_done(self, job_key, lo, hi):
-        return self.client.shard_done(job_key, lo, hi)
+        # Answered by the claim: the service read the checkpoint first.
+        held = self._held
+        return held.checkpointed and held.routing is not None and \
+            held.routing[:3] == (job_key, lo, hi)
 
     def record_events(self, trace_id, events):
-        self.client.record_events(trace_id, events)
+        self._held.events.extend(events)
+
+    def _take_events(self) -> List[dict]:
+        events, self._held.events = self._held.events, []
+        return events
 
 
 class HeartbeatThread:
@@ -293,12 +440,11 @@ class ShardWorker:
         self.poll_interval_s = poll_interval_s
         self.units_done = 0
         self.units_failed = 0
-        # Trace events flow back through the work source (store append
-        # on the shared-store topology, POST /units/events over HTTP);
-        # emission is batched per unit and never fails the unit. The
-        # getattr keeps duck-typed sources without the telemetry hook
-        # (test fakes, minimal adapters) working — they just run
-        # untraced.
+        # The worker's own trace records flow back through the work
+        # source (a store append on the shared-store topology, the next
+        # request body over HTTP) and never fail the unit. The getattr
+        # keeps duck-typed sources without the telemetry hook (test
+        # fakes, minimal adapters) working — they just run untraced.
         self.tracer = Tracer(getattr(source, "record_events", None),
                              proc=self.worker_id)
 
@@ -404,36 +550,21 @@ class ShardWorker:
                              f"{type(exc).__name__}: {exc}",
                              requeue=False)
             return
+        # The transport has already recorded the claim evidence.
         trace_id = (trace or {}).get("id")
         parent = (trace or {}).get("span")
         tracer = self.tracer
-        if trace_id:
-            # Flush the claim evidence immediately — before execution —
-            # so even a worker killed mid-span leaves its claim in the
-            # timeline; attempts > 1 is the lease-expiry/requeue marker.
-            claim_attrs = {"unit": unit_id, "lo": lo, "hi": hi}
-            if attempts is not None:
-                claim_attrs["attempts"] = attempts
-            records = [tracer.event_record(trace_id, "unit.claim",
-                                           parent=parent,
-                                           attrs=claim_attrs)]
-            if attempts is not None and attempts > 1:
-                # error status: a prior attempt was lost (lease expiry
-                # or requeue), and the timeline should flag it.
-                records.append(tracer.event_record(
-                    trace_id, "unit.reattempt", parent=parent,
-                    attrs=dict(claim_attrs), status="error"))
-            tracer.emit_records(trace_id, records)
         try:
             if self.source.shard_done(job_key, lo, hi):
                 # Another worker finished this span after a lease
-                # expiry race; the checkpoint is the truth — just ack.
-                self.source.ack(unit_id, self.worker_id)
-                self.units_done += 1
-                _WORKER_UNITS.inc(outcome="dedupe_ack")
+                # expiry race; the checkpoint is the truth — just ack
+                # (the record first, so it rides the ack over HTTP).
                 if trace_id:
                     tracer.event(trace_id, "unit.dedupe_ack",
                                  parent=parent, attrs={"unit": unit_id})
+                self.source.ack(unit_id, self.worker_id)
+                self.units_done += 1
+                _WORKER_UNITS.inc(outcome="dedupe_ack")
                 return
             with tracer.span(trace_id, "unit.execute", parent=parent,
                              attrs={"unit": unit_id, "lo": lo, "hi": hi,
@@ -455,13 +586,7 @@ class ShardWorker:
             t_ckpt = perf_counter_ns()
             self.source.complete(unit_id, self.worker_id, job_key, lo, hi,
                                  tallies, phases=phases or None)
-            ckpt_ns = perf_counter_ns() - t_ckpt
-            _CHECKPOINT_SECONDS.observe(ckpt_ns / 1e9)
-            if trace_id:
-                tracer.event(trace_id, "unit.complete", parent=parent,
-                             attrs={"unit": unit_id,
-                                    "checkpoint_write_ns": ckpt_ns,
-                                    "lease_lost": beat.lost})
+            _CHECKPOINT_SECONDS.observe((perf_counter_ns() - t_ckpt) / 1e9)
             if not beat.lost:
                 self.units_done += 1  # a lost lease credits the reclaimer
                 _WORKER_UNITS.inc(outcome="done")

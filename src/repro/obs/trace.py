@@ -162,30 +162,28 @@ class Tracer:
               attrs: Optional[dict] = None,
               status: str = "ok") -> Optional[dict]:
         """Emit a zero-duration point event; returns the record."""
-        if not self.active:
-            return None
-        record = {"trace": trace_id, "span": new_span_id(),
-                  "parent": parent, "name": name, "kind": "event",
-                  "status": status, "proc": self.proc,
-                  "wall": time.time(), "dur_ns": 0,
-                  "attrs": dict(attrs) if attrs else {}}
-        self._emit(trace_id, [record])
+        record = self.event_record(trace_id, name, parent, attrs, status)
+        if record is not None:
+            self._emit(trace_id, [record])
         return record
 
     def event_record(self, trace_id: str, name: str,
                      parent: Optional[str] = None,
                      attrs: Optional[dict] = None,
-                     status: str = "ok") -> Optional[dict]:
+                     status: str = "ok",
+                     proc: Optional[str] = None) -> Optional[dict]:
         """Build a point-event record WITHOUT emitting it.
 
-        For callers that batch several records into one sink write
-        (the worker flushes per work-unit, not per event).
+        For callers that batch several records into one sink write.
+        ``proc`` overrides the emitting process's name: the service
+        stamps a unit's claim and completion on behalf of the worker
+        that made them.
         """
         if not self.active:
             return None
         return {"trace": trace_id, "span": new_span_id(),
                 "parent": parent, "name": name, "kind": "event",
-                "status": status, "proc": self.proc,
+                "status": status, "proc": proc or self.proc,
                 "wall": time.time(), "dur_ns": 0,
                 "attrs": dict(attrs) if attrs else {}}
 

@@ -36,6 +36,12 @@ from repro.utils.retry import Deadline, RetryPolicy, note_giveup, \
 LONG_POLL_S = 10.0
 
 
+def _with_events(payload: dict, events: Optional[List[dict]]) -> dict:
+    if events:
+        payload["events"] = events
+    return payload
+
+
 class ServiceUnavailableError(ConnectionError):
     """The service did not answer (not running / wrong URL)."""
 
@@ -226,10 +232,13 @@ class ServiceClient:
                    wait_s: float = 0.0) -> Optional[dict]:
         """Claim one work unit under a TTL lease (``None`` when idle).
 
-        With ``wait_s``, an empty claim holds at the service until
-        units are published or ``wait_s`` passes. Only answered by
-        services running ``execution="distributed"``; otherwise the
-        server returns 409, surfaced as ``ValueError``.
+        The unit is ``{"unit_id", "payload", "attempts",
+        "checkpointed"}``; ``checkpointed`` says the span's checkpoint
+        already exists, so the unit only needs an ack. With
+        ``wait_s``, an empty claim holds at the service until units are
+        published or ``wait_s`` passes. Only answered by services
+        running ``execution="distributed"``; otherwise the server
+        returns 409, surfaced as ``ValueError``.
         """
         payload = {"worker": worker, "ttl_s": ttl_s}
         if wait_s > 0:
@@ -243,48 +252,46 @@ class ServiceClient:
             "POST", "/units/heartbeat",
             {"unit_id": unit_id, "worker": worker, "ttl_s": ttl_s})["ok"])
 
-    def ack_unit(self, unit_id: str, worker: str) -> bool:
-        """Ack a unit whose checkpoint already exists server-side."""
+    def ack_unit(self, unit_id: str, worker: str,
+                 events: Optional[List[dict]] = None) -> bool:
+        """Ack a unit whose checkpoint already exists server-side.
+
+        ``events`` (here and on :meth:`complete_unit` /
+        :meth:`fail_unit`) are worker trace records for the service to
+        append to their traces."""
         return bool(self._request(
-            "POST", "/units/ack",
-            {"unit_id": unit_id, "worker": worker})["ok"])
+            "POST", "/units/ack", _with_events(
+                {"unit_id": unit_id, "worker": worker}, events))["ok"])
 
     def complete_unit(self, unit_id: str, worker: str, job_key: str,
                       lo: int, hi: int, result: dict,
-                      phases: Optional[dict] = None) -> bool:
+                      phases: Optional[dict] = None,
+                      trace: Optional[dict] = None,
+                      events: Optional[List[dict]] = None) -> bool:
         """Upload span tallies; the server checkpoints, then acks.
 
         ``phases`` is the optional ``{phase: ns}`` execution profile
-        stamped onto the server-side checkpoint record."""
+        stamped onto the server-side checkpoint record. ``trace`` is
+        the unit payload's trace block: with it the server records
+        ``unit.complete`` under the job's trace."""
         payload = {"unit_id": unit_id, "worker": worker,
                    "job_key": job_key, "lo": lo, "hi": hi,
                    "result": result}
         if phases:
             payload["phases"] = phases
+        if trace:
+            payload["trace"] = trace
         return bool(self._request("POST", "/units/complete",
-                                  payload)["ok"])
-
-    def record_events(self, trace_id: str, events: List[dict]) -> None:
-        """Append worker trace events to the service's event log."""
-        if not events:
-            return
-        self._request("POST", "/units/events",
-                      {"trace": trace_id, "events": events})
+                                  _with_events(payload, events))["ok"])
 
     def fail_unit(self, unit_id: str, worker: str, error: str,
-                  requeue: bool = True) -> bool:
+                  requeue: bool = True,
+                  events: Optional[List[dict]] = None) -> bool:
         """Report a unit failure (requeue or terminal poison)."""
         return bool(self._request(
-            "POST", "/units/fail",
-            {"unit_id": unit_id, "worker": worker, "error": error,
-             "requeue": requeue})["ok"])
-
-    def shard_done(self, job_key: str, lo: int, hi: int) -> bool:
-        """Whether the span's checkpoint already exists server-side
-        (the dedupe short-circuit after a lease-expiry race)."""
-        return bool(self._request(
-            "POST", "/units/shard_done",
-            {"job_key": job_key, "lo": lo, "hi": hi})["done"])
+            "POST", "/units/fail", _with_events(
+                {"unit_id": unit_id, "worker": worker, "error": error,
+                 "requeue": requeue}, events))["ok"])
 
     def wait_until_up(self, timeout: float = 10.0,
                       poll_interval: float = 0.1) -> None:

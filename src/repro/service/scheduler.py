@@ -71,7 +71,8 @@ import time
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from time import perf_counter_ns
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import repro
 from repro.core.registry import code_names
@@ -765,7 +766,9 @@ class CampaignService:
         An empty claim holds up to ``wait_s`` seconds, until units are
         published or requeued or ``stop`` is set, and claims again on
         each wake — so an idle HTTP worker needs no sleep-poll of its
-        own. Returns the broker's :class:`WorkUnit`.
+        own. Returns ``(unit, checkpointed)``: the broker's
+        :class:`WorkUnit`, and whether its span is already
+        checkpointed (see :meth:`_claim_and_inspect`).
         """
         loop = asyncio.get_running_loop()
         until = loop.time() + wait_s
@@ -773,40 +776,110 @@ class CampaignService:
             # Take the event before claiming: units published while the
             # claim runs must still wake the wait below.
             claimable = self._claimable
-            unit = await asyncio.to_thread(self.broker.claim, worker,
-                                           ttl_s)
-            if unit is not None or (stop is not None and stop.is_set()):
-                return unit
+            claimed = await asyncio.to_thread(self._claim_and_inspect,
+                                              worker, ttl_s)
+            if claimed is not None or (stop is not None and stop.is_set()):
+                return claimed
             await _first_set(until - loop.time(), claimable, stop)
             if not claimable.is_set():
                 return None
 
+    def _claim_and_inspect(self, worker: str, ttl_s: float):
+        """One broker claim and, for a granted unit, in the same thread
+        hop: the checked read of its span's checkpoint, and its claim
+        evidence appended to the job's trace — so a worker killed
+        mid-span still leaves its claim in the timeline."""
+        from repro.distributed.wire import unit_routing
+        from repro.distributed.worker import append_records, claim_records
+
+        unit = self.broker.claim(worker, ttl_s)
+        if unit is None:
+            return None
+        routing = unit_routing(unit.payload)
+        if routing is None:
+            return unit, False  # the worker fails it as poison
+        job_key, lo, hi, trace = routing
+        try:
+            checkpointed = self.store.get_shard(job_key, lo, hi) is not None
+        except ValueError:
+            # An invalid key: the worker executes and the checkpoint
+            # write is refused, which fails the unit.
+            checkpointed = False
+        append_records(self.store, claim_records(
+            self.tracer, trace, unit.unit_id, lo, hi, unit.attempts,
+            worker))
+        return unit, checkpointed
+
     async def complete_unit(self, unit_id: str, worker: str,
                             job_key: str, lo: int, hi: int, tallies,
-                            phases: Optional[dict] = None) -> bool:
+                            phases: Optional[dict] = None,
+                            trace: Optional[dict] = None,
+                            events: Sequence[dict] = ()) -> bool:
         """Checkpoint an HTTP worker's span tallies, ack its unit, and
-        hand the span to the job's dispatcher. Returns the ack."""
-        # Checkpoint first, ack second — the same ordering the
-        # shared-store worker uses, for the same resume reason.
-        await asyncio.to_thread(self.store.put_shard, job_key, lo, hi,
-                                tallies, phases=phases)
+        hand the span to the job's dispatcher. Returns the ack.
+
+        ``events`` are the worker's trace records; they are appended
+        with the ``unit.complete`` record stamped here (under the
+        payload's ``trace`` block) before the dispatcher hears of the
+        span, so a settled job's trace holds every completion."""
+        from repro.distributed.worker import append_records, \
+            complete_records
+
+        def persist() -> bool:
+            records = list(events)
+            try:
+                # Checkpoint first, ack second — the same ordering the
+                # shared-store worker uses, for the same resume reason.
+                t0 = perf_counter_ns()
+                self.store.put_shard(job_key, lo, hi, tallies,
+                                     phases=phases)
+                acked = self.broker.ack(unit_id, worker)
+                records += complete_records(
+                    self.tracer, trace, unit_id, perf_counter_ns() - t0,
+                    acked, worker)
+                return acked
+            finally:
+                append_records(self.store, records)
+
         try:
-            return await asyncio.to_thread(self.broker.ack, unit_id,
-                                           worker)
+            return await asyncio.to_thread(persist)
         finally:
             self._notify_dispatcher(job_key, (lo, hi))
 
+    async def ack_unit(self, unit_id: str, worker: str,
+                       events: Sequence[dict] = ()) -> bool:
+        """Ack an HTTP worker's unit whose checkpoint already exists,
+        appending the worker's trace records."""
+        return await self._unit_call(events, self.broker.ack, unit_id,
+                                     worker)
+
     async def fail_unit(self, unit_id: str, worker: str, error: str,
-                        requeue: bool = True) -> bool:
-        """Report an HTTP worker's unit failure. Wakes the job's
-        dispatcher (a terminal failure fails the job) and the waiting
-        claims (a requeued unit is claimable again)."""
-        reported = await asyncio.to_thread(self.broker.fail, unit_id,
-                                           worker, error, requeue)
+                        requeue: bool = True,
+                        events: Sequence[dict] = ()) -> bool:
+        """Report an HTTP worker's unit failure, appending the worker's
+        trace records. Wakes the job's dispatcher (a terminal failure
+        fails the job) and the waiting claims (a requeued unit is
+        claimable again)."""
+        reported = await self._unit_call(events, self.broker.fail,
+                                         unit_id, worker, error, requeue)
         if reported:
             self._notify_dispatcher(unit_id.rpartition(":")[0], None)
             self._wake_claims()
         return reported
+
+    async def _unit_call(self, events: Sequence[dict], fn, *args):
+        """``fn(*args)`` on a worker thread, then the worker's trace
+        records appended to their traces in the same hop (also when
+        ``fn`` raises)."""
+        from repro.distributed.worker import append_records
+
+        def call():
+            try:
+                return fn(*args)
+            finally:
+                append_records(self.store, events)
+
+        return await asyncio.to_thread(call)
 
     def _notify_dispatcher(self, job_key: str,
                            note: Optional[tuple]) -> None:
@@ -1119,18 +1192,19 @@ class CampaignService:
             if parent_span and self.tracer.active else None
 
         def publish_all() -> None:
-            records = []
-            for lo, hi in missing:
-                unit_id = f"{job.key}:{lo}-{hi}"
-                payload = unit_envelope(job.key, lo, hi,
-                                        runner.shard_task(lo, hi),
-                                        trace=trace)
-                self.broker.publish(unit_id, payload, group_key=job.key)
-                _UNIT_PUBLISHES.inc()
-                records.append(self.tracer.event_record(
+            # One transaction for the job's units: workers see all of
+            # them at once, and the publish events follow its commit.
+            units = [(f"{job.key}:{lo}-{hi}",
+                      unit_envelope(job.key, lo, hi,
+                                    runner.shard_task(lo, hi), trace=trace))
+                     for lo, hi in missing]
+            self.broker.publish_many(units, group_key=job.key)
+            _UNIT_PUBLISHES.inc(len(units))
+            self.tracer.emit_records(job.id, [
+                self.tracer.event_record(
                     job.id, "unit.publish", parent=parent_span,
-                    attrs={"unit": unit_id, "lo": lo, "hi": hi}))
-            self.tracer.emit_records(job.id, records)
+                    attrs={"unit": unit_id, "lo": lo, "hi": hi})
+                for (unit_id, _), (lo, hi) in zip(units, missing)])
 
         async def collect(spans: List[tuple]) -> bool:
             """Record the spans whose checkpoint reads back; True if

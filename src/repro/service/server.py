@@ -18,17 +18,19 @@ the container bakes in numpy + pytest and nothing else) that exposes a
                             ``?wait=<s>`` long-polls: the answer comes
                             when the job settles or after
                             ``min(s, MAX_WAIT_S)`` seconds
-``POST /units/claim``       claim one work unit under a TTL lease; an
+``POST /units/claim``       claim one work unit under a TTL lease; the
+                            answer says whether the span is already
+                            ``checkpointed``, and the server records
+                            the claim in the job's trace first. An
                             empty claim with ``wait_s`` holds until
                             units are published (at most
                             ``MAX_WAIT_S``)
 ``POST /units/heartbeat``   extend a worker's lease
 ``POST /units/ack``         ack a unit whose checkpoint already exists
 ``POST /units/complete``    upload span tallies + ack (the server
-                            writes the shard checkpoint)
+                            writes the shard checkpoint and records
+                            ``unit.complete``)
 ``POST /units/fail``        report a unit failure (requeue | terminal)
-``POST /units/shard_done``  does the span's checkpoint already exist?
-``POST /units/events``      append worker trace events (telemetry)
 ``GET  /metrics``           Prometheus text exposition (version 0.0.4)
                             of the service process's metrics registry
                             plus point-in-time gauges
@@ -44,7 +46,10 @@ The ``/units/*`` family is the multi-host worker transport
 cannot reach the service's store path speak these endpoints instead,
 and the *server* performs the store writes — so the atomic-checkpoint
 and bit-identity guarantees are the server's regardless of where
-workers run. They answer 409 unless the service runs
+workers run. A unit costs two requests, claim and complete. Ack,
+complete and fail bodies may carry the worker's trace records as
+``events``, appended to their traces. Lease lengths (``ttl_s``) must be
+finite and positive. They answer 409 unless the service runs
 ``execution="distributed"``.
 
 The server speaks just enough HTTP/1.1 for ``urllib`` and ``curl``
@@ -98,6 +103,25 @@ class _BadRequest(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _lease_seconds(value) -> float:
+    """A worker's lease length: finite and positive (400 otherwise)."""
+    from repro.distributed.broker import check_ttl
+    try:
+        return check_ttl(float(value))
+    except (TypeError, ValueError):
+        raise ValueError(f"ttl_s must be a finite, positive number of "
+                         f"seconds, got {value!r}") from None
+
+
+def _events(payload: dict) -> list:
+    """The trace records a unit request carries. Telemetry: anything
+    that is not a list of objects is dropped, never refused."""
+    events = payload.get("events")
+    if not isinstance(events, list):
+        return []
+    return [event for event in events if isinstance(event, dict)]
 
 
 def _wait_seconds(value) -> float:
@@ -344,63 +368,50 @@ class ServiceServer:
                                   "are unavailable"}
         try:
             if path == "/units/claim":
-                unit = await self.service.claim_unit(
+                claimed = await self.service.claim_unit(
                     str(payload["worker"]),
-                    float(payload.get("ttl_s", 30.0)),
+                    _lease_seconds(payload.get("ttl_s", 30.0)),
                     _wait_seconds(payload.get("wait_s", 0.0)),
                     stop=self._closing)
-                if unit is None:
+                if claimed is None:
                     return 200, {"unit": None}
+                unit, checkpointed = claimed
                 return 200, {"unit": {"unit_id": unit.unit_id,
                                       "payload": unit.payload,
-                                      "attempts": unit.attempts}}
+                                      "attempts": unit.attempts,
+                                      "checkpointed": checkpointed}}
             if path == "/units/heartbeat":
                 ok = await asyncio.to_thread(
                     broker.heartbeat, str(payload["unit_id"]),
                     str(payload["worker"]),
-                    float(payload.get("ttl_s", 30.0)))
+                    _lease_seconds(payload.get("ttl_s", 30.0)))
                 return 200, {"ok": ok}
             if path == "/units/ack":
-                ok = await asyncio.to_thread(
-                    broker.ack, str(payload["unit_id"]),
-                    str(payload["worker"]))
+                ok = await self.service.ack_unit(
+                    str(payload["unit_id"]), str(payload["worker"]),
+                    events=_events(payload))
                 return 200, {"ok": ok}
             if path == "/units/complete":
                 from repro.service.spec import result_from_dict
                 phases = payload.get("phases")
+                trace = payload.get("trace")
                 ok = await self.service.complete_unit(
                     str(payload["unit_id"]), str(payload["worker"]),
                     str(payload["job_key"]), int(payload["lo"]),
                     int(payload["hi"]),
                     result_from_dict(dict(payload["result"])),
                     phases=dict(phases) if isinstance(phases, dict)
-                    else None)
+                    else None,
+                    trace=trace if isinstance(trace, dict) else None,
+                    events=_events(payload))
                 return 200, {"ok": ok}
             if path == "/units/fail":
                 ok = await self.service.fail_unit(
                     str(payload["unit_id"]), str(payload["worker"]),
                     str(payload.get("error", "worker failure")),
-                    bool(payload.get("requeue", True)))
+                    bool(payload.get("requeue", True)),
+                    events=_events(payload))
                 return 200, {"ok": ok}
-            if path == "/units/shard_done":
-                tallies = await asyncio.to_thread(
-                    self.service.store.get_shard,
-                    str(payload["job_key"]), int(payload["lo"]),
-                    int(payload["hi"]))
-                return 200, {"done": tallies is not None}
-            if path == "/units/events":
-                events = payload.get("events")
-                if not isinstance(events, list):
-                    return 400, {"error": "events must be a list"}
-                # Telemetry, not state: bad event dicts are dropped by
-                # the JSONL codec on read, so appending is best-effort
-                # by design — but the trace id is still validated (it
-                # becomes a filename).
-                await asyncio.to_thread(
-                    self.service.store.append_events,
-                    str(payload["trace"]),
-                    [e for e in events if isinstance(e, dict)])
-                return 200, {"ok": True}
         except (KeyError, TypeError, ValueError) as exc:
             return 400, {"error": f"malformed unit request: "
                                   f"{type(exc).__name__}: {exc}"}

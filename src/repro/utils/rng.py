@@ -49,9 +49,8 @@ own stream, draw one field per trial with the same sampler.
 
 from __future__ import annotations
 
-import copy
 import math
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -169,6 +168,45 @@ def trial_stream(entropy: int, trial: int,
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
+class _Rekeyed:
+    """One Philox generator under ``key``, re-addressed in place.
+
+    Re-keying the counter costs a few microseconds; building a fresh
+    ``Philox`` costs several times that (numpy seeds it from OS entropy
+    before the key replaces the seed).
+    """
+
+    __slots__ = ("bit_generator", "generator", "_state")
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.bit_generator = np.random.Philox(key=key)
+        self.generator = np.random.Generator(self.bit_generator)
+        # A fresh bit generator's state (empty output buffer), re-keyed
+        # to each counter before its draws.
+        self._state = self.bit_generator.state
+
+    def at(self, space: int, index: int,
+           stream: int) -> np.random.Generator:
+        """The generator, at counter ``[0, space, index, stream]``."""
+        self._state["state"]["counter"] = _counter(space, index, stream)
+        self.bit_generator.state = self._state
+        return self.generator
+
+
+class _GroupCache:
+    """What a trial range shares with every span of it: one generator
+    re-keyed to each group's counter (built on the first draw), and the
+    last group field drawn, keyed by ``(group, cells, p)`` — so engine
+    blocks that split a group draw it once."""
+
+    __slots__ = ("rng", "key", "field")
+
+    def __init__(self) -> None:
+        self.rng: Optional[_Rekeyed] = None
+        self.key: Optional[tuple] = None
+        self.field: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
 class TrialStreams:
     """Stream ``stream`` of trials ``[lo, hi)`` under ``entropy``.
 
@@ -180,38 +218,33 @@ class TrialStreams:
     docstring).
     """
 
+    __slots__ = ("key", "lo", "hi", "stream", "_groups")
+
     def __init__(self, entropy: int, lo: int, hi: int, stream: int):
         if not 0 <= lo <= hi <= _WORD:
             raise ValueError(f"trial range [{lo}, {hi}) must lie in "
                              f"[0, 2**64)")
         self.key = _entropy_key(entropy)
         self.lo, self.hi, self.stream = lo, hi, stream
-        # The last group field drawn, keyed by (group, cells, p); shared
-        # with every sub-range from span(), so engine blocks that split
-        # a group draw it once.
-        self._fields: dict = {}
+        self._groups = _GroupCache()
 
     def __len__(self) -> int:
         return self.hi - self.lo
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        bit_generator = np.random.Philox(key=self.key)
-        generator = np.random.Generator(bit_generator)
-        # A fresh bit generator's state (empty output buffer), re-keyed
-        # to each trial's counter before its draws.
-        state = bit_generator.state
+        rng = _Rekeyed(self.key)
         for trial in range(self.lo, self.hi):
-            state["state"]["counter"] = _counter(_TRIAL_SPACE, trial,
-                                                 self.stream)
-            bit_generator.state = state
-            yield generator
+            yield rng.at(_TRIAL_SPACE, trial, self.stream)
 
     def span(self, lo: int, hi: int) -> "TrialStreams":
-        """The sub-range ``[lo, hi)``, sharing this range's group fields."""
+        """The sub-range ``[lo, hi)``, sharing this range's group
+        generator and fields."""
         if not self.lo <= lo <= hi <= self.hi:
             raise ValueError(f"span [{lo}, {hi}) is not inside "
                              f"[{self.lo}, {self.hi})")
-        sub = copy.copy(self)
+        sub = object.__new__(TrialStreams)
+        sub.key, sub.stream, sub._groups = self.key, self.stream, \
+            self._groups
         sub.lo, sub.hi = lo, hi
         return sub
 
@@ -240,16 +273,17 @@ class TrialStreams:
     def _group_field(self, group: int, cells: int, probability: float
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """``(slot, cell)`` of group ``group``'s field (slot = ``i % 64``)."""
+        cache = self._groups
         key = (group, cells, probability)
-        field = self._fields.get(key)
-        if field is None:
+        if cache.key != key:
+            if cache.rng is None:
+                cache.rng = _Rekeyed(self.key)
             positions = bernoulli_positions(
-                _philox(self.key, _GROUP_SPACE, group, self.stream),
+                cache.rng.at(_GROUP_SPACE, group, self.stream),
                 GROUP_TRIALS * cells, probability)
-            field = np.divmod(positions, cells)
-            self._fields.clear()
-            self._fields[key] = field
-        return field
+            cache.field = np.divmod(positions, cells)
+            cache.key = key
+        return cache.field
 
 
 def _gap_chunk(size: int, probability: float) -> int:

@@ -319,28 +319,41 @@ class TestHttpTopology:
         asyncio.run(main())
         assert not (tmp_path.parent / "escape").exists()
 
-    def test_shard_done_roundtrip_over_http(self, tmp_path):
+    def test_claim_answer_flags_checkpointed_span(self, tmp_path):
         """HTTP workers get the same checkpoint-dedupe short-circuit
-        as shared-store workers."""
+        as shared-store workers: the claim answer says whether the
+        span is already checkpointed, and the source answers
+        ``shard_done`` from it without a request."""
+        from repro.distributed.wire import unit_envelope
         from repro.faults.campaign import CampaignResult
+
+        runner = spec_for(trials=128).build_runner()
+        key = "ab12" * 16
 
         async def main():
             service = CampaignService(
                 tmp_path, executor="thread", execution="distributed")
             async with ServiceServer(service, port=0) as server:
-                client = ServiceClient(server.url)
-                key = "ab12" * 16
-                assert not await asyncio.to_thread(
-                    client.shard_done, key, 0, 64)
                 service.store.put_shard(key, 0, 64,
                                         CampaignResult(trials=64))
-                assert await asyncio.to_thread(
-                    client.shard_done, key, 0, 64)
-                source = HttpWorkSource(client)
-                assert await asyncio.to_thread(
-                    source.shard_done, key, 0, 64) is True
+                service.broker.publish_many(
+                    [(f"{key}:{lo}-{hi}",
+                      unit_envelope(key, lo, hi, runner.shard_task(lo, hi)))
+                     for lo, hi in ((0, 64), (64, 128))], group_key=key)
+                source = HttpWorkSource(ServiceClient(server.url))
 
-        asyncio.run(main())
+                def claim_and_ask():
+                    unit_id, _, _ = source.claim("w", 10.0)
+                    lo, hi = (int(x) for x in
+                              unit_id.rpartition(":")[2].split("-"))
+                    return (unit_id, source.shard_done(key, lo, hi),
+                            source.shard_done(key, 0, 128))
+
+                return [await asyncio.to_thread(claim_and_ask)
+                        for _ in range(2)]
+
+        assert asyncio.run(main()) == [(f"{key}:0-64", True, False),
+                                       (f"{key}:64-128", False, False)]
 
     def test_units_endpoints_refused_in_local_mode(self, tmp_path):
         async def main():

@@ -3,9 +3,9 @@
 Local mode: a submitted campaign leaves a complete trace in the
 store's ``events/`` namespace and a merged per-phase profile on the
 job record. HTTP mode: ``GET /metrics`` serves Prometheus text,
-``GET /trace/<id>`` replays the events, ``POST /units/events``
-appends worker telemetry, and the ``repro trace`` / ``repro metrics``
-CLI commands drive both.
+``GET /trace/<id>`` replays the events, a ``POST /units/complete``
+body appends worker telemetry, and the ``repro trace`` /
+``repro metrics`` CLI commands drive both.
 """
 
 import asyncio
@@ -187,35 +187,53 @@ class TestTraceEndpoint:
                 "job.settle"} <= {e["name"] for e in events}
         assert missing_code == 404
 
-    def test_units_events_appends(self, tmp_path):
+    def test_complete_body_events_append(self, tmp_path):
+        """Worker records ride the complete body; the service appends
+        them (non-dicts filtered) with the ``unit.complete`` record it
+        stamps for that worker under the payload's trace block."""
+        from repro.faults.campaign import CampaignResult
+        from repro.service.spec import result_to_dict
+
         record = {"trace": "j000001-ab12cd34", "span": "abc123",
-                  "parent": None, "name": "unit.claim",
-                  "kind": "event", "status": "ok", "proc": "w9",
-                  "wall": 1.0, "dur_ns": 0, "attrs": {}}
+                  "parent": None, "name": "unit.execute",
+                  "kind": "span", "status": "ok", "proc": "w9",
+                  "wall": 1.0, "dur_ns": 5, "attrs": {}}
 
         async def main():
             service = CampaignService(tmp_path, executor="thread",
                                       execution="distributed")
             async with ServiceServer(service, port=0) as server:
                 client = ServiceClient(server.url)
-                await asyncio.to_thread(
-                    client.record_events, record["trace"],
-                    [record, "not-a-dict"])
-                return await asyncio.to_thread(
+                ok = await asyncio.to_thread(
+                    client.complete_unit, "u", "w9", "ab12" * 16, 0, 64,
+                    result_to_dict(CampaignResult(trials=64)),
+                    trace={"id": record["trace"], "span": "exec01"},
+                    events=[record, "not-a-dict"])
+                return ok, await asyncio.to_thread(
                     client.trace, record["trace"])
 
-        events = asyncio.run(main())
-        assert events == [record]  # non-dicts filtered
+        ok, events = asyncio.run(main())
+        assert ok is False  # no such unit: the ack is refused
+        assert events[0] == record
+        (complete,) = events[1:]
+        assert complete["name"] == "unit.complete"
+        assert complete["proc"] == "w9"
+        assert complete["parent"] == "exec01"
+        assert complete["attrs"]["unit"] == "u"
+        assert complete["attrs"]["lease_lost"] is True
+        assert complete["attrs"]["checkpoint_write_ns"] > 0
 
-    def test_units_events_local_mode_conflict(self, tmp_path):
+    def test_complete_events_local_mode_conflict(self, tmp_path):
         async def main():
             service = CampaignService(tmp_path, executor="thread")
             async with ServiceServer(service, port=0) as server:
                 def post():
                     request = urllib.request.Request(
-                        server.url + "/units/events",
-                        data=json.dumps({"trace": "t",
-                                         "events": []}).encode(),
+                        server.url + "/units/complete",
+                        data=json.dumps({
+                            "unit_id": "u", "worker": "w",
+                            "events": [{"trace": "t", "name": "x"}],
+                        }).encode(),
                         headers={"Content-Type": "application/json"},
                         method="POST")
                     try:
@@ -227,6 +245,7 @@ class TestTraceEndpoint:
                 return await asyncio.to_thread(post)
 
         assert asyncio.run(main()) == 409
+        assert ResultStore(tmp_path).read_events("t") == []
 
 
 class TestCli:
