@@ -3,8 +3,9 @@
 The service layer (:mod:`repro.service`) turns blocking campaign calls
 into jobs: declarative JSON specs go in, results come back from an
 async scheduler that shards trials onto a worker pool, checkpoints
-every completed span, and dedupes identical submissions through a
-content-addressed store. This example walks the whole surface in one
+every completed span (a one-span job runs on a thread of the service
+and writes only its result), and dedupes identical submissions
+through a content-addressed store. This example walks the whole surface in one
 process:
 
 1. job specs for every workload family (JSON round-trip included);

@@ -4,7 +4,8 @@
 an :mod:`asyncio` front-end that accepts :class:`JobSpec` submissions,
 orders them through a pluggable :class:`repro.service.queue.JobQueue`,
 and executes them as :class:`repro.faults.batch.ShardTask` spans on a
-``concurrent.futures`` pool — the *same* work units a sharded
+``concurrent.futures`` pool (a one-span job on a thread of this
+process, see step 3) — the *same* work units a sharded
 in-process :class:`CampaignRunner` builds, which is what makes
 service-executed results bit-identical to in-process runs (the
 contract ``tests/service/`` pins).
@@ -19,10 +20,18 @@ Execution pipeline of one campaign-family job:
 3. **Shard.** Trials split into contiguous spans of at most
    ``shard_trials`` (:func:`repro.utils.rng.shard_bounds`); spans with
    a checkpoint in the store are reused, the rest run concurrently on
-   the pool, each checkpointing on completion.
+   the pool, each checkpointing on completion. A job of one span with
+   no checkpoint under its key runs that span on a thread of this
+   process instead and writes no checkpoint: its result record is its
+   only durable output, so a crash costs it one span either way.
 4. **Merge + persist.** Span tallies merge in ``lo`` order
    (:func:`repro.faults.batch.merge_results`); the final record is
    written atomically and the span checkpoints are dropped.
+
+Each step's store I/O is one :func:`asyncio.to_thread` hop: submit
+(result lookup plus the ``queued`` write), execute start (result
+re-check plus checkpoint scan), and finish (phase profile, final
+record, checkpoint clear).
 
 A killed service therefore loses only in-flight spans: on restart,
 resubmitting the same spec (same entropy) reuses every checkpointed
@@ -31,17 +40,19 @@ to an uninterrupted run. Adaptive and logic-equivalence jobs execute as
 single work units (their results are not span-decomposable) but get the
 same normalize/dedupe/persist treatment.
 
-Job records themselves persist in the store's ``jobs/`` namespace on
-every state transition, so a restarted service still answers
+Job records themselves persist in the store's ``jobs/`` namespace when
+accepted and when settled, so a restarted service still answers
 ``status`` for pre-restart job ids and re-enqueues submissions that
 never settled (their checkpointed spans are reused, so the replay only
-executes the gaps).
+executes the gaps). ``running`` is an in-memory state only: a restart
+treats an unsettled job the same whether or not it had started.
 
 Two **execution modes** share this pipeline (``execution=`` knob):
 
 ``local``
-    Spans run on this process's own ``concurrent.futures`` pool — the
-    PR-4 behaviour, still the default.
+    Spans run on this process: one-span jobs on a thread, multi-span
+    campaign jobs and adaptive / logic jobs on its own
+    ``concurrent.futures`` pool. The default.
 ``distributed``
     Spans are *published* to a durable lease broker
     (:class:`repro.distributed.broker.SqliteBroker`) as hash-stamped
@@ -252,6 +263,12 @@ def _run_logic_job(spec_dict: dict) -> dict:
     }
 
 
+#: Job kinds that run as one pool work unit (their results are not
+#: span-decomposable), with their worker entries.
+_SINGLE_UNIT_JOBS = {AdaptiveCampaignJobSpec: _run_adaptive_job,
+                     LogicEquivalenceJobSpec: _run_logic_job}
+
+
 @dataclass
 class JobRecord:
     """Live state of one submission (what ``repro status`` shows)."""
@@ -338,7 +355,9 @@ class CampaignService:
         the durable half of the service: results, dedupe index, and
         crash checkpoints all live there.
     workers:
-        Pool size for work units (processes by default).
+        Pool size for work units (processes by default). The pool
+        serves multi-span campaign jobs and adaptive and logic jobs; a
+        one-span job runs on a thread and never touches it.
     shard_trials:
         Maximum trials per shard span — the checkpoint granularity.
     queue:
@@ -351,7 +370,8 @@ class CampaignService:
         Scheduler tasks pulling from the queue; shards of concurrent
         jobs interleave on the shared pool.
     executor:
-        ``"process"`` (default) or ``"thread"``. The thread pool exists
+        ``"process"`` (default) or ``"thread"``: the pool behind
+        multi-span, adaptive and logic jobs. The thread pool exists
         for embedding and tests (closures and mocks don't cross process
         boundaries); numpy kernels release the GIL enough to keep it
         useful for small jobs.
@@ -359,7 +379,9 @@ class CampaignService:
         The work-unit function (default
         :func:`repro.faults.batch.run_shard_task`). Injection point for
         tests and for remote-execution adapters; must be picklable
-        under ``executor="process"``. Local execution only.
+        under ``executor="process"``. Local execution only: spans of
+        multi-span jobs call it on the pool, a one-span job on a
+        thread of this process.
     max_job_records:
         Cap on in-memory :class:`JobRecord` objects; beyond it the
         oldest *terminal* records are evicted (their results remain in
@@ -547,7 +569,16 @@ class CampaignService:
         self.tracer.event(job.id, "job.submit",
                           attrs={"kind": spec.kind, "key": key})
 
-        cached = await asyncio.to_thread(self.store.get, key)
+        def lookup() -> Optional[dict]:
+            # A leader and a follower persist the same "queued" record,
+            # so the write shares the lookup's hop and need not wait
+            # for the in-flight check below.
+            cached = self.store.get(key)
+            if cached is None:
+                self._persist_job(job)
+            return cached
+
+        cached = await asyncio.to_thread(lookup)
         if cached is not None:
             job.state = "done"
             job.cached = True
@@ -567,17 +598,15 @@ class CampaignService:
             self.tracer.event(job.id, "job.follow",
                               attrs={"leader": self._inflight[key]})
             self._followers.setdefault(key, []).append(job.id)
-            await asyncio.to_thread(self._persist_job, job)
             return job
         self._inflight[key] = job.id
-        await asyncio.to_thread(self._persist_job, job)
         await self._queue.put(job.id)
         return job
 
     def _persist_job(self, job: JobRecord) -> None:
         """Write ``job`` to the store's ``jobs/`` namespace.
 
-        Called (off the event loop) on every state transition, so a
+        Called when the job is accepted and when it settles, so a
         restarted service still knows every accepted id — the durable
         half of :meth:`_recover_persisted_jobs`.
         """
@@ -587,12 +616,12 @@ class CampaignService:
         """Reload persisted job records after a restart.
 
         Terminal records come back queryable under their original ids;
-        records the previous process never settled (``queued`` or
-        ``running`` at kill time) are reset to ``queued`` and
-        re-enqueued — their checkpointed spans make the replay cheap,
-        and a completed record under the same key short-circuits in
-        :meth:`_execute`. Duplicate keys re-attach as followers, same
-        as live submissions.
+        records the previous process never settled (``queued``, or
+        ``running`` as older builds persisted it) are reset to
+        ``queued`` and re-enqueued — their checkpointed spans make the
+        replay cheap, and a completed record under the same key
+        short-circuits in :meth:`_execute`. Duplicate keys re-attach as
+        followers, same as live submissions.
         """
         records = await asyncio.to_thread(
             lambda: list(self.store.iter_jobs()))
@@ -933,9 +962,21 @@ class CampaignService:
                 pass
 
     async def _execute(self, job: JobRecord) -> None:
+        # Only the live record reads "running": the store keeps the
+        # "queued" record until the job settles, and a restart
+        # re-enqueues an unsettled job either way.
         job.state = "running"
         job.started_at = time.time()
-        await asyncio.to_thread(self._persist_job, job)
+        unit_fn = _SINGLE_UNIT_JOBS.get(type(job.spec))
+
+        def lookup() -> tuple:
+            # One hop: the result re-check and, for span jobs, the
+            # checkpoint scan that plans their spans.
+            cached = self.store.get(job.key)
+            if cached is not None or unit_fn is not None:
+                return cached, {}
+            return None, self.store.shard_spans(job.key)
+
         try:
             # The execute span is the parent of everything downstream:
             # published units carry (job.id, span id) on the wire, so
@@ -945,7 +986,7 @@ class CampaignService:
                                          "key": job.key,
                                          "execution": self.execution}
                                   ) as span:
-                cached = await asyncio.to_thread(self.store.get, job.key)
+                cached, checkpoints = await asyncio.to_thread(lookup)
                 if cached is not None:
                     # Replayed after a restart (or raced by another
                     # service on the shared store) and the work already
@@ -959,43 +1000,27 @@ class CampaignService:
                     result = cached["result"]
                     span.set("cached", True)
                 else:
-                    if isinstance(job.spec, AdaptiveCampaignJobSpec):
-                        result = await self._run_single_unit(
-                            job, _run_adaptive_job)
-                    elif isinstance(job.spec, LogicEquivalenceJobSpec):
-                        result = await self._run_single_unit(
-                            job, _run_logic_job)
+                    # The phase profile of a run that wrote no span
+                    # checkpoint; None: the checkpoints carry it.
+                    profile = None
+                    if unit_fn is not None:
+                        result = await self._run_single_unit(job, unit_fn)
+                        profile = {}
                     elif self.execution == "distributed":
                         result = await self._run_sharded_distributed(
-                            job, parent_span=span.span_id)
+                            job, checkpoints, parent_span=span.span_id)
+                    elif job.spec.trials <= self.shard_trials \
+                            and not checkpoints:
+                        result, profile = await self._run_inline(job)
                     else:
-                        result = await self._run_sharded(job)
-                    # Aggregate the per-phase execution profile the
-                    # shard checkpoints carry (local and distributed
-                    # runs alike) before the checkpoints are cleared.
-                    phase_map = await asyncio.to_thread(
-                        self.store.shard_phases, job.key)
-                    job.phases = merge_phases(phase_map.values()) or None
-                    if job.phases:
-                        span.set("phases", job.phases)
-                    record = {
-                        "key": job.key,
-                        "kind": job.spec.kind,
-                        "entropy": job.spec.entropy,
-                        "spec": job.spec.to_dict(),
-                        "result": result,
-                        "phases": job.phases,
-                        "shards": {"total": job.shards_total,
-                                   "cached": job.shards_cached},
-                        "elapsed_s": time.time() - job.started_at,
-                    }
+                        result = await self._run_sharded(job, checkpoints)
                     # Persisting is part of the job: a store failure
                     # (disk full, permissions) must fail the job, not
                     # the scheduler.
-                    await asyncio.to_thread(self.store.put, job.key,
-                                            record)
-                    await asyncio.to_thread(self.store.clear_shards,
-                                            job.key)
+                    job.phases = await asyncio.to_thread(
+                        self._persist_result, job, result, profile)
+                    if job.phases:
+                        span.set("phases", job.phases)
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             job.state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
@@ -1050,7 +1075,7 @@ class CampaignService:
             # Persist the terminal state synchronously (a tiny JSON
             # write) and *before* waking waiters: an awaited persist
             # here could be cancelled by a service closing right after
-            # wait() returns, leaving "running" as the last durable
+            # wait() returns, leaving "queued" as the last durable
             # state — which a restart would wrongly re-enqueue.
             for settled in [job] + followers:
                 try:
@@ -1066,7 +1091,7 @@ class CampaignService:
 
         Returns the settled followers; the caller persists them and
         sets their ``done_event`` (after persistence, so a durable
-        "running" can never outlive a settled run)."""
+        "queued" can never outlive a settled run)."""
         settled = []
         for follower_id in self._followers.pop(leader.key, []):
             follower = self._jobs[follower_id]
@@ -1097,25 +1122,73 @@ class CampaignService:
         job.shards_done = 1
         return result
 
-    async def _run_sharded(self, job: JobRecord) -> dict:
-        """Campaign-family execution: checkpointable shard spans."""
+    def _span_fn(self) -> tuple:
+        """``(fn, profiled)``: the function a span runs and whether it
+        returns a phase profile. Only the stock runner is swapped for
+        its profiled twin: an injected shard_runner (tests, remote
+        adapters) keeps its exact contract — a bare CampaignResult, no
+        phase profile."""
+        profiled = self.shard_runner is run_shard_task
+        return (run_shard_task_profiled if profiled
+                else self.shard_runner), profiled
+
+    async def _run_inline(self, job: JobRecord) -> tuple:
+        """A one-span campaign job with no checkpoint: the span runs on
+        a thread of this process, skipping the pool hop, and writes no
+        checkpoint, since the result record would supersede it a
+        moment later. A thread rather than the event loop, because a
+        large span at a high fault rate takes long enough to stall the
+        HTTP surface. Returns ``(result, phase profile)``."""
+        spec = job.spec
+        job.shards_total = 1
+        fn, profiled = self._span_fn()
+        out = await asyncio.to_thread(
+            fn, spec.build_runner().shard_task(0, spec.trials))
+        tallies, profile = out if profiled else (out, {})
+        job.shards_done = 1
+        return result_to_dict(tallies), profile
+
+    def _persist_result(self, job: JobRecord, result: dict,
+                        profile: Optional[dict]) -> Optional[dict]:
+        """The finish step, in one store hop: write the final record
+        and return the job's phase profile.
+
+        ``profile`` is the profile of a run that wrote no span
+        checkpoint. ``None`` means the job's checkpoints carry it
+        (local and distributed runs alike): it is summed from them
+        before the record lands, and they are dropped after.
+        """
+        checkpointed = profile is None
+        if checkpointed:
+            profile = merge_phases(self.store.shard_phases(job.key).values())
+        phases = profile or None
+        self.store.put(job.key, {
+            "key": job.key,
+            "kind": job.spec.kind,
+            "entropy": job.spec.entropy,
+            "spec": job.spec.to_dict(),
+            "result": result,
+            "phases": phases,
+            "shards": {"total": job.shards_total,
+                       "cached": job.shards_cached},
+            "elapsed_s": time.time() - job.started_at,
+        })
+        if checkpointed:
+            self.store.clear_shards(job.key)
+        return phases
+
+    async def _run_sharded(self, job: JobRecord,
+                           checkpoints: dict) -> dict:
+        """Campaign-family execution: checkpointable shard spans on the
+        pool; ``checkpoints`` (span -> tallies) are reused."""
         spec = job.spec
         runner = spec.build_runner()
         shards = max(1, math.ceil(spec.trials / self.shard_trials))
         bounds = shard_bounds(spec.trials, shards)
-        # Store I/O happens on worker threads (asyncio.to_thread), never
-        # on the event loop: a slow disk must not stall the HTTP surface
-        # or the scheduling of other jobs.
-        checkpoints = await asyncio.to_thread(self.store.shard_spans,
-                                              job.key)
         job.shards_total = len(bounds)
         results = {}
         loop = asyncio.get_running_loop()
-        # Only the stock runner is swapped for its profiled twin: an
-        # injected shard_runner (tests, remote adapters) keeps its
-        # exact contract — a bare CampaignResult, no phase profile.
-        profiled = self.shard_runner is run_shard_task
-        pool_fn = run_shard_task_profiled if profiled else self.shard_runner
+        pool_fn, profiled = self._span_fn()
 
         async def run_span(lo: int, hi: int) -> None:
             cached = checkpoints.get((lo, hi))
@@ -1127,6 +1200,9 @@ class CampaignService:
             out = await loop.run_in_executor(
                 self._pool, pool_fn, runner.shard_task(lo, hi))
             tallies, phases = out if profiled else (out, None)
+            # Store I/O happens on worker threads, never on the event
+            # loop: a slow disk must not stall the HTTP surface or the
+            # scheduling of other jobs.
             await asyncio.to_thread(self.store.put_shard, job.key, lo, hi,
                                     tallies, phases=phases or None)
             results[(lo, hi)] = tallies
@@ -1144,6 +1220,7 @@ class CampaignService:
         return result_to_dict(merged)
 
     async def _run_sharded_distributed(self, job: JobRecord,
+                                       checkpoints: dict,
                                        parent_span: Optional[str] = None
                                        ) -> dict:
         """Distributed campaign execution: publish spans, await the store.
@@ -1160,7 +1237,8 @@ class CampaignService:
         ``dispatch_poll_s`` schedule. A terminally failed unit (poison
         payload, repeated worker crashes reported as terminal) fails
         the job with the worker's error; abandoned leases are invisible
-        here because the broker re-enqueues them on claim.
+        here because the broker re-enqueues them on claim. Spans in
+        ``checkpoints`` (span -> tallies) are reused, never published.
         """
         # Function-scope import: repro.distributed depends on the
         # service layer's store/client, so the dependency must point
@@ -1171,8 +1249,6 @@ class CampaignService:
         runner = spec.build_runner()
         shards = max(1, math.ceil(spec.trials / self.shard_trials))
         bounds = shard_bounds(spec.trials, shards)
-        checkpoints = await asyncio.to_thread(self.store.shard_spans,
-                                              job.key)
         job.shards_total = len(bounds)
         results = {}
         missing = []

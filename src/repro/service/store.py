@@ -91,7 +91,8 @@ _STORE_QUARANTINES = obs_metrics.counter(
 #: integrity layer existed simply lack it and are accepted as legacy.
 INTEGRITY_KEY = "integrity"
 
-#: Store namespaces the integrity sweep covers (subdirectory names).
+#: Store namespaces the integrity sweep covers and gc's byte budget
+#: counts (subdirectory names).
 NAMESPACES = ("results", "shards", "jobs")
 
 #: Path components the store will embed in filenames. Keys are SHA-256
@@ -574,9 +575,17 @@ class ResultStore:
     # ------------------------------------------------------------------ #
 
     def size_bytes(self) -> int:
-        """Total bytes under the store root (results, shards, jobs)."""
+        """Bytes in the namespaces :meth:`gc` evicts (results, shards,
+        jobs) — what its ``max_bytes`` budget bounds. The broker file,
+        trace events, the perf ledger and quarantine are not counted."""
+        return sum(self._tree_bytes(self.root / namespace)
+                   for namespace in NAMESPACES)
+
+    @staticmethod
+    def _tree_bytes(root: Path) -> int:
+        """Total file bytes under ``root``, recursively."""
         total = 0
-        for directory, _dirs, files in os.walk(self.root):
+        for directory, _dirs, files in os.walk(root):
             for name in files:
                 try:
                     total += os.path.getsize(os.path.join(directory, name))
@@ -599,15 +608,20 @@ class ResultStore:
            horizon are evicted, along with the persisted *terminal* job
            records pointing at them and any equally old in-flight shard
            directories/job records (abandoned work).
-        3. **Max bytes** (``max_bytes``): while the store exceeds the
-           budget, the oldest result records are evicted (with their
-           dependent job records), oldest first.
+        3. **Max bytes** (``max_bytes``): while the evictable
+           namespaces (:meth:`size_bytes`) exceed the budget, the
+           oldest result records are evicted (with their dependent job
+           records), oldest first. Bytes gc never removes (the broker
+           and its log, events, perf ledger, quarantine) are reported
+           as ``other_bytes`` and never count against the budget, so
+           they cannot make it evict every result.
 
         Eviction is safe, never destructive of meaning: a record is a
         pure function of its spec, so an evicted key simply re-executes
         on next submission instead of hitting cache. ``dry_run=True``
         reports what would go without touching the filesystem. Returns
-        a report dict (counts, evicted keys, bytes before/after).
+        a report dict (counts, evicted keys, evictable bytes
+        before/after, other bytes).
         """
         if max_age_s is not None and max_age_s < 0:
             raise ValueError(f"max_age_s must be non-negative, "
@@ -713,6 +727,8 @@ class ResultStore:
 
         report["bytes_after"] = report["bytes_before"] if dry_run \
             else self.size_bytes()
+        report["other_bytes"] = self._tree_bytes(self.root) - \
+            report["bytes_after"]
         return report
 
     def _key_bytes(self, key: str) -> int:

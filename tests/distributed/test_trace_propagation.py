@@ -240,8 +240,8 @@ class TestSharedStoreTopology:
 
 class TestHttpTopology:
     def test_http_worker_timeline_reconstructs(self, tmp_path):
-        """Same invariant over the HTTP topology: worker telemetry
-        travels through ``POST /units/events`` and the reconstructed
+        """Same invariant over the HTTP topology: the worker's records
+        ride the ``POST /units/complete`` body and the reconstructed
         timeline is served back by ``GET /trace/<id>``."""
         spec = spec_for(seed=53)
 

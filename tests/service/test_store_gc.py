@@ -112,6 +112,35 @@ class TestBytePolicy:
         store.gc(max_bytes=0)
         assert store.keys() == []
 
+    def test_files_gc_never_removes_do_not_count(self, tmp_path):
+        """The broker, its log, the perf ledger and quarantine sit
+        under the root too; gc never removes them, so they must not
+        count against the budget, or it would evict every result and
+        still be over it."""
+        store = ResultStore(tmp_path)
+        now = time.time()
+        for i in range(5):
+            put_result(store, f"k{i}", when=now - 100 + i,
+                       payload={"blob": "x" * 2000})
+        (tmp_path / "broker.sqlite3").write_bytes(b"\0" * 200_000)
+        (tmp_path / "broker.sqlite3-wal").write_bytes(b"\0" * 4096)
+        (tmp_path / "broker.sqlite3-shm").write_bytes(b"\0" * 4096)
+        (tmp_path / "perf").mkdir()
+        (tmp_path / "perf" / "ledger.jsonl").write_text("{}\n" * 100)
+        (tmp_path / "quarantine" / "results").mkdir(parents=True)
+        (tmp_path / "quarantine" / "results" / "bad.json").write_text(
+            "x" * 1000)
+        evictable = store.size_bytes()
+        assert 10_000 < evictable < 12_000  # the five results only
+        report = store.gc(max_bytes=150_000, now=now)
+        assert report["evicted_results"] == []
+        assert store.keys() == [f"k{i}" for i in range(5)]
+        assert report["bytes_before"] == report["bytes_after"] == evictable
+        assert report["other_bytes"] == 200_000 + 2 * 4096 + 300 + 1000
+        # a budget below the results still evicts oldest first
+        report = store.gc(max_bytes=evictable - 1, now=now)
+        assert report["evicted_results"] == ["k0"]
+
     def test_dry_run_byte_budget_accounts_for_earlier_sweeps(
             self, tmp_path):
         """The dry-run preview must predict the real run: bytes the
