@@ -74,8 +74,7 @@ def main() -> None:
           f"[{adaptive.ci_low:.3f}, {adaptive.ci_high:.3f}] "
           f"(95% Wilson, half-width <= {adaptive.tolerance})")
 
-    # The drift and burst simulators ride the same engine — as does any
-    # registered array backend (REPRO_BACKEND=cupy once a GPU is around).
+    # The drift and burst simulators ride the same engine.
     from repro.faults import DriftModel
     from repro.reliability import simulate_burst_survival, \
         simulate_drift_survival

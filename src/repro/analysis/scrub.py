@@ -23,7 +23,6 @@ from repro.core.blocks import BlockGrid
 from repro.devices.models import DEFAULT_DEVICE, DeviceParameters
 from repro.faults.batch import CampaignRunner
 from repro.faults.injector import UniformInjector
-from repro.utils.backend import BackendLike
 from repro.utils.rng import SeedLike
 
 
@@ -70,16 +69,14 @@ def empirical_scrub_failure(grid: BlockGrid, ser_fit_per_bit: float,
                             period_hours: float, trials: int,
                             seed: SeedLike = 0, workers: int = 1,
                             include_check_bits: bool = True,
-                            tolerance: Optional[float] = None,
-                            backend: BackendLike = None) -> dict:
+                            tolerance: Optional[float] = None) -> dict:
     """Monte-Carlo failure statistics of one scrub window.
 
     Exposes a protected crossbar to uniform upsets for ``period_hours``
     at the given SER, then runs the full check sweep — the empirical
     counterpart of the analytic window-survival term that picks ``T``.
     Runs on the batched campaign engine (sharded across ``workers``
-    processes when asked, dispatched through ``backend``), so realistic
-    trial counts are feasible.
+    processes when asked), so realistic trial counts are feasible.
 
     ``tolerance`` switches to adaptive sampling: ``trials`` becomes the
     cap and the sweep stops early once the failure-rate Wilson CI
@@ -92,9 +89,7 @@ def empirical_scrub_failure(grid: BlockGrid, ser_fit_per_bit: float,
                                         include_check_bits=include_check_bits)
     runner = CampaignRunner(grid, injector, seed=seed,
                             include_check_bits=include_check_bits,
-                            workers=workers,
-                            seeding="per-trial",
-                            backend=backend)
+                            workers=workers, seeding="per-trial")
     if tolerance is None:
         report = runner.run(trials).as_dict()
     else:

@@ -50,7 +50,6 @@ from repro.core.blocks import BlockGrid
 from repro.core.registry import build_code, code_names
 from repro.faults.batch import CampaignRunner
 from repro.faults.injector import UniformInjector
-from repro.utils.backend import BackendLike
 
 #: Objective direction per metric key: +1 maximize, -1 minimize.
 OBJECTIVES = {
@@ -111,7 +110,6 @@ def default_scenarios(trials: int = 512, seed: int = 0) -> List[Scenario]:
 
 
 def evaluate_code(scenario: Scenario, code: str,
-                  backend: BackendLike = None,
                   packing: str = "u8") -> dict:
     """Score one code on one scenario (see the module docstring axes)."""
     grid = scenario.grid()
@@ -123,7 +121,7 @@ def evaluate_code(scenario: Scenario, code: str,
 
     runner = CampaignRunner(
         grid, UniformInjector(scenario.ber), seed=scenario.seed,
-        seeding="per-trial", backend=backend, packing=packing, code=code)
+        seeding="per-trial", packing=packing, code=code)
     start = time.perf_counter()
     result = runner.run(scenario.trials)
     elapsed = time.perf_counter() - start
@@ -164,7 +162,7 @@ def pareto_front(evaluations: Sequence[dict]) -> List[str]:
 
 def select(scenarios: Optional[Sequence[Scenario]] = None,
            codes: Optional[Sequence[str]] = None,
-           backend: BackendLike = None, packing: str = "u8") -> dict:
+           packing: str = "u8") -> dict:
     """Sweep scenarios x codes; return the JSON-ready selector report.
 
     The report carries, per scenario, every code's evaluation plus the
@@ -182,8 +180,8 @@ def select(scenarios: Optional[Sequence[Scenario]] = None,
                          f"{', '.join(code_names())}")
     out: Dict[str, object] = {"codes": list(codes), "scenarios": []}
     for scenario in scenarios:
-        evaluations = [evaluate_code(scenario, code, backend=backend,
-                                     packing=packing) for code in codes]
+        evaluations = [evaluate_code(scenario, code, packing=packing)
+                       for code in codes]
         best_cost = min(e["update_cost"] for e in evaluations)
         winners = [e["code"] for e in evaluations
                    if e["update_cost"] == best_cost]

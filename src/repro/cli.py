@@ -158,7 +158,6 @@ def _cmd_info(args) -> int:
     print(f"benchmarks: {', '.join(sorted(BENCHMARKS))}")
     print("artifacts: table1 (latency), table2 (area), fig6 (MTTF), "
           "ablations")
-    print(f"backends: {', '.join(info['backends'])}")
     print(f"packings: {', '.join(info['packings'])}")
     print(f"codes: {', '.join(info['codes'])}")
     native = "built" if info["native_kernels_available"] else "not built"
@@ -178,11 +177,18 @@ def _cmd_info(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.service.scheduler import CampaignService
     from repro.service.server import ServiceServer
 
     async def run() -> None:
+        # SIGTERM stops the server the way Ctrl-C does: cancelling this
+        # task closes the server and the service, which shuts the pool
+        # down. Without it the process dies at once and the pool
+        # children it started outlive it, holding the listening socket.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         service = CampaignService(
             args.store, workers=args.workers,
             shard_trials=args.shard_trials, queue=args.queue,
@@ -201,7 +207,7 @@ def _cmd_serve(args) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("campaign service stopped")
     return 0
 

@@ -39,7 +39,6 @@ from repro.core.code import (
 )
 from repro.core.code import PackedBatchDecode
 from repro.errors import UncorrectableError
-from repro.utils.backend import ArrayBackend, BackendLike, get_backend
 from repro.utils.bitpack import or_reduce_words, unpack_batch
 from repro.utils.kernels import KernelsLike
 from repro.xbar.crossbar import CrossbarArray
@@ -219,8 +218,8 @@ class BatchSweepReport:
 
 
 def check_all_batched(grid: BlockGrid, code: DiagonalParityCode,
-                      data, lead, ctr, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
+                      data, lead, ctr, correct: bool = True
+                      ) -> BatchSweepReport:
     """Full-memory check of ``B`` stacked crossbars in one vectorized pass.
 
     ``data`` is ``(B, n, n)`` uint8; ``lead``/``ctr`` are the stored
@@ -230,27 +229,23 @@ def check_all_batched(grid: BlockGrid, code: DiagonalParityCode,
     mirroring :meth:`BlockChecker.check_all` block by block. Blocks are
     independent (disjoint data cells and check-bits), so the vectorized
     all-at-once correction is equivalent to the scalar row-major sweep.
-
-    The tensors live on ``backend`` (:mod:`repro.utils.backend`); pass
-    arrays already created through the same handle.
     """
     m = grid.m
-    xp = get_backend(backend).xp
-    syn_lead, syn_ctr = code.syndrome_batch(data, lead, ctr, backend=backend)
-    decoded = code.decode_batch(syn_lead, syn_ctr, backend=backend)
+    syn_lead, syn_ctr = code.syndrome_batch(data, lead, ctr)
+    decoded = code.decode_batch(syn_lead, syn_ctr)
     if correct:
         # Single data errors: flip the located cell of each flagged block.
-        t, br, bc = xp.nonzero(decoded.status == BATCH_DATA_ERROR)
+        t, br, bc = np.nonzero(decoded.status == BATCH_DATA_ERROR)
         if t.size:
             local_r, local_c = decoded.data_error_positions()
             rows = br * m + local_r[t, br, bc]
             cols = bc * m + local_c[t, br, bc]
             data[t, rows, cols] ^= 1
         # Single check-bit errors: rewrite the faulty stored bit.
-        t, br, bc = xp.nonzero(decoded.status == BATCH_LEAD_CHECK_ERROR)
+        t, br, bc = np.nonzero(decoded.status == BATCH_LEAD_CHECK_ERROR)
         if t.size:
             lead[t, decoded.lead_index[t, br, bc], br, bc] ^= 1
-        t, br, bc = xp.nonzero(decoded.status == BATCH_CTR_CHECK_ERROR)
+        t, br, bc = np.nonzero(decoded.status == BATCH_CTR_CHECK_ERROR)
         if t.size:
             ctr[t, decoded.ctr_index[t, br, bc], br, bc] ^= 1
     return BatchSweepReport(status=decoded.status, corrected=correct)
@@ -269,7 +264,6 @@ class PackedSweepReport:
 
     batch: int
     decode: PackedBatchDecode
-    backend: ArrayBackend
     corrected: bool = True
 
     @property
@@ -283,7 +277,7 @@ class PackedSweepReport:
         return int(self.batch * shape[1] * shape[2])
 
     def _mask(self, words) -> np.ndarray:
-        return unpack_batch(words, self.batch, backend=self.backend)
+        return unpack_batch(words, self.batch)
 
     @property
     def data_corrections(self) -> np.ndarray:
@@ -305,26 +299,23 @@ class PackedSweepReport:
     @property
     def uncorrectable_any(self) -> np.ndarray:
         """Per-trial flag: at least one block reported uncorrectable."""
-        words = or_reduce_words(self.decode.uncorrectable, axis=(1, 2),
-                                backend=self.backend)
+        words = or_reduce_words(self.decode.uncorrectable, axis=(1, 2))
         return self._mask(words).astype(bool)
 
     @property
     def clean(self) -> np.ndarray:
         """Per-trial flag: every block decoded to NO_ERROR."""
-        words = or_reduce_words(~self.decode.no_error, axis=(1, 2),
-                                backend=self.backend)
+        words = or_reduce_words(~self.decode.no_error, axis=(1, 2))
         return ~self._mask(words).astype(bool)
 
     def status_codes(self) -> np.ndarray:
         """``(B, b, b)`` uint8 ``BATCH_*`` codes (differential bridge)."""
-        return self.decode.status_codes(self.batch, backend=self.backend)
+        return self.decode.status_codes(self.batch)
 
 
 def check_all_batched_packed(grid: BlockGrid, code: DiagonalParityCode,
                              words, lead, ctr, batch: int,
                              correct: bool = True,
-                             backend: BackendLike = None,
                              kernels: KernelsLike = None
                              ) -> PackedSweepReport:
     """Full-memory check of a packed word stack, 64 trials per word.
@@ -346,11 +337,8 @@ def check_all_batched_packed(grid: BlockGrid, code: DiagonalParityCode,
     zero-padded syndromes), so padding lanes are never written.
     """
     m = grid.m
-    be = get_backend(backend)
-    syn_lead, syn_ctr = code.syndrome_batch_packed(words, lead, ctr,
-                                                   backend=be)
-    decoded = code.decode_batch_packed(syn_lead, syn_ctr, backend=be,
-                                       kernels=kernels)
+    syn_lead, syn_ctr = code.syndrome_batch_packed(words, lead, ctr)
+    decoded = code.decode_batch_packed(syn_lead, syn_ctr, kernels=kernels)
     if correct:
         inv2 = (m + 1) // 2
         for dl in range(m):
@@ -366,5 +354,4 @@ def check_all_batched_packed(grid: BlockGrid, code: DiagonalParityCode,
         for d in range(m):
             lead[:, d] ^= decoded.lead_check & syn_lead[:, d]
             ctr[:, d] ^= decoded.ctr_check & syn_ctr[:, d]
-    return PackedSweepReport(batch=batch, decode=decoded, backend=be,
-                             corrected=correct)
+    return PackedSweepReport(batch=batch, decode=decoded, corrected=correct)

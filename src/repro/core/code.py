@@ -29,7 +29,6 @@ from repro.core.blocks import BlockGrid
 from repro.core.checkstore import CheckStore
 from repro.core.diagonals import solve_position
 from repro.core.parity import parity_along_counter, parity_along_leading
-from repro.utils.backend import BackendLike, get_backend
 from repro.utils.bitpack import decode_status_masks, unpack_batch
 from repro.utils.kernels import KernelsLike
 
@@ -147,8 +146,7 @@ class PackedBatchDecode:
     ctr_check: np.ndarray
     uncorrectable: np.ndarray
 
-    def status_codes(self, batch: int,
-                     backend: BackendLike = None) -> np.ndarray:
+    def status_codes(self, batch: int) -> np.ndarray:
         """Unpack to the ``(B, b, b)`` uint8 ``BATCH_*`` code tensor.
 
         The differential bridge to :class:`BatchDecode.status`; the hot
@@ -160,7 +158,7 @@ class PackedBatchDecode:
                            (BATCH_DATA_ERROR, self.data_error),
                            (BATCH_LEAD_CHECK_ERROR, self.lead_check),
                            (BATCH_CTR_CHECK_ERROR, self.ctr_check)):
-            status[unpack_batch(mask, batch, backend=backend) != 0] = code
+            status[unpack_batch(mask, batch) != 0] = code
         return status
 
 
@@ -213,21 +211,17 @@ class DiagonalParityCode:
             store.ctr[d] = np.bitwise_xor.reduce(tiles[:, rs, :, cs], axis=0)
         return store
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
+    def encode_batch(self, data) -> Tuple:
         """Parity planes for a stack of ``B`` crossbars at once.
 
         ``data`` is ``(B, n, n)``; returns ``(lead, ctr)`` planes of shape
         ``(B, m, n/m, n/m)`` — the per-trial analogue of the
-        :class:`CheckStore` layout. This is the batched-campaign hot path:
-        one gather + XOR-reduce per diagonal covers every block of every
-        trial simultaneously. All tensor arithmetic runs on ``backend``
-        (see :mod:`repro.utils.backend`); only the tiny per-diagonal
-        ``m x m`` index tables are computed host-side.
+        :class:`CheckStore` layout: one gather + XOR-reduce per diagonal
+        covers every block of every trial simultaneously.
         """
-        be = get_backend(backend)
-        return self._encode_batch_impl(data, be, be.xp.uint8)
+        return self._encode_batch_impl(data, np.uint8)
 
-    def encode_batch_packed(self, words, backend: BackendLike = None) -> Tuple:
+    def encode_batch_packed(self, words) -> Tuple:
         """Parity planes of a packed ``(W, n, n)`` ``uint64`` word stack.
 
         The bit-sliced analogue of :meth:`encode_batch`: ``words`` packs
@@ -235,15 +229,13 @@ class DiagonalParityCode:
         .bitpack` layout), and the returned ``(lead, ctr)`` planes are
         ``(W, m, n/m, n/m)`` words. XOR is bitwise, so the exact same
         gather + XOR-reduce per diagonal computes 64 trials per machine
-        word — this is the packed campaign hot path.
+        word.
         """
-        be = get_backend(backend)
-        return self._encode_batch_impl(words, be, be.xp.uint64)
+        return self._encode_batch_impl(words, np.uint64)
 
-    def _encode_batch_impl(self, data, be, dtype) -> Tuple:
+    def _encode_batch_impl(self, data, dtype) -> Tuple:
         n, m = self.grid.n, self.grid.m
-        xp = be.xp
-        data = xp.asarray(data, dtype=dtype)
+        data = np.asarray(data, dtype=dtype)
         if data.ndim != 3 or data.shape[1:] != (n, n):
             raise ValueError(f"expected (B, {n}, {n}) data, got {data.shape}")
         b = self.grid.blocks_per_side
@@ -253,16 +245,16 @@ class DiagonalParityCode:
         c = np.arange(m)[None, :]
         lead_idx = (r + c) % m
         ctr_idx = (r - c) % m
-        lead = xp.empty((batch, m, b, b), dtype=dtype)
-        ctr = xp.empty((batch, m, b, b), dtype=dtype)
+        lead = np.empty((batch, m, b, b), dtype=dtype)
+        ctr = np.empty((batch, m, b, b), dtype=dtype)
         for d in range(m):
             # tiles[:, :, rs, :, cs] gathers the m cells of diagonal d from
             # every block of every trial: shape (m, B, b, b) with the
             # advanced axis first; XOR-reduce over the gathered cells.
             rs, cs = np.nonzero(lead_idx == d)
-            lead[:, d] = be.xor_reduce(tiles[:, :, rs, :, cs], axis=0)
+            lead[:, d] = np.bitwise_xor.reduce(tiles[:, :, rs, :, cs], axis=0)
             rs, cs = np.nonzero(ctr_idx == d)
-            ctr[:, d] = be.xor_reduce(tiles[:, :, rs, :, cs], axis=0)
+            ctr[:, d] = np.bitwise_xor.reduce(tiles[:, :, rs, :, cs], axis=0)
         return lead, ctr
 
     # ------------------------------------------------------------------ #
@@ -302,33 +294,29 @@ class DiagonalParityCode:
         lead_s, ctr_s = self.syndrome_block(block, lead_bits, ctr_bits)
         return self.decode(lead_s, ctr_s)
 
-    def syndrome_batch(self, data, lead_bits, ctr_bits,
-                       backend: BackendLike = None) -> Tuple:
+    def syndrome_batch(self, data, lead_bits, ctr_bits) -> Tuple:
         """Syndrome planes for a ``(B, n, n)`` stack of crossbars.
 
         ``lead_bits``/``ctr_bits`` are ``(B, m, n/m, n/m)`` stored
         check-bit planes (e.g. from :meth:`encode_batch` on golden data);
         the result has the same shape.
         """
-        xp = get_backend(backend).xp
-        lead, ctr = self.encode_batch(data, backend=backend)
-        return (lead ^ xp.asarray(lead_bits, dtype=xp.uint8),
-                ctr ^ xp.asarray(ctr_bits, dtype=xp.uint8))
+        lead, ctr = self.encode_batch(data)
+        return (lead ^ np.asarray(lead_bits, dtype=np.uint8),
+                ctr ^ np.asarray(ctr_bits, dtype=np.uint8))
 
-    def decode_batch(self, lead_syndrome, ctr_syndrome,
-                     backend: BackendLike = None) -> "BatchDecode":
+    def decode_batch(self, lead_syndrome, ctr_syndrome) -> "BatchDecode":
         """Classify every block of every trial in one vectorized pass.
 
         Input planes are ``(B, m, b, b)``; the result holds one status
         code per ``(trial, block_row, block_col)`` plus the syndrome
         positions needed to apply corrections (see :class:`BatchDecode`).
         """
-        xp = get_backend(backend).xp
-        lead_syndrome = xp.asarray(lead_syndrome, dtype=xp.uint8)
-        ctr_syndrome = xp.asarray(ctr_syndrome, dtype=xp.uint8)
-        lead_ones = lead_syndrome.sum(axis=1, dtype=xp.int64)
-        ctr_ones = ctr_syndrome.sum(axis=1, dtype=xp.int64)
-        status = xp.full(lead_ones.shape, BATCH_UNCORRECTABLE, dtype=xp.uint8)
+        lead_syndrome = np.asarray(lead_syndrome, dtype=np.uint8)
+        ctr_syndrome = np.asarray(ctr_syndrome, dtype=np.uint8)
+        lead_ones = lead_syndrome.sum(axis=1, dtype=np.int64)
+        ctr_ones = ctr_syndrome.sum(axis=1, dtype=np.int64)
+        status = np.full(lead_ones.shape, BATCH_UNCORRECTABLE, dtype=np.uint8)
         status[(lead_ones == 0) & (ctr_ones == 0)] = BATCH_NO_ERROR
         status[(lead_ones == 1) & (ctr_ones == 1)] = BATCH_DATA_ERROR
         status[(lead_ones == 1) & (ctr_ones == 0)] = BATCH_LEAD_CHECK_ERROR
@@ -336,25 +324,22 @@ class DiagonalParityCode:
         return BatchDecode(
             m=self.grid.m,
             status=status,
-            lead_index=xp.argmax(lead_syndrome, axis=1),
-            ctr_index=xp.argmax(ctr_syndrome, axis=1),
+            lead_index=np.argmax(lead_syndrome, axis=1),
+            ctr_index=np.argmax(ctr_syndrome, axis=1),
         )
 
-    def syndrome_batch_packed(self, words, lead_words, ctr_words,
-                              backend: BackendLike = None) -> Tuple:
+    def syndrome_batch_packed(self, words, lead_words, ctr_words) -> Tuple:
         """Packed syndrome planes: stored words XOR fresh packed parity.
 
         ``words`` is the ``(W, n, n)`` packed data stack; ``lead_words``
         / ``ctr_words`` are ``(W, m, b, b)`` stored check-bit words. The
         result has the check-plane shape, 64 trials per word.
         """
-        xp = get_backend(backend).xp
-        lead, ctr = self.encode_batch_packed(words, backend=backend)
-        return (lead ^ xp.asarray(lead_words, dtype=xp.uint64),
-                ctr ^ xp.asarray(ctr_words, dtype=xp.uint64))
+        lead, ctr = self.encode_batch_packed(words)
+        return (lead ^ np.asarray(lead_words, dtype=np.uint64),
+                ctr ^ np.asarray(ctr_words, dtype=np.uint64))
 
     def decode_batch_packed(self, lead_syndrome, ctr_syndrome,
-                            backend: BackendLike = None,
                             kernels: KernelsLike = None
                             ) -> "PackedBatchDecode":
         """Bit-parallel classification of packed syndrome planes.
@@ -373,13 +358,10 @@ class DiagonalParityCode:
 
         See :class:`PackedBatchDecode` for the tail-padding rule.
         """
-        be = get_backend(backend)
-        xp = be.xp
-        lead_syndrome = xp.asarray(lead_syndrome, dtype=xp.uint64)
-        ctr_syndrome = xp.asarray(ctr_syndrome, dtype=xp.uint64)
+        lead_syndrome = np.asarray(lead_syndrome, dtype=np.uint64)
+        ctr_syndrome = np.asarray(ctr_syndrome, dtype=np.uint64)
         no_error, data_error, lead_check, ctr_check, uncorrectable = \
-            decode_status_masks(lead_syndrome, ctr_syndrome, backend=be,
-                                kernels=kernels)
+            decode_status_masks(lead_syndrome, ctr_syndrome, kernels=kernels)
         return PackedBatchDecode(
             m=self.grid.m,
             lead_syndrome=lead_syndrome,

@@ -106,12 +106,7 @@ from repro.core.code import (
     PackedBatchDecode,
     Uncorrectable,
 )
-from repro.utils.backend import BackendLike, get_backend
-from repro.utils.bitpack import (
-    _native_applies,
-    decode_status_masks,
-    or_reduce_words,
-)
+from repro.utils.bitpack import decode_status_masks, or_reduce_words
 from repro.utils.kernels import KernelsLike, get_kernels
 
 __all__ = [
@@ -203,23 +198,21 @@ class BlockCode:
     # Batched path
     # ------------------------------------------------------------------ #
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
+    def encode_batch(self, data) -> Tuple:
         """Check planes of a ``(B, n, n)`` uint8 stack, in code order."""
         raise NotImplementedError
 
-    def encode_batch_packed(self, words,
-                            backend: BackendLike = None) -> Tuple:
+    def encode_batch_packed(self, words) -> Tuple:
         """Check planes of a packed ``(W, n, n)`` uint64 word stack."""
         raise NotImplementedError
 
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
+    def check_batched(self, data, planes: Sequence,
+                      correct: bool = True) -> BatchSweepReport:
         """Check-and-correct every block of a u8 stack, in place."""
         raise NotImplementedError
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
-                             backend: BackendLike = None,
                              kernels: KernelsLike = None
                              ) -> PackedSweepReport:
         """Check-and-correct every block of a packed word stack."""
@@ -265,28 +258,26 @@ class DiagonalBlockCode(BlockCode):
         lead_bits, ctr_bits = plane_bits
         return self.inner.decode_block(block, lead_bits, ctr_bits)
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        return self.inner.encode_batch(data, backend=backend)
+    def encode_batch(self, data) -> Tuple:
+        return self.inner.encode_batch(data)
 
-    def encode_batch_packed(self, words,
-                            backend: BackendLike = None) -> Tuple:
-        return self.inner.encode_batch_packed(words, backend=backend)
+    def encode_batch_packed(self, words) -> Tuple:
+        return self.inner.encode_batch_packed(words)
 
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
+    def check_batched(self, data, planes: Sequence,
+                      correct: bool = True) -> BatchSweepReport:
         lead, ctr = planes
         return check_all_batched(self.grid, self.inner, data, lead, ctr,
-                                 correct=correct, backend=backend)
+                                 correct=correct)
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
-                             backend: BackendLike = None,
                              kernels: KernelsLike = None
                              ) -> PackedSweepReport:
         lead, ctr = planes
         return check_all_batched_packed(self.grid, self.inner, words, lead,
                                         ctr, batch, correct=correct,
-                                        backend=backend, kernels=kernels)
+                                        kernels=kernels)
 
     def update_cost(self) -> UpdateCost:
         return update_cost("diagonal", self.grid.n, self.grid.m)
@@ -324,77 +315,68 @@ class RowColBlockCode(BlockCode):
         row_bits, col_bits = plane_bits
         return self.inner.decode_block(block, row_bits, col_bits)
 
-    def _encode_impl(self, data, be, dtype) -> Tuple:
+    def _encode_impl(self, data, dtype) -> Tuple:
         n, m = self.grid.n, self.grid.m
-        xp = be.xp
-        data = xp.asarray(data, dtype=dtype)
+        data = np.asarray(data, dtype=dtype)
         if data.ndim != 3 or data.shape[1:] != (n, n):
             raise ValueError(f"expected (B, {n}, {n}) data, got {data.shape}")
         b = self.grid.blocks_per_side
         batch = data.shape[0]
         tiles = data.reshape(batch, b, m, b, m)
-        rows = xp.empty((batch, m, b, b), dtype=dtype)
-        cols = xp.empty((batch, m, b, b), dtype=dtype)
+        rows = np.empty((batch, m, b, b), dtype=dtype)
+        cols = np.empty((batch, m, b, b), dtype=dtype)
         for d in range(m):
             # Row parity d of every block: reduce over that row's m cells.
-            rows[:, d] = be.xor_reduce(tiles[:, :, d, :, :], axis=3)
-            cols[:, d] = be.xor_reduce(tiles[:, :, :, :, d], axis=2)
+            rows[:, d] = np.bitwise_xor.reduce(tiles[:, :, d, :, :], axis=3)
+            cols[:, d] = np.bitwise_xor.reduce(tiles[:, :, :, :, d], axis=2)
         return rows, cols
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(data, be, be.xp.uint8)
+    def encode_batch(self, data) -> Tuple:
+        return self._encode_impl(data, np.uint8)
 
-    def encode_batch_packed(self, words,
-                            backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(words, be, be.xp.uint64)
+    def encode_batch_packed(self, words) -> Tuple:
+        return self._encode_impl(words, np.uint64)
 
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-        be = get_backend(backend)
-        xp = be.xp
+    def check_batched(self, data, planes: Sequence,
+                      correct: bool = True) -> BatchSweepReport:
         m = self.grid.m
         row_bits, col_bits = planes
-        fresh_r, fresh_c = self.encode_batch(data, backend=be)
-        syn_r = fresh_r ^ xp.asarray(row_bits, dtype=xp.uint8)
-        syn_c = fresh_c ^ xp.asarray(col_bits, dtype=xp.uint8)
-        r_ones = syn_r.sum(axis=1, dtype=xp.int64)
-        c_ones = syn_c.sum(axis=1, dtype=xp.int64)
-        status = xp.full(r_ones.shape, BATCH_UNCORRECTABLE, dtype=xp.uint8)
+        fresh_r, fresh_c = self.encode_batch(data)
+        syn_r = fresh_r ^ np.asarray(row_bits, dtype=np.uint8)
+        syn_c = fresh_c ^ np.asarray(col_bits, dtype=np.uint8)
+        r_ones = syn_r.sum(axis=1, dtype=np.int64)
+        c_ones = syn_c.sum(axis=1, dtype=np.int64)
+        status = np.full(r_ones.shape, BATCH_UNCORRECTABLE, dtype=np.uint8)
         status[(r_ones == 0) & (c_ones == 0)] = BATCH_NO_ERROR
         status[(r_ones == 1) & (c_ones == 1)] = BATCH_DATA_ERROR
         status[(r_ones == 1) & (c_ones == 0)] = BATCH_LEAD_CHECK_ERROR
         status[(r_ones == 0) & (c_ones == 1)] = BATCH_CTR_CHECK_ERROR
-        row_idx = xp.argmax(syn_r, axis=1)
-        col_idx = xp.argmax(syn_c, axis=1)
+        row_idx = np.argmax(syn_r, axis=1)
+        col_idx = np.argmax(syn_c, axis=1)
         if correct:
-            t, br, bc = xp.nonzero(status == BATCH_DATA_ERROR)
+            t, br, bc = np.nonzero(status == BATCH_DATA_ERROR)
             if t.size:
                 data[t, br * m + row_idx[t, br, bc],
                      bc * m + col_idx[t, br, bc]] ^= 1
-            t, br, bc = xp.nonzero(status == BATCH_LEAD_CHECK_ERROR)
+            t, br, bc = np.nonzero(status == BATCH_LEAD_CHECK_ERROR)
             if t.size:
                 row_bits[t, row_idx[t, br, bc], br, bc] ^= 1
-            t, br, bc = xp.nonzero(status == BATCH_CTR_CHECK_ERROR)
+            t, br, bc = np.nonzero(status == BATCH_CTR_CHECK_ERROR)
             if t.size:
                 col_bits[t, col_idx[t, br, bc], br, bc] ^= 1
         return BatchSweepReport(status=status, corrected=correct)
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
-                             backend: BackendLike = None,
                              kernels: KernelsLike = None
                              ) -> PackedSweepReport:
-        be = get_backend(backend)
-        xp = be.xp
         m = self.grid.m
         row_bits, col_bits = planes
-        fresh_r, fresh_c = self.encode_batch_packed(words, backend=be)
-        syn_r = fresh_r ^ xp.asarray(row_bits, dtype=xp.uint64)
-        syn_c = fresh_c ^ xp.asarray(col_bits, dtype=xp.uint64)
+        fresh_r, fresh_c = self.encode_batch_packed(words)
+        syn_r = fresh_r ^ np.asarray(row_bits, dtype=np.uint64)
+        syn_c = fresh_c ^ np.asarray(col_bits, dtype=np.uint64)
         no_error, data_error, row_check, col_check, uncorrectable = \
-            decode_status_masks(syn_r, syn_c, backend=be, kernels=kernels)
+            decode_status_masks(syn_r, syn_c, kernels=kernels)
         decoded = PackedBatchDecode(
             m=m,
             lead_syndrome=syn_r,
@@ -413,7 +395,7 @@ class RowColBlockCode(BlockCode):
             for d in range(m):
                 row_bits[:, d] ^= decoded.lead_check & syn_r[:, d]
                 col_bits[:, d] ^= decoded.ctr_check & syn_c[:, d]
-        return PackedSweepReport(batch=batch, decode=decoded, backend=be,
+        return PackedSweepReport(batch=batch, decode=decoded,
                                  corrected=correct)
 
     def update_cost(self) -> UpdateCost:
@@ -573,16 +555,15 @@ class MatrixBlockCode(BlockCode):
     # Batched path
     # ------------------------------------------------------------------ #
 
-    def _encode_impl(self, data, be, dtype) -> Tuple:
+    def _encode_impl(self, data, dtype) -> Tuple:
         n, m = self.grid.n, self.grid.m
-        xp = be.xp
-        data = xp.asarray(data, dtype=dtype)
+        data = np.asarray(data, dtype=dtype)
         if data.ndim != 3 or data.shape[1:] != (n, n):
             raise ValueError(f"expected (B, {n}, {n}) data, got {data.shape}")
         b = self.grid.blocks_per_side
         batch = data.shape[0]
         tiles = data.reshape(batch, b, m, b, m)
-        plane = xp.zeros((batch, self.r, b, b), dtype=dtype)
+        plane = np.zeros((batch, self.r, b, b), dtype=dtype)
         for j, ps in enumerate(self._positions_by_check):
             if not ps.size:
                 continue
@@ -590,80 +571,59 @@ class MatrixBlockCode(BlockCode):
             # tiles[:, :, rs, :, cs] gathers check bit j's data cells from
             # every block of every trial: (w_j, B, b, b), advanced axis
             # first — the same gather the diagonal encoder uses.
-            plane[:, j] = be.xor_reduce(tiles[:, :, rs, :, cs], axis=0)
+            plane[:, j] = np.bitwise_xor.reduce(tiles[:, :, rs, :, cs], axis=0)
         return (plane,)
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(data, be, be.xp.uint8)
+    def encode_batch(self, data) -> Tuple:
+        return self._encode_impl(data, np.uint8)
 
-    def encode_batch_packed(self, words,
-                            backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(words, be, be.xp.uint64)
+    def encode_batch_packed(self, words) -> Tuple:
+        return self._encode_impl(words, np.uint64)
 
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-        be = get_backend(backend)
-        xp = be.xp
+    def check_batched(self, data, planes: Sequence,
+                      correct: bool = True) -> BatchSweepReport:
         m = self.grid.m
         (stored,) = planes
-        (fresh,) = self.encode_batch(data, backend=be)
-        diff = fresh ^ xp.asarray(stored, dtype=xp.uint8)
-        synint = xp.zeros((diff.shape[0],) + tuple(diff.shape[2:]),
-                          dtype=xp.int64)
+        (fresh,) = self.encode_batch(data)
+        diff = fresh ^ np.asarray(stored, dtype=np.uint8)
+        synint = np.zeros((diff.shape[0],) + tuple(diff.shape[2:]),
+                          dtype=np.int64)
         for j in range(self.r):
-            synint = synint + diff[:, j].astype(xp.int64) * (1 << j)
-        lut_status = be.from_numpy(self._lut_status)
-        lut_pos = be.from_numpy(self._lut_pos)
-        status = lut_status[synint]
+            synint = synint + diff[:, j].astype(np.int64) * (1 << j)
+        status = self._lut_status[synint]
         if correct:
-            t, br, bc = xp.nonzero(status == BATCH_DATA_ERROR)
+            t, br, bc = np.nonzero(status == BATCH_DATA_ERROR)
             if t.size:
-                pos = lut_pos[synint[t, br, bc]]
+                pos = self._lut_pos[synint[t, br, bc]]
                 data[t, br * m + pos // m, bc * m + pos % m] ^= 1
-            t, br, bc = xp.nonzero(status == BATCH_LEAD_CHECK_ERROR)
+            t, br, bc = np.nonzero(status == BATCH_LEAD_CHECK_ERROR)
             if t.size:
-                stored[t, lut_pos[synint[t, br, bc]], br, bc] ^= 1
+                stored[t, self._lut_pos[synint[t, br, bc]], br, bc] ^= 1
         return BatchSweepReport(status=status, corrected=correct)
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
-                             backend: BackendLike = None,
                              kernels: KernelsLike = None
                              ) -> PackedSweepReport:
-        be = get_backend(backend)
-        xp = be.xp
         m = self.grid.m
         (stored,) = planes
-        (fresh,) = self.encode_batch_packed(words, backend=be)
-        diff = fresh ^ xp.asarray(stored, dtype=xp.uint64)
-        nonzero = or_reduce_words(diff, axis=1, backend=be)
+        (fresh,) = self.encode_batch_packed(words)
+        diff = fresh ^ np.asarray(stored, dtype=np.uint64)
+        nonzero = or_reduce_words(diff, axis=1)
+        # A pattern matches where the AND of syndrome planes
+        # (complemented where its bit is clear) is set. Every pattern
+        # has a non-complemented term, so tail bits stay zero.
         kern = get_kernels(kernels)
-        fused = _native_applies(kern, be, diff)
 
-        def match(pattern: int):
-            # AND of syndrome planes (complemented where the pattern bit
-            # is clear). At least one non-complemented term exists for
-            # every pattern, so tail bits stay zero. The compiled tier
-            # runs the whole chain as one C pass.
-            if fused:
-                return kern.match_pattern(diff, pattern)
-            mask = None
-            for j in range(self.r):
-                term = diff[:, j] if (pattern >> j) & 1 else ~diff[:, j]
-                mask = term if mask is None else mask & term
-            return mask
-
-        data_error = xp.zeros_like(nonzero)
+        data_error = np.zeros_like(nonzero)
         for pos, pat in enumerate(int(v) for v in self.patterns):
-            mask = match(pat)
+            mask = kern.match_pattern(diff, pat)
             data_error = data_error | mask
             if correct:
                 words[:, (pos // m)::m, (pos % m)::m] ^= mask
-        check_error = xp.zeros_like(nonzero)
+        check_error = np.zeros_like(nonzero)
         for j in range(self.r):
-            mask = match(1 << j)
+            mask = kern.match_pattern(diff, 1 << j)
             check_error = check_error | mask
             if correct:
                 stored[:, j] ^= mask
@@ -674,10 +634,10 @@ class MatrixBlockCode(BlockCode):
             no_error=~nonzero,
             data_error=data_error,
             lead_check=check_error,
-            ctr_check=xp.zeros_like(nonzero),
+            ctr_check=np.zeros_like(nonzero),
             uncorrectable=nonzero & ~(data_error | check_error),
         )
-        return PackedSweepReport(batch=batch, decode=decoded, backend=be,
+        return PackedSweepReport(batch=batch, decode=decoded,
                                  corrected=correct)
 
     # ------------------------------------------------------------------ #

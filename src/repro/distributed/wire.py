@@ -50,8 +50,11 @@ WIRE_FORMAT = "repro/shard-task"
 #: task schema is unchanged, but the same task now yields different
 #: tallies, so a worker on the old contract must not run its units;
 #: 6 = campaign draw contract v3 (one Bernoulli fault field per 64-trial
-#: group); the same task again yields different tallies.
-WIRE_VERSION = 6
+#: group); the same task again yields different tallies;
+#: 7 = removed the ``backend_name`` and ``kernels_name`` fields: the
+#: campaign engine computes with numpy and calls no kernel tier, so a
+#: worker resolves neither.
+WIRE_VERSION = 7
 
 
 class WireFormatError(ValueError):

@@ -569,8 +569,7 @@ class ShardWorker:
             with tracer.span(trace_id, "unit.execute", parent=parent,
                              attrs={"unit": unit_id, "lo": lo, "hi": hi,
                                     "code": task.code,
-                                    "packing": task.packing,
-                                    "kernels": task.kernels_name}
+                                    "packing": task.packing}
                              ) as span:
                 with HeartbeatThread(self.source, unit_id,
                                      self.worker_id,

@@ -105,8 +105,8 @@ seeding.
 Sharding uses a ``concurrent.futures`` process pool: trials are split
 into contiguous ranges (:func:`repro.utils.rng.shard_bounds`), each
 worker rebuilds the engine from a picklable :class:`ShardTask` (grid
-geometry, injector, entropy, backend name) and runs its range in
-``batch_size`` chunks.
+geometry, injector, entropy, engine configuration) and runs its range
+in ``batch_size`` chunks.
 
 Service-sharded execution
 -------------------------
@@ -127,9 +127,9 @@ Both contracts therefore extend verbatim to service execution:
   restart: merging checkpointed spans with freshly executed ones (in
   ``lo`` order, via :func:`merge_results`) is bit-identical to an
   uninterrupted run, which is in turn bit-identical to an in-process
-  ``CampaignRunner.run`` with the same entropy — for either
-  ``packing`` and any registered backend. The differential suite
-  ``tests/service/`` pins service-executed == in-process results.
+  ``CampaignRunner.run`` with the same entropy, for either
+  ``packing``. The differential suite ``tests/service/`` pins
+  service-executed == in-process results.
 
 The same purity is what makes spans *relocatable across hosts*: the
 distributed layer (:mod:`repro.distributed`) serializes a
@@ -140,24 +140,6 @@ distributed layer (:mod:`repro.distributed`) serializes a
 identical checkpoint path — so distributed results are bit-identical
 too, including after worker deaths and lease re-enqueues
 (``tests/distributed/`` pins this).
-
-Array backends
-==============
-
-The block does its array work through an
-:class:`repro.utils.backend.ArrayBackend` handle (``backend=`` on
-:class:`BatchCampaign` / :class:`CampaignRunner`, default numpy or
-``$REPRO_BACKEND``) on events staged with ``from_numpy``. Random draws
-are *always* host-side numpy, so both seeding contracts above are
-backend-independent: a run under any backend produces the same tallies
-as the numpy run, bit for bit, as long as the backend's integer
-arithmetic is exact.
-
-``kernels=`` (the host-side kernel tier of :mod:`repro.utils.kernels`)
-and ``packing=`` are accepted, validated and carried by every
-:class:`ShardTask` and service spec, so spec hashes and the wire are
-unchanged, but they no longer choose a campaign path: every
-configuration runs the same block.
 
 Packed bit-slice layout
 =======================
@@ -179,14 +161,18 @@ becomes ``(ceil(B/64), n, n)`` words and every XOR/AND/OR op processes
 
 They are off the campaign path and stay as the reference the
 differential suites (``tests/faults/test_packed_equivalence.py``,
-``tests/faults/test_fault_centric.py``) compare the block against.
+``tests/faults/test_fault_centric.py``) compare the block against. The
+block computes with numpy and calls no kernel of the tier registry
+(:mod:`repro.utils.kernels`); ``packing=`` is accepted, validated and
+carried by every :class:`ShardTask` and service spec, but both layouts
+run the same block.
 
 Every simulator in the library rides this engine: uniform/burst/check-bit
 SER campaigns, the drift-window campaigns of
 :class:`repro.faults.drift.DriftInjector`, and the linear-burst survival
 analysis of :mod:`repro.reliability.burst` all dispatch through
-:class:`CampaignRunner`, inheriting batching, sharding, adaptive
-sampling (:meth:`CampaignRunner.run_adaptive`) and backend selection.
+:class:`CampaignRunner`, inheriting batching, sharding and adaptive
+sampling (:meth:`CampaignRunner.run_adaptive`).
 """
 
 from __future__ import annotations
@@ -209,13 +195,6 @@ from repro.core.registry import CODE_KINDS, BlockCode, build_code, code_names
 from repro.faults.campaign import CampaignResult, FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.obs import metrics as obs_metrics
-from repro.utils.backend import (
-    ArrayBackend,
-    BackendLike,
-    available_backends,
-    get_backend,
-)
-from repro.utils.kernels import KernelsLike, get_kernels
 from repro.utils.rng import (
     DATA_STREAM,
     INJECT_STREAM,
@@ -246,11 +225,10 @@ PROFILE_PHASES = ("inject", "decode_sweep", "tally")
 
 _SHARD_RUNS = obs_metrics.counter(
     "repro_shard_tasks_total",
-    "Shard-task executions, by kernel tier / packing / code.",
-    ("kernels", "packing", "code"))
+    "Shard-task executions, by packing / code.", ("packing", "code"))
 _SHARD_SECONDS = obs_metrics.histogram(
     "repro_shard_seconds",
-    "Wall seconds per shard-task execution.", ("kernels", "packing"))
+    "Wall seconds per shard-task execution.", ("packing",))
 _PHASE_SECONDS = obs_metrics.counter(
     "repro_shard_phase_seconds_total",
     "Cumulative seconds spent per campaign phase (profiled shards).",
@@ -262,10 +240,10 @@ _PHASE_HANDLES = {phase: _PHASE_SECONDS.labels(phase=phase)
 
 
 @functools.lru_cache(maxsize=64)
-def _shard_handles(kernels: str, packing: str, code: str) -> tuple:
+def _shard_handles(packing: str, code: str) -> tuple:
     """``(runs, seconds)`` metric handles of one shard configuration."""
-    return (_SHARD_RUNS.labels(kernels=kernels, packing=packing, code=code),
-            _SHARD_SECONDS.labels(kernels=kernels, packing=packing))
+    return (_SHARD_RUNS.labels(packing=packing, code=code),
+            _SHARD_SECONDS.labels(packing=packing))
 
 
 def derive_campaign_seeds(seed: SeedLike, seeding: Optional[str],
@@ -393,8 +371,7 @@ class BatchCampaign:
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
                  seed: SeedLike = None, include_check_bits: bool = True,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 backend: BackendLike = None, packing: str = "u8",
-                 code: str = "diagonal", kernels: KernelsLike = None):
+                 packing: str = "u8", code: str = "diagonal"):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if packing not in PACKINGS:
@@ -404,11 +381,9 @@ class BatchCampaign:
         self.injector = injector
         self.include_check_bits = include_check_bits
         self.batch_size = batch_size
-        self.backend = get_backend(backend)
         self.packing = packing
         self.code_name = code
         self.code = build_code(code, grid)
-        self.kernels = get_kernels(kernels)
         #: Nanoseconds per phase of :data:`PROFILE_PHASES`, summed over
         #: every block this engine ran; every block adds to all three.
         #: The sums cost three integer adds per block, so they run
@@ -418,13 +393,10 @@ class BatchCampaign:
         self._data_shape = (grid.n, grid.n)
         self._plane_shapes = self.code.plane_shapes \
             if include_check_bits else None
-        table = _cached_block_table(code, CODE_KINDS[code], grid.n, grid.m)
-        self._table = table
-        self._key = self.backend.from_numpy(table.key)
-        self._column = self.backend.from_numpy(table.column)
-        self._columns = self.backend.from_numpy(table.columns)
+        self._table = _cached_block_table(code, CODE_KINDS[code],
+                                          grid.n, grid.m)
         #: Key distance between consecutive trials' events.
-        self._trial_stride = table.blocks * table.cells_per_block
+        self._trial_stride = self._table.blocks * self._table.cells_per_block
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -476,37 +448,34 @@ class BatchCampaign:
         injector's own stream); a :class:`~repro.utils.rng.TrialStreams`
         span selects per-trial seeding.
         """
-        be = self.backend
-        xp = be.xp
         per_block = self._table.cells_per_block
         t0 = perf_counter_ns()
         trial, cell = self.injector.draw_events(
             batch, self._data_shape, self._plane_shapes, inject_rngs)
         t1 = perf_counter_ns()
 
-        trial, cell = be.from_numpy(trial), be.from_numpy(cell)
         # Each event's trial-keyed block key; sorted, a block's events
         # sit together.
-        keys = self._key[cell]
+        keys = self._table.key[cell]
         keys += trial * self._trial_stride
         keys.sort()
         blocks = keys // per_block
         # again[i]: events i and i + 1 hit the same block.
-        again = xp.flatnonzero(blocks[1:] == blocks[:-1])
+        again = np.flatnonzero(blocks[1:] == blocks[:-1])
         multi = 0
         lost = caught = 0
         if again.size:
             # A block hit k >= 2 times (duplicates included) is a run of
             # k - 1 consecutive indices in ``again``.
-            multi = 1 + int(xp.count_nonzero(xp.diff(again) > 1))
-            member = xp.zeros(keys.size, dtype=bool)
+            multi = 1 + int(np.count_nonzero(np.diff(again) > 1))
+            member = np.zeros(keys.size, dtype=bool)
             member[again] = True
             member[again + 1] = True
             damaged, flagged = self._decode(keys[member])
-            lost, caught = _distinct(xp, damaged), _distinct(xp, flagged)
+            lost, caught = _distinct(damaged), _distinct(flagged)
         t2 = perf_counter_ns()
 
-        faulty = int(xp.count_nonzero(xp.bincount(trial, minlength=batch)))
+        faulty = int(np.count_nonzero(np.bincount(trial, minlength=batch)))
         result = CampaignResult(
             trials=batch,
             clean=batch - faulty,
@@ -531,35 +500,35 @@ class BatchCampaign:
         whose syndrome is nonzero and matches no column (flagged
         uncorrectable).
         """
-        xp = self.backend.xp
-        per_block = self._table.cells_per_block
+        table = self._table
+        per_block = table.cells_per_block
         repeat = keys[1:] == keys[:-1]
         if repeat.any():
             # A cell flipped an even number of times is intact.
-            first = xp.flatnonzero(xp.concatenate(([True], ~repeat)))
-            flips = xp.diff(xp.concatenate((first, [keys.size])))
+            first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+            flips = np.diff(np.concatenate((first, [keys.size])))
             keys = keys[first[flips % 2 == 1]]
             if not keys.size:
                 return keys, keys
         blocks = keys // per_block
-        start = xp.flatnonzero(xp.concatenate(([True],
+        start = np.flatnonzero(np.concatenate(([True],
                                                blocks[1:] != blocks[:-1])))
-        several = xp.diff(xp.concatenate((start, [keys.size]))) >= 2
-        syndrome = xp.bitwise_xor.reduceat(self._column[keys % per_block],
+        several = np.diff(np.concatenate((start, [keys.size]))) >= 2
+        syndrome = np.bitwise_xor.reduceat(table.column[keys % per_block],
                                            start)[several]
-        columns = self._columns
-        nearest = xp.minimum(xp.searchsorted(columns, syndrome),
+        columns = table.columns
+        nearest = np.minimum(np.searchsorted(columns, syndrome),
                              columns.size - 1)
         flagged = (syndrome != 0) & (columns[nearest] != syndrome)
-        damaged = blocks[start[several]] // self._table.blocks
+        damaged = blocks[start[several]] // table.blocks
         return damaged, damaged[flagged]
 
 
-def _distinct(xp, values) -> int:
+def _distinct(values) -> int:
     """Count of distinct values in the sorted array ``values``."""
     if not values.size:
         return 0
-    return 1 + int(xp.count_nonzero(values[1:] != values[:-1]))
+    return 1 + int(np.count_nonzero(values[1:] != values[:-1]))
 
 
 # ---------------------------------------------------------------------- #
@@ -577,9 +546,7 @@ class ShardTask:
     a ``ShardTask`` can run anywhere — this process, a local pool
     worker, or a remote service worker — and :func:`merge_results` over
     any contiguous partition of a trial range reproduces the unsharded
-    run exactly. The backend crosses process boundaries by registered
-    *name* (module handles do not pickle) and is re-resolved where the
-    task runs.
+    run exactly.
     """
 
     n: int
@@ -590,10 +557,8 @@ class ShardTask:
     hi: int
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
-    backend_name: str = "numpy"
     packing: str = "u8"
     code: str = "diagonal"
-    kernels_name: str = "numpy"
 
     @property
     def trials(self) -> int:
@@ -622,10 +587,8 @@ class ShardTask:
             "entropy": self.entropy, "lo": self.lo, "hi": self.hi,
             "include_check_bits": self.include_check_bits,
             "batch_size": self.batch_size,
-            "backend_name": self.backend_name,
             "packing": self.packing,
             "code": self.code,
-            "kernels_name": self.kernels_name,
         }
 
     @staticmethod
@@ -633,8 +596,7 @@ class ShardTask:
         """Rebuild a task from :meth:`to_dict` output (inverse)."""
         from repro.faults.serialize import build_injector
         expected = {"n", "m", "injector", "entropy", "lo", "hi",
-                    "include_check_bits", "batch_size", "backend_name",
-                    "packing", "code", "kernels_name"}
+                    "include_check_bits", "batch_size", "packing", "code"}
         missing = sorted(expected - set(data))
         unknown = sorted(set(data) - expected)
         if missing or unknown:
@@ -647,10 +609,8 @@ class ShardTask:
             lo=int(data["lo"]), hi=int(data["hi"]),
             include_check_bits=bool(data["include_check_bits"]),
             batch_size=int(data["batch_size"]),
-            backend_name=str(data["backend_name"]),
             packing=str(data["packing"]),
-            code=str(data["code"]),
-            kernels_name=str(data["kernels_name"]))
+            code=str(data["code"]))
 
 
 def run_shard_task(task: ShardTask) -> CampaignResult:
@@ -674,33 +634,14 @@ def run_shard_task_profiled(task: ShardTask
     suites hold for both entry points. Picklable at module level like
     :func:`run_shard_task`, so process pools can return the pair.
     """
-    try:
-        backend = get_backend(task.backend_name)
-    except ValueError as exc:
-        raise ValueError(
-            f"backend {task.backend_name!r} is not registered inside this "
-            f"worker process; with a spawn-based pool start method the "
-            f"register_backend() call must run at import time of a "
-            f"module the worker imports (e.g. next to the injector "
-            f"definition), not interactively in the parent") from exc
-    try:
-        kernels = get_kernels(task.kernels_name)
-    except ValueError as exc:
-        raise ValueError(
-            f"kernel tier {task.kernels_name!r} is not registered inside "
-            f"this worker process; with a spawn-based pool start method "
-            f"the register_kernels() call must run at import time of a "
-            f"module the worker imports, not interactively in the "
-            f"parent") from exc
     engine = BatchCampaign(BlockGrid(task.n, task.m), task.injector,
                            include_check_bits=task.include_check_bits,
-                           batch_size=task.batch_size,
-                           backend=backend, packing=task.packing,
-                           code=task.code, kernels=kernels)
+                           batch_size=task.batch_size, packing=task.packing,
+                           code=task.code)
     t0 = perf_counter_ns()
     result = engine.run_range_seeded(task.entropy, task.lo, task.hi)
     elapsed_ns = perf_counter_ns() - t0
-    runs, seconds = _shard_handles(kernels.name, task.packing, task.code)
+    runs, seconds = _shard_handles(task.packing, task.code)
     runs.inc()
     seconds.observe(elapsed_ns / 1e9)
     if not obs_metrics.is_enabled():
@@ -868,15 +809,6 @@ class CampaignRunner:
         ``"sequential"`` | ``"per-trial"`` | ``None`` (auto: sequential
         for one worker, per-trial otherwise). See the module docstring
         for the exact reproducibility contract of each mode.
-    backend:
-        Array backend for the vectorized engine — an
-        :class:`repro.utils.backend.ArrayBackend`, a registered name, or
-        ``None`` (``$REPRO_BACKEND`` / numpy). Sharded runs rebuild the
-        backend in each worker from its registered name, so unregistered
-        ad-hoc instances are limited to ``workers == 1`` — and with a
-        spawn-based pool start method (macOS/Windows default) a custom
-        name must be registered at import time of a module workers
-        import; built-in names always resolve.
     packing:
         ``"u8"`` (default) or ``"u64"``: the per-code kernels' tensor
         layouts. Validated and carried on every shard task (and so in
@@ -887,13 +819,6 @@ class CampaignRunner:
         .code_names`); default ``"diagonal"``. The scalar engine is the
         diagonal reference implementation, so ``engine="scalar"``
         requires the default.
-    kernels:
-        Host-side kernel tier of the per-code word-level kernels — a
-        :class:`repro.utils.kernels.KernelTier`, a registered name, or
-        ``None`` (``$REPRO_KERNELS`` / auto). Resolved eagerly to a
-        concrete tier; sharded runs ship the **resolved name** to each
-        worker (like the backend name), so a worker without the compiled
-        extension fails loudly. The campaign block does not use it.
     """
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
@@ -901,8 +826,7 @@ class CampaignRunner:
                  engine: str = "batched",
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  workers: int = 1, seeding: Optional[str] = None,
-                 backend: BackendLike = None, packing: str = "u8",
-                 code: str = "diagonal", kernels: KernelsLike = None):
+                 packing: str = "u8", code: str = "diagonal"):
         if engine not in ("batched", "scalar"):
             raise ValueError(f"engine must be 'batched' or 'scalar', "
                              f"got {engine!r}")
@@ -941,28 +865,8 @@ class CampaignRunner:
         self.batch_size = batch_size
         self.workers = workers
         self.seeding = seeding
-        self.backend = get_backend(backend)
         self.packing = packing
         self.code = code
-        self.kernels = get_kernels(kernels)
-        if workers > 1:
-            if self.backend.name not in available_backends():
-                raise ValueError(
-                    f"backend {self.backend.name!r} is not registered; "
-                    f"sharded runs rebuild the backend by name in each "
-                    f"worker — register_backend() it or run with workers=1")
-            if isinstance(backend, ArrayBackend) \
-                    and get_backend(backend.name) is not backend:
-                # An ad-hoc instance shadowing a registered name would
-                # silently mix backends: workers re-resolve the name to
-                # the registered one while in-process spans use the
-                # instance.
-                raise ValueError(
-                    f"backend instance {backend.name!r} is not the "
-                    f"registered instance of that name; sharded runs "
-                    f"re-resolve backends by name in each worker, so "
-                    f"pass the name (backend={backend.name!r}) or run "
-                    f"with workers=1")
         if seeding == "per-trial":
             self.entropy: Optional[int] = resolve_entropy(seed)
             self._seed: SeedLike = None
@@ -979,8 +883,8 @@ class CampaignRunner:
         return BatchCampaign(
             self.grid, self.injector,
             include_check_bits=self.include_check_bits,
-            batch_size=self.batch_size, backend=self.backend,
-            packing=self.packing, code=self.code, kernels=self.kernels)
+            batch_size=self.batch_size, packing=self.packing,
+            code=self.code)
 
     def _run_span(self, lo: int, hi: int,
                   pool: Optional[ProcessPoolExecutor] = None
@@ -994,12 +898,7 @@ class CampaignRunner:
         bounds = [(lo + a, lo + b)
                   for a, b in shard_bounds(hi - lo, self.workers)]
         if self.workers == 1 or len(bounds) <= 1:
-            engine = BatchCampaign(self.grid, self.injector,
-                                   include_check_bits=self.include_check_bits,
-                                   batch_size=self.batch_size,
-                                   backend=self.backend,
-                                   packing=self.packing, code=self.code,
-                                   kernels=self.kernels)
+            engine = self._make_engine()
             return merge_results([engine.run_range_seeded(self.entropy, a, b)
                                   for a, b in bounds])
         tasks = [self.shard_task(a, b) for a, b in bounds]
@@ -1024,9 +923,7 @@ class CampaignRunner:
                          self.entropy, lo, hi,
                          include_check_bits=self.include_check_bits,
                          batch_size=self.batch_size,
-                         backend_name=self.backend.name,
-                         packing=self.packing, code=self.code,
-                         kernels_name=self.kernels.name)
+                         packing=self.packing, code=self.code)
 
     def run(self, trials: int) -> CampaignResult:
         """Run ``trials`` trials on the configured engine."""

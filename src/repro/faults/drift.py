@@ -21,9 +21,9 @@ a discrete-event per-cell simulation used to validate the closed form.
 fault-campaign machinery: one injection round flips every cell of a
 protected crossbar (and optionally its check memory) that the drift +
 abrupt model upsets within one exposure window, so drift survival runs
-through the real encode/inject/check/classify pipeline — batched,
-sharded, and backend-dispatched via :class:`repro.faults.batch
-.CampaignRunner` exactly like the uniform-SER campaigns (see
+through the real encode/inject/check/classify pipeline — batched and
+sharded via :class:`repro.faults.batch.CampaignRunner` exactly like
+the uniform-SER campaigns (see
 :func:`repro.reliability.drift_analysis.simulate_drift_survival`).
 
 The injector does **not** replay the discrete-event draws cell by cell.

@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.core.checkstore import CheckStore
 from repro.faults.ser import probability_from_fit
-from repro.utils.backend import BackendLike, get_backend
 from repro.utils.rng import (
     SeedLike,
     TrialStreams,
@@ -197,37 +196,34 @@ class BatchInjectionResult:
                              self.check_bc[csel].tolist())],
         )
 
-    def apply_planes(self, data, planes: Sequence,
-                     backend: BackendLike = None) -> None:
+    def apply_planes(self, data, planes: Sequence) -> None:
         """XOR every flip event into the batch tensors (in place).
 
         ``planes`` is the code-ordered sequence of stored check-plane
         tensors (``None`` entries are skipped — check memory not
-        exposed). The scatter applies repeated events as repeated
-        inversions, so duplicated cells cancel pairwise exactly like
-        repeated scalar :meth:`CrossbarArray.flip` calls. The tensors
-        live on ``backend`` (:meth:`repro.utils.backend.ArrayBackend
-        .scatter_xor`); the flip event arrays themselves always stay
-        host-side numpy.
+        exposed). The scatter (``np.bitwise_xor.at``) applies repeated
+        events as repeated inversions, so duplicated cells cancel
+        pairwise exactly like repeated scalar :meth:`CrossbarArray.flip`
+        calls.
         """
-        be = get_backend(backend)
         if self.trial.size:
-            be.scatter_xor(data, (self.trial, self.rows, self.cols))
+            np.bitwise_xor.at(data, (self.trial, self.rows, self.cols),
+                              data.dtype.type(1))
         for plane_id, plane in enumerate(planes):
             if plane is None:
                 continue
             sel = self.check_plane == plane_id
             if sel.any():
-                be.scatter_xor(
+                np.bitwise_xor.at(
                     plane, (self.check_trial[sel], self.check_d[sel],
-                            self.check_br[sel], self.check_bc[sel]))
+                            self.check_br[sel], self.check_bc[sel]),
+                    plane.dtype.type(1))
 
-    def apply(self, data, lead, ctr, backend: BackendLike = None) -> None:
+    def apply(self, data, lead, ctr) -> None:
         """Two-plane (diagonal layout) wrapper over :meth:`apply_planes`."""
-        self.apply_planes(data, (lead, ctr), backend=backend)
+        self.apply_planes(data, (lead, ctr))
 
-    def apply_planes_packed(self, data, planes: Sequence,
-                            backend: BackendLike = None) -> None:
+    def apply_planes_packed(self, data, planes: Sequence) -> None:
         """XOR every flip event into packed ``uint64`` word tensors.
 
         The bit-slice analogue of :meth:`apply_planes`: trial ``i``'s
@@ -238,12 +234,11 @@ class BatchInjectionResult:
         arrays are the same either way — the ground truth is
         layout-independent.
         """
-        be = get_backend(backend)
         one = np.uint64(1)
         if self.trial.size:
             bits = one << (self.trial % 64).astype(np.uint64)
-            be.scatter_xor(data, (self.trial // 64, self.rows, self.cols),
-                           bits)
+            np.bitwise_xor.at(data, (self.trial // 64, self.rows, self.cols),
+                              bits)
         for plane_id, plane in enumerate(planes):
             if plane is None:
                 continue
@@ -251,15 +246,14 @@ class BatchInjectionResult:
             if sel.any():
                 t = self.check_trial[sel]
                 bits = one << (t % 64).astype(np.uint64)
-                be.scatter_xor(
+                np.bitwise_xor.at(
                     plane, (t // 64, self.check_d[sel],
                             self.check_br[sel], self.check_bc[sel]), bits)
 
-    def apply_packed(self, data, lead, ctr,
-                     backend: BackendLike = None) -> None:
+    def apply_packed(self, data, lead, ctr) -> None:
         """Two-plane (diagonal layout) wrapper over
         :meth:`apply_planes_packed`."""
-        self.apply_planes_packed(data, (lead, ctr), backend=backend)
+        self.apply_planes_packed(data, (lead, ctr))
 
 
 def _resolve_rngs(rngs, default_rng: Optional[np.random.Generator],
@@ -354,9 +348,7 @@ class FaultInjector:
 
     def inject_batch_planes(self, data, planes: Sequence = (),
                             rngs: Optional[Sequence[np.random.Generator]]
-                            = None,
-                            backend: BackendLike = None
-                            ) -> BatchInjectionResult:
+                            = None) -> BatchInjectionResult:
         """Apply one round of upsets to a ``(B, n, n)`` stack, in place.
 
         ``planes`` is the code-ordered sequence of stored check-plane
@@ -364,20 +356,18 @@ class FaultInjector:
         exposed (the batched analogue of passing ``store=None`` to
         :meth:`inject`). ``rngs`` supplies one generator per trial;
         ``None`` consumes the injector's own stream sequentially, which
-        reproduces ``B`` scalar rounds bit-for-bit. ``backend`` names the
-        array backend holding the stacked tensors; draws always happen
-        host-side so the stream contract is backend-independent.
+        reproduces ``B`` scalar rounds bit-for-bit.
         """
         planes = tuple(planes)
         shapes = tuple(tuple(p.shape[1:]) for p in planes) or None
         result = self._draw_batch(int(data.shape[0]), tuple(data.shape[1:]),
                                   shapes, rngs)
-        result.apply_planes(data, planes, backend=backend)
+        result.apply_planes(data, planes)
         return result
 
     def inject_batch(self, data, lead=None, ctr=None,
-                     rngs: Optional[Sequence[np.random.Generator]] = None,
-                     backend: BackendLike = None) -> BatchInjectionResult:
+                     rngs: Optional[Sequence[np.random.Generator]] = None
+                     ) -> BatchInjectionResult:
         """Two-plane (diagonal layout) wrapper over
         :meth:`inject_batch_planes`.
 
@@ -388,14 +378,13 @@ class FaultInjector:
         shapes = None if lead is None else (tuple(lead.shape[1:]),) * 2
         result = self._draw_batch(int(data.shape[0]), tuple(data.shape[1:]),
                                   shapes, rngs)
-        result.apply_planes(data, (lead, ctr), backend=backend)
+        result.apply_planes(data, (lead, ctr))
         return result
 
     def inject_batch_planes_packed(self, batch: int, data,
                                    planes: Sequence = (),
                                    rngs: Optional[
-                                       Sequence[np.random.Generator]] = None,
-                                   backend: BackendLike = None
+                                       Sequence[np.random.Generator]] = None
                                    ) -> BatchInjectionResult:
         """Apply one round of upsets to a packed ``(W, n, n)`` word stack.
 
@@ -415,20 +404,18 @@ class FaultInjector:
         shapes = tuple(tuple(p.shape[1:]) for p in planes) or None
         result = self._draw_batch(int(batch), tuple(data.shape[1:]),
                                   shapes, rngs)
-        result.apply_planes_packed(data, planes, backend=backend)
+        result.apply_planes_packed(data, planes)
         return result
 
     def inject_batch_packed(self, batch: int, data, lead=None, ctr=None,
                             rngs: Optional[Sequence[np.random.Generator]]
-                            = None,
-                            backend: BackendLike = None
-                            ) -> BatchInjectionResult:
+                            = None) -> BatchInjectionResult:
         """Two-plane (diagonal layout) wrapper over
         :meth:`inject_batch_planes_packed`."""
         shapes = None if lead is None else (tuple(lead.shape[1:]),) * 2
         result = self._draw_batch(int(batch), tuple(data.shape[1:]),
                                   shapes, rngs)
-        result.apply_planes_packed(data, (lead, ctr), backend=backend)
+        result.apply_planes_packed(data, (lead, ctr))
         return result
 
 

@@ -207,7 +207,6 @@ def job_phases_record(*, kind: str, key: str,
                       trials: Optional[int],
                       params: Dict[str, object],
                       kernel_tier: Optional[str] = None,
-                      backend: Optional[str] = None,
                       git_rev: Optional[str] = None,
                       host: Optional[dict] = None,
                       timestamp: Optional[float] = None) -> dict:
@@ -236,7 +235,6 @@ def job_phases_record(*, kind: str, key: str,
         "job_key": key,
         "trials": trials,
         "kernel_tier": kernel_tier,
-        "backend": backend,
         "git_rev": git_rev,
         "host": host if host is not None else host_fingerprint(),
         "timestamp": time.time() if timestamp is None else timestamp,

@@ -28,8 +28,8 @@ The Monte-Carlo side is a thin classification layer over the unified
 campaign engine: each trial drives one
 :class:`repro.faults.injector.LinearBurstInjector` round through
 :class:`repro.faults.batch.CampaignRunner`, so burst sweeps inherit the
-``(B, n, n)`` vectorized kernels, process-pool sharding, array-backend
-selection, and both campaign seeding contracts (``engine="scalar"`` is
+fault-centric batched engine, process-pool sharding and both campaign
+seeding contracts (``engine="scalar"`` is
 the per-block Python reference; sequential batched runs are bit-identical
 to it, per-trial runs are shard-layout invariant).
 
@@ -52,7 +52,6 @@ from repro.faults.batch import (
     derive_campaign_seeds,
 )
 from repro.faults.injector import LinearBurstInjector
-from repro.utils.backend import BackendLike
 from repro.utils.rng import SeedLike
 
 
@@ -99,7 +98,6 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
                             batch_size: int = DEFAULT_BATCH_SIZE,
                             workers: int = 1,
                             seeding: Optional[str] = None,
-                            backend: BackendLike = None,
                             packing: str = "u8",
                             ) -> BurstSurvivalResult:
     """Empirical burst survival through the real checker.
@@ -110,10 +108,9 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
     detected (uncorrectable reports — never silent corruption, which is
     asserted).
 
-    ``engine``/``batch_size``/``workers``/``seeding``/``backend``/
-    ``packing`` are the
-    :class:`repro.faults.batch.CampaignRunner` knobs: the default batched
-    engine sweeps trials as ``(B, n, n)`` stacks and, with the same
+    ``engine``/``batch_size``/``workers``/``seeding``/``packing`` are
+    the :class:`repro.faults.batch.CampaignRunner` knobs: the default
+    batched engine runs trials in blocks and, with the same
     ``seed``, reproduces the scalar reference (``engine="scalar"``)
     bit-for-bit in sequential mode; ``workers > 1`` (or
     ``seeding="per-trial"``) switches to the shard-invariant per-trial
@@ -128,7 +125,7 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
         grid, LinearBurstInjector(length, orientation, seed=injector_seed),
         seed=campaign_seed, include_check_bits=True, engine=engine,
         batch_size=batch_size, workers=workers, seeding=seeding,
-        backend=backend, packing=packing)
+        packing=packing)
     result = runner.run(trials)
     # A linear burst can never alias to a correctable syndrome: within a
     # block its cells occupy distinct diagonals, so any block catching

@@ -30,7 +30,6 @@ from repro.faults.campaign import CampaignResult
 from repro.faults.drift import DriftInjector, DriftModel
 from repro.reliability.model import MemoryOrganization, \
     window_failure_probability
-from repro.utils.backend import BackendLike
 from repro.utils.rng import SeedLike
 
 
@@ -107,7 +106,6 @@ def simulate_drift_survival(grid: BlockGrid,
                             batch_size: int = DEFAULT_BATCH_SIZE,
                             workers: int = 1,
                             seeding: Optional[str] = None,
-                            backend: BackendLike = None,
                             include_check_bits: bool = True,
                             packing: str = "u8",
                             ) -> CampaignResult:
@@ -120,11 +118,10 @@ def simulate_drift_survival(grid: BlockGrid,
     of :func:`compare_protections` are built from.
 
     Dispatches through :class:`repro.faults.batch.CampaignRunner`, so
-    drift sweeps get the batched ``(B, n, n)`` kernels, process-pool
-    sharding, adaptive sampling, and array-backend selection with the
-    standard seeding contracts (``engine="scalar"`` is the bit-identical
-    sequential reference; per-trial mode is shard-invariant and needs an
-    integer seed). ``packing="u64"`` selects the bit-sliced uint64
+    drift sweeps get the fault-centric batched engine, process-pool
+    sharding and adaptive sampling with the standard seeding contracts
+    (``engine="scalar"`` is the bit-identical sequential reference;
+    per-trial mode is shard-invariant and needs an integer seed). ``packing="u64"`` selects the bit-sliced uint64
     layout (64 trials per word, identical tallies). The single ``seed``
     is split into data-fill and injection streams via
     :func:`repro.utils.rng.spawn_rngs`.
@@ -139,7 +136,7 @@ def simulate_drift_survival(grid: BlockGrid,
                       include_check_bits=include_check_bits),
         seed=campaign_seed, include_check_bits=include_check_bits,
         engine=engine, batch_size=batch_size, workers=workers,
-        seeding=seeding, backend=backend, packing=packing)
+        seeding=seeding, packing=packing)
     return runner.run(trials)
 
 
@@ -147,8 +144,7 @@ def validate_drift_model(grid: BlockGrid, model: DriftModel,
                          window_hours: float,
                          refresh_period_hours: Optional[float] = None,
                          trials: int = 256, seed: SeedLike = 0,
-                         tolerance_sigmas: float = 5.0,
-                         backend: BackendLike = None) -> dict:
+                         tolerance_sigmas: float = 5.0) -> dict:
     """Empirical drift campaign vs the closed-form block binomial.
 
     The analytic side converts the model's per-bit window flip
@@ -166,7 +162,7 @@ def validate_drift_model(grid: BlockGrid, model: DriftModel,
 
     mc = simulate_drift_survival(
         grid, model, window_hours, refresh_period_hours, trials=trials,
-        seed=seed, backend=backend)
+        seed=seed)
     sigma = math.sqrt(max(analytic * (1 - analytic), 1e-300) / trials)
     diff = abs(mc.failure_rate - analytic)
     return {

@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.blocks import BlockGrid
 from repro.core.checker import check_all_batched
 from repro.core.code import DiagonalParityCode
-from repro.utils.backend import BackendLike, get_backend
 from repro.utils.rng import SeedLike, make_rng
 
 #: Trials per stacked block of the vectorized estimator (memory bound).
@@ -50,18 +49,14 @@ class BlockTrialResult:
 def estimate_block_failure_rate(grid: BlockGrid, p: float, trials: int,
                                 seed: SeedLike = 0,
                                 include_check_bits: bool = False,
-                                backend: BackendLike = None,
                                 ) -> BlockTrialResult:
     """Empirical block-failure statistics under i.i.d. upsets.
 
     Each trial builds a random protected crossbar, injects upsets with
     per-cell probability ``p`` (optionally into check-bits as well), runs
     the full checker, and compares every block against the golden data.
-    ``backend`` selects the array backend of the vectorized sweep; draws
-    stay host-side, so tallies are backend-independent.
     """
     rng = make_rng(seed)
-    be = get_backend(backend)
     code = DiagonalParityCode(grid)
     n, m = grid.n, grid.m
     b = grid.blocks_per_side
@@ -75,32 +70,30 @@ def estimate_block_failure_rate(grid: BlockGrid, p: float, trials: int,
     done = 0
     while done < trials:
         batch = min(_BATCH, trials - done)
-        stage = np.empty((batch, n, n), dtype=np.uint8)
+        data = np.empty((batch, n, n), dtype=np.uint8)
         flip_mask = np.empty((batch, n, n), dtype=bool)
         cmask_lead = np.zeros((batch, m, b, b), dtype=bool)
         cmask_ctr = np.zeros((batch, m, b, b), dtype=bool)
         for i in range(batch):
-            stage[i] = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+            data[i] = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
             flip_mask[i] = rng.random((n, n)) < p
             if include_check_bits:
                 cmask_lead[i] = rng.random((m, b, b)) < p
                 cmask_ctr[i] = rng.random((m, b, b)) < p
 
-        data = be.from_numpy(stage)
-        lead, ctr = code.encode_batch(data, backend=be)
+        lead, ctr = code.encode_batch(data)
         golden = data.copy()
-        data ^= be.from_numpy(flip_mask)
-        lead ^= be.from_numpy(cmask_lead)
-        ctr ^= be.from_numpy(cmask_ctr)
+        data ^= flip_mask
+        lead ^= cmask_lead
+        ctr ^= cmask_ctr
 
         # Ground-truth upsets per block (data plus its own check-bits).
         per_block = flip_mask.reshape(batch, b, m, b, m).sum(axis=(2, 4)) \
             + cmask_lead.sum(axis=1) + cmask_ctr.sum(axis=1)
 
-        check_all_batched(grid, code, data, lead, ctr, correct=True,
-                          backend=be)
-        restored = be.to_numpy((data == golden).reshape(batch, b, m, b, m)
-                               .all(axis=(2, 4)))
+        check_all_batched(grid, code, data, lead, ctr, correct=True)
+        restored = (data == golden).reshape(batch, b, m, b, m) \
+            .all(axis=(2, 4))
 
         multi = per_block >= 2
         result.blocks_failed += int(multi.sum())
@@ -116,8 +109,7 @@ def estimate_block_failure_rate(grid: BlockGrid, p: float, trials: int,
 
 def validate_against_model(grid: BlockGrid, p: float, trials: int,
                            seed: SeedLike = 0,
-                           tolerance_sigmas: float = 4.0,
-                           backend: BackendLike = None) -> dict:
+                           tolerance_sigmas: float = 4.0) -> dict:
     """Compare empirical block failure rate with the binomial model.
 
     Returns a dict with both rates, the binomial-sampling standard error,
@@ -129,7 +121,7 @@ def validate_against_model(grid: BlockGrid, p: float, trials: int,
 
     analytic = window_failure_probability(p, grid.cells_per_block, 1.0)
 
-    mc = estimate_block_failure_rate(grid, p, trials, seed, backend=backend)
+    mc = estimate_block_failure_rate(grid, p, trials, seed)
     total = mc.total_blocks
     sigma = math.sqrt(max(analytic * (1 - analytic), 1e-300) / total)
     diff = abs(mc.empirical_failure_rate - analytic)

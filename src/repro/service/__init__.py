@@ -6,8 +6,8 @@ service jobs:
 * :mod:`repro.service.spec` — declarative, JSON-serializable
   :class:`JobSpec` families covering every campaign workload (fault
   campaigns, drift survival, burst survival, adaptive Wilson-CI runs,
-  logic equivalence checks) with full fidelity to the
-  packing/backend/seeding options;
+  logic equivalence checks) with full fidelity to the engine
+  options;
 * :mod:`repro.service.store` — content-addressed persistent result
   store with shard-level checkpoints (identical ``(spec, entropy)``
   submissions dedupe to the cached result; a killed service resumes a

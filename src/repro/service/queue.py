@@ -1,8 +1,7 @@
 """Pluggable job-queue backends for the campaign service.
 
 The scheduler never touches a concrete queue class: it asks
-:func:`make_queue` for a registered backend by name, exactly like the
-array-backend registry (:mod:`repro.utils.backend`). The built-in
+:func:`make_queue` for a registered backend by name. The built-in
 ``"memory"`` backend wraps :class:`asyncio.Queue` — correct for a
 single-process service; the durable ``"sqlite"`` backend
 (:class:`repro.distributed.broker.SqliteJobQueue`) keeps the FIFO in a

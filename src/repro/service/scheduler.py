@@ -104,7 +104,6 @@ from repro.service.spec import (
     result_to_dict,
 )
 from repro.service.store import ResultStore
-from repro.utils.backend import available_backends
 from repro.utils.retry import RetryPolicy
 from repro.utils.kernels import available_kernels, native_available
 from repro.utils.rng import DRAW_CONTRACT, shard_bounds
@@ -200,9 +199,9 @@ def service_info() -> dict:
     """Static introspection: what a deployed service can execute.
 
     The payload behind ``repro info`` and the server's ``/info``
-    endpoint — operators use it to see which array backends, tensor
-    layouts, block codes, kernel tiers, job kinds, and queue backends
-    this build serves. ``native_kernels_available`` reports whether the
+    endpoint — operators use it to see which tensor layouts, block
+    codes, kernel tiers, job kinds, and queue backends this build
+    serves. ``native_kernels_available`` reports whether the
     compiled extension actually imported here (registration alone does
     not imply it built), so fleet operators can tell at a glance which
     hosts run the compiled hot loops. ``draw_contract`` and
@@ -214,7 +213,6 @@ def service_info() -> dict:
         "version": repro.__version__,
         "draw_contract": DRAW_CONTRACT,
         "wire_version": WIRE_VERSION,
-        "backends": list(available_backends()),
         "packings": list(PACKINGS),
         "codes": list(code_names()),
         "kernel_tiers": list(available_kernels()),
@@ -1064,7 +1062,6 @@ class CampaignService:
                         params=job.spec.to_dict(),
                         kernel_tier=getattr(job.spec, "kernels", None)
                         or "auto",
-                        backend=getattr(job.spec, "backend", None),
                         git_rev=obs_perf.cached_git_revision()))
                 except Exception:  # noqa: BLE001 - telemetry only
                     pass
@@ -1155,12 +1152,16 @@ class CampaignService:
 
         ``profile`` is the profile of a run that wrote no span
         checkpoint. ``None`` means the job's checkpoints carry it
-        (local and distributed runs alike): it is summed from them
-        before the record lands, and they are dropped after.
+        (local and distributed runs alike): it is summed from the
+        checkpoints of the job's shard plan before the record lands
+        (leftovers of another plan under the key were never merged),
+        and every checkpoint under the key is dropped after.
         """
         checkpointed = profile is None
         if checkpointed:
-            profile = merge_phases(self.store.shard_phases(job.key).values())
+            stamped = self.store.shard_phases(job.key)
+            profile = merge_phases(stamped.get(span)
+                                   for span in self._plan(job.spec))
         phases = profile or None
         self.store.put(job.key, {
             "key": job.key,
@@ -1177,14 +1178,19 @@ class CampaignService:
             self.store.clear_shards(job.key)
         return phases
 
+    def _plan(self, spec) -> List[tuple]:
+        """The shard plan of a span job: ``(lo, hi)`` spans of at most
+        ``shard_trials`` trials."""
+        shards = max(1, math.ceil(spec.trials / self.shard_trials))
+        return shard_bounds(spec.trials, shards)
+
     async def _run_sharded(self, job: JobRecord,
                            checkpoints: dict) -> dict:
         """Campaign-family execution: checkpointable shard spans on the
         pool; ``checkpoints`` (span -> tallies) are reused."""
         spec = job.spec
         runner = spec.build_runner()
-        shards = max(1, math.ceil(spec.trials / self.shard_trials))
-        bounds = shard_bounds(spec.trials, shards)
+        bounds = self._plan(spec)
         job.shards_total = len(bounds)
         results = {}
         loop = asyncio.get_running_loop()
@@ -1245,10 +1251,8 @@ class CampaignService:
         # this way only at call time, not at module import time.
         from repro.distributed.wire import unit_envelope
 
-        spec = job.spec
-        runner = spec.build_runner()
-        shards = max(1, math.ceil(spec.trials / self.shard_trials))
-        bounds = shard_bounds(spec.trials, shards)
+        runner = job.spec.build_runner()
+        bounds = self._plan(job.spec)
         job.shards_total = len(bounds)
         results = {}
         missing = []

@@ -25,9 +25,9 @@ Five kinds cover the library's campaign workload families:
 =====================  ==================================================
 
 Every campaign-family spec carries the full engine configuration —
-``packing`` (``"u8"``/``"u64"``), ``backend`` (registered array-backend
-name), ``batch_size``, ``include_check_bits``, ``code`` (registered
-block-code name, :mod:`repro.core.registry`) — with exactly the
+``packing`` (``"u8"``/``"u64"``), ``batch_size``,
+``include_check_bits``, ``code`` (registered block-code name,
+:mod:`repro.core.registry`) — with exactly the
 semantics of the in-process :class:`CampaignRunner` knobs; service
 execution always uses the **per-trial** seeding contract (the only
 relocatable one), so the spec's ``seed`` is the campaign root entropy.
@@ -59,7 +59,6 @@ from repro.faults.serialize import (
     injector_kinds,
     validate_config,
 )
-from repro.utils.backend import available_backends
 from repro.utils.canonical import content_hash
 from repro.utils.rng import DRAW_CONTRACT, resolve_entropy
 
@@ -223,8 +222,7 @@ class _CampaignFamilySpec(JobSpec):
             self.build_grid(), self.build_injector(), seed=self.entropy,
             include_check_bits=self.include_check_bits,
             batch_size=self.batch_size, workers=workers,
-            seeding="per-trial", backend=self.backend,
-            packing=self.packing, code=self.code)
+            seeding="per-trial", packing=self.packing, code=self.code)
 
     def _validate_engine_fields(self) -> None:
         self.build_grid()
@@ -238,10 +236,6 @@ class _CampaignFamilySpec(JobSpec):
         if self.packing not in PACKINGS:
             raise ValueError(f"packing must be one of {PACKINGS}, "
                              f"got {self.packing!r}")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"backend {self.backend!r} is not registered; "
-                f"registered: {', '.join(available_backends())}")
         if self.code not in code_names():
             raise ValueError(
                 f"code {self.code!r} is not registered; "
@@ -268,7 +262,6 @@ class CampaignJobSpec(_CampaignFamilySpec):
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
     packing: str = "u8"
-    backend: str = "numpy"
     code: str = "diagonal"
 
     def validate(self) -> None:
@@ -298,7 +291,6 @@ class DriftSurvivalJobSpec(_CampaignFamilySpec):
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
     packing: str = "u8"
-    backend: str = "numpy"
     code: str = "diagonal"
 
     def build_injector(self) -> FaultInjector:
@@ -325,7 +317,6 @@ class BurstSurvivalJobSpec(_CampaignFamilySpec):
     seed: Optional[int] = None
     batch_size: int = DEFAULT_BATCH_SIZE
     packing: str = "u8"
-    backend: str = "numpy"
     code: str = "diagonal"
 
     #: Burst survival always protects check memory, like
@@ -369,7 +360,6 @@ class AdaptiveCampaignJobSpec(_CampaignFamilySpec):
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
     packing: str = "u8"
-    backend: str = "numpy"
     code: str = "diagonal"
 
     def validate(self) -> None:

@@ -1,13 +1,5 @@
-"""Shared helpers: bits, validation, RNG, array backends, kernel tiers."""
+"""Shared helpers: bits, validation, RNG, kernel tiers."""
 
-from repro.utils.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    TracingBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.utils.bitops import (
     WORD_BITS,
     bits_to_int,
@@ -52,12 +44,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "TracingBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "wilson_interval",
     "wilson_halfwidth",
     "WORD_BITS",

@@ -21,38 +21,27 @@ Layout contract
   computed with a complement, e.g. the ``no_error`` plane of the packed
   decoder); every consumer therefore trims to the true batch size when
   unpacking — :func:`unpack_batch` takes ``batch`` explicitly.
-* Packing and unpacking are host-side numpy; the packed words cross onto
-  an array backend once via :meth:`repro.utils.backend.ArrayBackend
-  .from_numpy`, exactly like the uint8 staging path, so the RNG seeding
-  contracts of :mod:`repro.faults.batch` are layout-invariant.
 
-The word-wise kernels (diagonal XOR parity, saturating bit-counts for
-the packed decoder, word reductions, popcount) all dispatch through the
-backend layer (:mod:`repro.utils.backend`), so the packed path runs on
-any registered array module like the uint8 path does. Orthogonally,
-the host-side hot loops (pack/unpack, the counters, the fused decoder
-sweep) dispatch through the kernel-tier registry
-(:mod:`repro.utils.kernels`): when the optional compiled tier is active
-*and* the resolved backend's arrays are plain numpy, the C loops run;
-every other combination keeps the generic backend path. The tiers are
-bit-identical, so the choice is invisible outside of throughput.
+The host-side hot loops (pack/unpack, the saturating counters, the
+fused decoder sweep, popcount) dispatch through the kernel-tier
+registry (:mod:`repro.utils.kernels`), whose optional compiled tier is
+bit-identical to the numpy one, so the choice is invisible outside of
+throughput.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Tuple, Union
 
 import numpy as np
 
-from repro.utils.backend import ArrayBackend, BackendLike, get_backend
 from repro.utils.bitops import (
     WORD_BITS,
     pack_words_axis0,
     unpack_words_axis0,
     words_for,
 )
-from repro.utils.kernels import KernelsLike, KernelTier, get_kernels
+from repro.utils.kernels import KernelsLike, get_kernels
 
 __all__ = [
     "WORD_BITS",
@@ -68,41 +57,19 @@ __all__ = [
 ]
 
 
-def _native_applies(kern: KernelTier, be: ArrayBackend, *arrays) -> bool:
-    """Whether the compiled tier may run on these backend arrays.
-
-    Only when the tier is native *and* the backend's array module is
-    numpy itself *and* every operand is a real ``numpy.ndarray`` —
-    device backends (cupy) and diagnostic proxies (tracing) must keep
-    the generic backend-dispatched path so their semantics (residency,
-    op accounting) are preserved.
-    """
-    return (kern.native and be.xp is np
-            and all(isinstance(a, np.ndarray) for a in arrays))
+def pack_batch(bits: np.ndarray, kernels: KernelsLike = None) -> np.ndarray:
+    """Pack a ``(B, ...)`` 0/1 array into ``(W, ...)`` uint64 words."""
+    return pack_words_axis0(bits, kernels=kernels)
 
 
-def pack_batch(bits: np.ndarray, backend: BackendLike = None,
-               kernels: KernelsLike = None):
-    """Pack a host ``(B, ...)`` 0/1 array into ``(W, ...)`` backend words.
-
-    The pack itself runs host-side (numpy or the compiled kernel tier)
-    and the words cross onto the backend once — mirroring the
-    staged-draw contract of the campaign engine.
-    """
-    be = get_backend(backend)
-    return be.from_numpy(pack_words_axis0(np.asarray(bits),
-                                          kernels=kernels))
-
-
-def unpack_batch(words, batch: int, backend: BackendLike = None,
+def unpack_batch(words, batch: int,
                  kernels: KernelsLike = None) -> np.ndarray:
-    """Unpack ``(W, ...)`` backend words to a host ``(batch, ...)`` uint8.
+    """Unpack ``(W, ...)`` words to a ``(batch, ...)`` uint8 array.
 
     Trims tail-padding bits (and any kernel garbage in them) beyond
     ``batch``.
     """
-    be = get_backend(backend)
-    return unpack_words_axis0(be.to_numpy(words), batch, kernels=kernels)
+    return unpack_words_axis0(words, batch, kernels=kernels)
 
 
 def batch_tail_mask(batch: int) -> np.ndarray:
@@ -119,7 +86,7 @@ def batch_tail_mask(batch: int) -> np.ndarray:
     return mask
 
 
-def saturating_count2(planes, axis: int, backend: BackendLike = None,
+def saturating_count2(planes, axis: int,
                       kernels: KernelsLike = None) -> Tuple:
     """Per-bit count of set bits along ``axis``, saturated at two.
 
@@ -130,25 +97,10 @@ def saturating_count2(planes, axis: int, backend: BackendLike = None,
     iff ``twos``. This is the bit-parallel core of the packed syndrome
     decoder (the uint8 path's ``sum(axis=1)`` over diagonals).
     """
-    be = get_backend(backend)
-    kern = get_kernels(kernels)
-    if _native_applies(kern, be, planes):
-        return kern.saturating_count2(planes, axis)
-    xp = be.xp
-    planes = xp.asarray(planes)
-    length = planes.shape[axis]
-    head = (slice(None),) * axis
-    ones = xp.zeros_like(planes[head + (0,)])
-    twos = xp.zeros_like(ones)
-    for d in range(length):
-        lane = planes[head + (d,)]
-        twos = twos | (ones & lane)
-        ones = ones ^ lane
-    return ones, twos
+    return get_kernels(kernels).saturating_count2(planes, axis)
 
 
 def decode_status_masks(lead_syndrome, ctr_syndrome,
-                        backend: BackendLike = None,
                         kernels: KernelsLike = None) -> Tuple:
     """Fused packed-decoder classification of two syndrome plane stacks.
 
@@ -163,82 +115,35 @@ def decode_status_masks(lead_syndrome, ctr_syndrome,
     * 0 lead / exactly 1 counter    -> ``ctr_check``
     * 2+ anywhere                   -> ``uncorrectable``
 
-    On the compiled tier (with numpy-resident arrays) the dual
-    carry-save count and the combo expressions run as one C pass; the
-    generic path evaluates the same expressions via
-    :func:`saturating_count2`. Complement-derived masks may carry tail
+    Both tiers evaluate the dual carry-save count of
+    :func:`saturating_count2` and the combo expressions, the compiled
+    one as one C pass. Complement-derived masks may carry tail
     garbage — the usual rule, consumers trim to the true batch.
     """
-    be = get_backend(backend)
-    kern = get_kernels(kernels)
-    if _native_applies(kern, be, lead_syndrome, ctr_syndrome):
-        return kern.decode_sweep(lead_syndrome, ctr_syndrome)
-    l_ones, l_twos = saturating_count2(lead_syndrome, axis=1, backend=be,
-                                       kernels=kern)
-    c_ones, c_twos = saturating_count2(ctr_syndrome, axis=1, backend=be,
-                                       kernels=kern)
-    l0 = ~l_ones & ~l_twos
-    l1 = l_ones & ~l_twos
-    c0 = ~c_ones & ~c_twos
-    c1 = c_ones & ~c_twos
-    return (l0 & c0, l1 & c1, l1 & c0, l0 & c1, l_twos | c_twos)
+    return get_kernels(kernels).decode_sweep(lead_syndrome, ctr_syndrome)
 
 
-def _fold_reduce(op, arr, axes):
-    """Portable fallback: fold ``op`` along each axis via Python loop.
-
-    ``op`` is a plain operator function (``operator.or_`` / ``and_``),
-    so the fold dispatches through the arrays' own ``__or__``/``__and__``
-    and stays on whatever module the arrays live on.
-    """
-    for axis in sorted((a % arr.ndim for a in axes), reverse=True):
-        acc = arr[(slice(None),) * axis + (0,)]
-        for d in range(1, arr.shape[axis]):
-            acc = op(acc, arr[(slice(None),) * axis + (d,)])
-        arr = acc
-    return arr
-
-
-def _bitwise_reduce(ufunc_name, op, arr, axis, backend):
-    be = get_backend(backend)
-    xp = be.xp
-    arr = xp.asarray(arr)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    ufunc = getattr(xp, ufunc_name, None)
-    reduce = getattr(ufunc, "reduce", None) if ufunc is not None else None
-    if reduce is not None:
-        return reduce(arr, axis=axes)
-    return _fold_reduce(op, arr, axes)
-
-
-def or_reduce_words(arr, axis: Union[int, Tuple[int, ...]],
-                    backend: BackendLike = None):
+def or_reduce_words(arr, axis: Union[int, Tuple[int, ...]]):
     """Bitwise-OR reduction of word tensors along ``axis`` (int or tuple).
 
     The packed analogue of ``mask.any(axis)``: a result bit is set iff
     that trial's bit is set anywhere along the reduced axes.
     """
-    return _bitwise_reduce("bitwise_or", operator.or_, arr, axis, backend)
+    return np.bitwise_or.reduce(arr, axis=axis)
 
 
-def and_reduce_words(arr, axis: Union[int, Tuple[int, ...]],
-                     backend: BackendLike = None):
+def and_reduce_words(arr, axis: Union[int, Tuple[int, ...]]):
     """Bitwise-AND reduction of word tensors along ``axis`` (int or tuple).
 
     The packed analogue of ``mask.all(axis)``.
     """
-    return _bitwise_reduce("bitwise_and", operator.and_, arr, axis, backend)
+    return np.bitwise_and.reduce(arr, axis=axis)
 
 
-def popcount_words(words, backend: BackendLike = None,
-                   kernels: KernelsLike = None):
-    """Per-word set-bit counts (``int64``), via backend or kernel tier.
+def popcount_words(words, kernels: KernelsLike = None):
+    """Per-word set-bit counts (``int64``), via the kernel tier.
 
     Summing popcounts of a state tensor's words gives the total set bits
     across all trials in one pass — 64 trials per word, no unpacking.
     """
-    be = get_backend(backend)
-    kern = get_kernels(kernels)
-    if _native_applies(kern, be, words):
-        return kern.popcount_words(words)
-    return be.popcount(words)
+    return get_kernels(kernels).popcount_words(words)

@@ -1,10 +1,9 @@
 """Kernel-tier registry: pluggable host-side word-level kernels.
 
-The array-backend layer (:mod:`repro.utils.backend`) abstracts *which
-array module* tensors live on; this module abstracts *how the host-side
-word-level hot loops run*. The ``uint64`` bit-slice layout
-(:mod:`repro.utils.bitpack`) spends most of its end-to-end time in a
-handful of loops — the axis-0 bit transpose (``pack_words_axis0``), the
+This module abstracts *how the host-side word-level hot loops run*.
+The ``uint64`` bit-slice layout (:mod:`repro.utils.bitpack`) of the
+per-code reference kernels spends most of its time in a handful of
+loops — the axis-0 bit transpose (``pack_words_axis0``), the
 saturating carry-save counter of the packed decoder, the fused decode
 sweep, per-word popcounts, and the matrix codes' syndrome-difference
 pattern match. Each has a pure-numpy implementation and, when the
@@ -12,7 +11,7 @@ optional C extension :mod:`repro._native._kernels` is built, a compiled
 one that is **bit-identical** (same expressions, same order, same
 tail-garbage behaviour).
 
-Tier-selection contract (mirrors ``backend.get_backend``):
+Tier-selection contract:
 
 1. An explicit handle wins: pass a :class:`KernelTier` instance (used
    verbatim) or a registered tier name (``str``) to any ``kernels=``
@@ -30,23 +29,16 @@ Registered tiers:
     The compiled C extension. Requesting it explicitly (argument or
     ``REPRO_KERNELS=native``) when the extension is not built raises
     :class:`KernelUnavailableError` with a build hint — never a silent
-    fallback, exactly like requesting the cupy backend without cupy.
+    fallback.
 ``"auto"``
     Resolves to ``"native"`` when the extension imported, else
     ``"numpy"``; :func:`get_kernels` returns the *concrete* tier, so
-    resolved names (e.g. on shard payloads) are always one of the two.
+    a resolved name is always one of the two.
 
-Kernel tiers operate on **host numpy arrays only** — packing is defined
-as a host-side operation (see the staging contract in
-:mod:`repro.utils.bitpack`), and the dispatch sites only route
-backend-resident tensors through the native tier when the resolved
-backend's module is numpy itself. Device backends (cupy) and diagnostic
-backends (tracing) keep the generic backend-dispatched paths untouched.
-
-Like backends, sharded campaigns ship the **resolved tier name** to
-workers (:class:`repro.faults.batch.ShardTask`); a worker asked for
-``"native"`` without the extension fails loudly rather than silently
-computing on a different code path than the campaign recorded.
+Kernel tiers take and return numpy arrays. The campaign engine
+(:mod:`repro.faults.batch`) calls none of them: the tier serves the
+per-code tensor kernels the differential suites compare against and
+the packed logic evaluation of :mod:`repro.logic.eval`.
 """
 
 from __future__ import annotations

@@ -50,15 +50,6 @@ class TestEmpiricalScrubWindow:
         assert report["ci_low"] <= report["failure_rate"] <= report["ci_high"]
         assert report["ci_halfwidth"] <= 0.08
 
-    def test_backend_handle_identical(self):
-        from repro.core.blocks import BlockGrid
-        from repro.analysis.scrub import empirical_scrub_failure
-        from repro.utils.backend import TracingBackend
-        base = empirical_scrub_failure(BlockGrid(9, 3), 5e6, 24, 16, seed=4)
-        traced = empirical_scrub_failure(BlockGrid(9, 3), 5e6, 24, 16,
-                                         seed=4, backend=TracingBackend())
-        assert base == traced
-
 
 class TestPaperClaim:
     def test_24h_period_is_negligible(self):

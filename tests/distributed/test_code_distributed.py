@@ -51,10 +51,11 @@ def publish_span(broker, key, lo, hi, code, seed=3):
 
 
 class TestWireVersion:
-    def test_version_is_six(self):
-        """Version 6 moved campaigns to draw contract v3 (version 5 to
-        v2); bump again if it changes."""
-        assert WIRE_VERSION == 6
+    def test_version_is_seven(self):
+        """Version 7 dropped the ``backend_name`` and ``kernels_name``
+        task fields (version 6 moved campaigns to draw contract v3);
+        bump again if it changes."""
+        assert WIRE_VERSION == 7
 
     def test_envelope_carries_code(self):
         task = runner("hsiao").shard_task(0, 32)

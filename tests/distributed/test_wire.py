@@ -8,6 +8,7 @@ guessed at.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.distributed.wire import (
     WireFormatError,
     decode_task,
     encode_task,
+    _digest,
     task_from_wire_dict,
     task_wire_dict,
 )
@@ -29,6 +31,7 @@ from repro.faults.injector import (
     UniformInjector,
 )
 from repro.faults.serialize import build_injector, injector_kinds
+from repro.utils.kernels import KernelUnavailableError
 
 INJECTORS = {
     "uniform": UniformInjector(2e-3, include_check_bits=False),
@@ -90,6 +93,22 @@ class TestRoundTrip:
         task = make_task(INJECTORS["uniform"], packing="u64")
         assert decode_task(encode_task(task)).packing == "u64"
 
+    def test_decoded_task_runs_without_a_kernel_tier(self, monkeypatch):
+        """A worker that resolves no kernel tier (built without the
+        compiled extension its dispatcher has, say) still runs every
+        unit: the campaign engine asks for none."""
+        task = decode_task(encode_task(
+            make_task(INJECTORS["uniform"], packing="u64")))
+        expected = run_shard_task(task).as_dict()
+
+        def unavailable(*args, **kwargs):
+            raise KernelUnavailableError("no kernel tier on this worker")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and hasattr(module, "get_kernels"):
+                monkeypatch.setattr(module, "get_kernels", unavailable)
+        assert run_shard_task(task).as_dict() == expected
+
 
 class TestRefusals:
     def test_version_mismatch(self):
@@ -124,6 +143,15 @@ class TestRefusals:
         # field validation even runs
         with pytest.raises(WireFormatError):
             task_from_wire_dict(env)
+        # A re-stamped body still carrying a field dropped at version 7
+        # passes the digest and fails field validation.
+        for field in ("backend_name", "kernels_name"):
+            env = task_wire_dict(make_task(INJECTORS["uniform"]))
+            env["task"][field] = "numpy"
+            env["digest"] = _digest(env["task"])
+            with pytest.raises(WireFormatError,
+                               match=f"malformed shard task.*{field}"):
+                task_from_wire_dict(env)
 
     def test_non_dict_payload(self):
         with pytest.raises(WireFormatError, match="must be an object"):

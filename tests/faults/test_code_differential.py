@@ -1,8 +1,7 @@
 """Differential suite: every registered code, packed == u8 == scalar.
 
-The CI tier-1 matrix runs this file (plus the registry unit tests)
-under ``REPRO_BACKEND=tracing`` as well, so the batched kernels of all
-codes stay exercised through the backend-abstraction layer.
+The CI tier-1 matrix runs this file (plus the registry unit tests) in a
+second leg with pytest's slow filter cleared.
 """
 
 import pytest

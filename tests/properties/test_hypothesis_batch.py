@@ -11,9 +11,7 @@ Invariants pinned here:
   silent == trials, always;
 * per-trial seeding is deterministic and invariant under shard layout
   and batch size — for the uniform-SER, drift-window, and linear-burst
-  injectors alike (the whole simulator family rides one engine);
-* every batched kernel produces identical tallies under a non-default
-  array backend (draws are host-side, so backends cannot perturb them).
+  injectors alike (the whole simulator family rides one engine).
 """
 
 import numpy as np
@@ -31,7 +29,6 @@ from repro.faults import (
     UniformInjector,
     merge_results,
 )
-from repro.utils.backend import TracingBackend
 from repro.utils.rng import shard_bounds
 
 #: Small geometries: (n, m) with n a multiple of odd m.
@@ -180,21 +177,6 @@ class TestUnifiedEngineProperties:
             engine(2).run_range_seeded(entropy, lo, hi)
             for lo, hi in shard_bounds(trials, shards)])
         assert whole.as_dict() == sharded.as_dict()
-
-    @given(st.integers(0, len(INJECTOR_FAMILY) - 1),
-           st.integers(0, 2 ** 31 - 1), st.integers(1, 12),
-           st.integers(1, 6))
-    @settings(max_examples=15, deadline=None)
-    def test_backend_invariance_across_family(self, which, seed, trials,
-                                              batch_size):
-        grid = BlockGrid(9, 3)
-        make = INJECTOR_FAMILY[which]
-        default = BatchCampaign(grid, make(seed), seed=seed + 1,
-                                batch_size=batch_size).run(trials)
-        traced = BatchCampaign(grid, make(seed), seed=seed + 1,
-                               batch_size=batch_size,
-                               backend=TracingBackend()).run(trials)
-        assert default.as_dict() == traced.as_dict()
 
     @given(st.integers(0, len(INJECTOR_FAMILY) - 1),
            st.integers(0, 2 ** 31 - 1), st.integers(1, 20),

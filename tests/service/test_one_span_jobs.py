@@ -14,7 +14,11 @@ import asyncio
 import multiprocessing
 import threading
 
-from repro.faults.batch import PROFILE_PHASES, run_shard_task
+from repro.faults.batch import (
+    PROFILE_PHASES,
+    run_shard_task,
+    run_shard_task_profiled,
+)
 from repro.service import (
     CampaignJobSpec,
     CampaignService,
@@ -32,16 +36,19 @@ def spec_for(seed, trials=64):
 
 
 class CountingStore(ResultStore):
-    """A store that logs its checkpoint calls and job-record writes."""
+    """A store that logs its checkpoint calls, the profile stamped on
+    each checkpoint, and job-record writes."""
 
     def __init__(self, root):
         super().__init__(root)
         self.calls = []       # list.append is atomic across threads
         self.job_states = []
+        self.profiles = {}    # span -> phases of its last checkpoint
 
-    def put_shard(self, *args, **kwargs):
+    def put_shard(self, key, lo, hi, result, phases=None):
         self.calls.append("put_shard")
-        return super().put_shard(*args, **kwargs)
+        self.profiles[(lo, hi)] = phases
+        return super().put_shard(key, lo, hi, result, phases=phases)
 
     def shard_phases(self, key):
         self.calls.append("shard_phases")
@@ -182,15 +189,27 @@ class TestPoolPathKept:
 
     def test_stale_checkpoints_take_the_pool_path(self, tmp_path):
         """Checkpoints of another shard plan cover no span of a
-        one-span job; it runs on the pool, which clears them."""
+        one-span job; it runs on the pool, which clears them. Their
+        profiles stay out of the job's: the record, the stored result
+        and the perf ledger carry the executed span's alone."""
         spec = spec_for(seed=17)
         key = spec.normalized().cache_key()
         runner = spec.normalized().build_runner()
-        store = ResultStore(tmp_path)
-        store.put_shard(key, 0, 32, run_shard_task(runner.shard_task(0, 32)))
+        store = CountingStore(tmp_path)
+        for lo, hi in ((0, 32), (32, 64)):
+            tallies, phases = run_shard_task_profiled(
+                runner.shard_task(lo, hi))
+            store.put_shard(key, lo, hi, tallies, phases=phases)
         job, submits, _, _ = run_one(store, spec, executor="thread")
         assert job.state == "done"
         assert (job.shards_total, job.shards_cached) == (1, 0)
         assert submits == 1
         assert store.shard_spans(key) == {}
         assert_matches_reference(job, spec)
+        executed = store.profiles[(0, spec.trials)]
+        assert executed and job.phases == executed
+        assert store.get(key)["phases"] == executed
+        (ledger,) = [r for r in store.read_perf() if r["job_key"] == key]
+        samples = {s["metric"]: s["value"] for s in ledger["samples"]}
+        assert samples["phase.total_s_per_trial"] == \
+            sum(executed.values()) / 1e9 / spec.trials

@@ -302,7 +302,6 @@ class TestIntrospection:
                 return service.info()
 
         info = asyncio.run(main())
-        assert "numpy" in info["backends"]
         assert info["packings"] == ["u8", "u64"]
         assert "drift_survival" in info["job_kinds"]
         assert "memory" in info["queue_backends"]

@@ -81,7 +81,6 @@ class TestEndToEnd:
     def test_info_endpoint(self, tmp_path):
         def flow(client):
             info = client.info()
-            assert "numpy" in info["backends"]
             assert info["packings"] == ["u8", "u64"]
             assert "campaign" in info["job_kinds"]
             assert info["executor"] == "thread"

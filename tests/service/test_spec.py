@@ -77,7 +77,6 @@ class TestValidation:
         (dict(trials=0), "trials"),
         (dict(batch_size=0), "batch_size"),
         (dict(packing="u128"), "packing"),
-        (dict(backend="tpu"), "backend"),
         (dict(seed="abc"), "seed"),
         (dict(n=16), "multiple"),
     ])
@@ -109,10 +108,14 @@ class TestValidation:
             JobSpec.from_dict({"kind": "mystery"})
 
     def test_from_dict_unknown_field(self):
-        data = _campaign().to_dict()
-        data["urgency"] = "high"
-        with pytest.raises(ValueError, match="does not accept"):
-            JobSpec.from_dict(data)
+        # ``backend`` was a spec field once; a client still sending it
+        # is refused like any other unknown field.
+        for field, value in (("urgency", "high"), ("backend", "numpy")):
+            data = _campaign().to_dict()
+            data[field] = value
+            with pytest.raises(ValueError,
+                               match=f"does not accept fields .*{field}"):
+                JobSpec.from_dict(data)
 
 
 class TestNormalization:
@@ -140,7 +143,7 @@ class TestNormalization:
     def test_explicit_defaults_hash_like_implicit(self):
         assert _campaign().cache_key() == \
             _campaign(batch_size=64, packing="u8",
-                      backend="numpy").cache_key()
+                      code="diagonal").cache_key()
 
 
 # ---------------------------------------------------------------------- #
@@ -180,8 +183,7 @@ def _campaign_specs(draw):
         seed=draw(st.one_of(st.none(), _seeds)),
         include_check_bits=draw(st.booleans()),
         batch_size=draw(st.integers(1, 512)),
-        packing=draw(st.sampled_from(["u8", "u64"])),
-        backend=draw(st.sampled_from(["numpy", "tracing"])))
+        packing=draw(st.sampled_from(["u8", "u64"])))
 
 
 @st.composite

@@ -1,8 +1,17 @@
 """Unit tests for the command-line interface."""
 
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.service import CampaignJobSpec, InjectorSpec, ServiceClient
 
 
 class TestParser:
@@ -80,10 +89,13 @@ class TestCommands:
         assert "adder" in out and "voter" in out
 
     def test_info_reports_service_capabilities(self, capsys):
-        """Operators can introspect backends/packings/job kinds."""
+        """Operators can introspect tiers/packings/job kinds."""
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "backends:" in out and "numpy" in out
+        assert "kernel tiers:" in out and "numpy" in out
+        assert not [line for line in out.splitlines()
+                    if line.startswith("backends:")]
+        assert "(wire version 7)" in out
         assert "packings: u8, u64" in out
         assert "job kinds:" in out and "drift_survival" in out
         assert "queue backends: memory, sqlite" in out
@@ -169,3 +181,71 @@ class TestSelectCommand:
         out = capsys.readouterr().out
         assert "codes:" in out
         assert "diagonal" in out and "hamming_ext" in out
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (from ``/proc``)."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the process exited while we scanned
+        if int(fields[1]) == pid:
+            out.append(int(stat.parent.name))
+    return out
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie has exited)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1]
+    except OSError:
+        return False
+    return state.split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="finds pool children through /proc")
+class TestServeShutdown:
+    def test_sigterm_stops_the_pool_and_frees_the_port(self, tmp_path):
+        """A plain ``kill`` stops ``repro serve`` like Ctrl-C: the pool
+        children a multi-span job started exit with it, and the port is
+        free for the next server."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store"), "--workers", "2",
+             "--shard-trials", "32"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        children = []
+        try:
+            url = proc.stdout.readline().split(" listening on ")[1].split()[0]
+            client = ServiceClient(url)
+            spec = CampaignJobSpec(
+                n=15, m=3, trials=96, seed=5,
+                injector=InjectorSpec("uniform", {"probability": 2e-3}))
+            record = client.wait(client.submit(spec)["id"], timeout=120)
+            assert record["state"] == "done"
+            assert record["shards"]["total"] == 3
+            children = _children(proc.pid)
+            assert children  # the 3-span job started the pool
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            assert [pid for pid in children if _alive(pid)] == []
+            # SO_REUSEADDR, as asyncio's server sets it: only a live
+            # listener on the port can refuse the bind.
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind(("127.0.0.1", int(url.rsplit(":", 1)[1])))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            for pid in children:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.utils.backend import TracingBackend, get_backend
 from repro.utils.bitpack import (
     WORD_BITS,
     and_reduce_words,
@@ -105,25 +104,6 @@ class TestWordReductions:
         assert np.array_equal(unpack_batch(reduced, 65) != 0,
                               bits.any(axis=1))
 
-    def test_fold_fallback_without_ufunc_reduce(self):
-        """Modules without bitwise_or/and ufuncs fold via the arrays'
-        own operators — correct for any axis, incl. negative."""
-        from repro.utils.backend import ArrayBackend
-
-        class BareModule:
-            asarray = staticmethod(np.asarray)
-
-        be = ArrayBackend("bare", BareModule())
-        rng = np.random.default_rng(10)
-        words = rng.integers(0, 2**63, size=(3, 4, 5), dtype=np.uint64)
-        for axis in ((1, 2), 1, -1):
-            assert np.array_equal(
-                or_reduce_words(words, axis=axis, backend=be),
-                np.bitwise_or.reduce(words, axis=axis)), axis
-            assert np.array_equal(
-                and_reduce_words(words, axis=axis, backend=be),
-                np.bitwise_and.reduce(words, axis=axis)), axis
-
 
 class TestPopcount:
     def test_matches_unpacked_sum(self):
@@ -135,32 +115,3 @@ class TestPopcount:
     def test_extremes(self):
         words = np.asarray([0, ~np.uint64(0), np.uint64(1)], dtype=np.uint64)
         assert popcount_words(words).tolist() == [0, 64, 1]
-
-    def test_swar_fallback_matches_native(self):
-        """The SWAR path (no native bitwise_count) agrees bit for bit."""
-        be = get_backend("numpy")
-        rng = np.random.default_rng(11)
-        words = rng.integers(0, 2**63, size=257, dtype=np.uint64)
-        native = be.popcount(words)
-
-        class _NoBitwiseCount:
-            uint64 = np.uint64
-            int64 = np.int64
-
-            def asarray(self, *a, **k):
-                return np.asarray(*a, **k)
-
-        from repro.utils.backend import ArrayBackend
-        swar = ArrayBackend("swar-test", _NoBitwiseCount()).popcount(words)
-        assert np.array_equal(native, swar)
-
-
-class TestBackendRouting:
-    def test_pack_and_reduce_through_tracing_backend(self):
-        be = TracingBackend()
-        bits = np.random.default_rng(2).integers(0, 2, size=(70, 4),
-                                                 dtype=np.uint8)
-        words = pack_batch(bits, backend=be)
-        or_reduce_words(words, axis=1, backend=be)
-        assert np.array_equal(unpack_batch(words, 70, backend=be), bits)
-        assert be.ops  # the kernels touched the backend module

@@ -3,10 +3,9 @@
 The compiled tier is optional; the contract is that when it *is* built
 it is bit-identical to the numpy reference on every kernel it
 implements — including the tail-garbage behaviour of complement-derived
-masks — and that tier resolution mirrors the backend registry
-(explicit handle > name > ``$REPRO_KERNELS`` > auto). Native-vs-numpy
-differentials skip cleanly when the extension is absent; everything
-else runs everywhere.
+masks — and that tier resolution follows explicit handle > name >
+``$REPRO_KERNELS`` > auto. Native-vs-numpy differentials skip cleanly
+when the extension is absent; everything else runs everywhere.
 """
 
 import numpy as np
