@@ -50,6 +50,17 @@ class TestEmpiricalScrubWindow:
         assert report["ci_low"] <= report["failure_rate"] <= report["ci_high"]
         assert report["ci_halfwidth"] <= 0.08
 
+    def test_worker_count_invariant(self):
+        """Per-trial seeding: the report is the same whether the trials
+        run in this process or across a two-worker pool."""
+        from repro.core.blocks import BlockGrid
+        from repro.analysis.scrub import empirical_scrub_failure
+        solo = empirical_scrub_failure(BlockGrid(9, 3), 5e6, 24, 160,
+                                       seed=4)
+        pooled = empirical_scrub_failure(BlockGrid(9, 3), 5e6, 24, 160,
+                                         seed=4, workers=2)
+        assert pooled == solo
+
 
 class TestPaperClaim:
     def test_24h_period_is_negligible(self):

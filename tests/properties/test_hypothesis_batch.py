@@ -11,7 +11,9 @@ Invariants pinned here:
   silent == trials, always;
 * per-trial seeding is deterministic and invariant under shard layout
   and batch size — for the uniform-SER, drift-window, and linear-burst
-  injectors alike (the whole simulator family rides one engine).
+  injectors alike (the whole simulator family rides one engine);
+* the packed (u64) layout gives the u8 layout's tallies, trial for
+  trial, across the family.
 """
 
 import numpy as np
@@ -177,6 +179,24 @@ class TestUnifiedEngineProperties:
             engine(2).run_range_seeded(entropy, lo, hi)
             for lo, hi in shard_bounds(trials, shards)])
         assert whole.as_dict() == sharded.as_dict()
+
+    @given(st.integers(0, len(INJECTOR_FAMILY) - 1),
+           st.integers(0, 2 ** 31 - 1), st.integers(1, 140),
+           st.integers(1, 130))
+    @settings(max_examples=15, deadline=None)
+    def test_packing_invariance_across_family(self, which, entropy,
+                                              trials, batch_size):
+        """The bit-sliced layout is invisible in the tallies: one trial
+        per lane of a uint64 word decodes exactly like one per uint8
+        slab, ragged tail words and multi-word batches included."""
+        grid = BlockGrid(9, 3)
+        make = INJECTOR_FAMILY[which]
+
+        def tallies(packing):
+            return BatchCampaign(grid, make(0), batch_size=batch_size,
+                                 packing=packing).run_range_seeded(
+                entropy, 0, trials).as_dict()
+        assert tallies("u64") == tallies("u8")
 
     @given(st.integers(0, len(INJECTOR_FAMILY) - 1),
            st.integers(0, 2 ** 31 - 1), st.integers(1, 20),

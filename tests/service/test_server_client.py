@@ -84,6 +84,8 @@ class TestEndToEnd:
             assert info["packings"] == ["u8", "u64"]
             assert "campaign" in info["job_kinds"]
             assert info["executor"] == "thread"
+            assert info["wire_version"] == 7
+            assert "backends" not in info
 
         _serve(tmp_path, flow)
 
@@ -120,6 +122,19 @@ class TestErrorRoutes:
                 client._request("GET", "/nope")
             with pytest.raises(ValueError, match="not allowed"):
                 client._request("POST", "/info", {})
+
+        _serve(tmp_path, flow)
+
+    def test_dropped_backend_field_is_a_client_error(self, tmp_path):
+        """A client still sending the ``backend`` field (dropped at wire
+        version 7) gets a 400 that names it, and no job is queued."""
+        def flow(client):
+            data = json.loads(SPEC.to_json())
+            data["backend"] = "numpy"
+            with pytest.raises(ValueError,
+                               match="does not accept fields .*backend"):
+                client.submit(data)
+            assert client.jobs() == []
 
         _serve(tmp_path, flow)
 

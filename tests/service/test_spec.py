@@ -77,6 +77,8 @@ class TestValidation:
         (dict(trials=0), "trials"),
         (dict(batch_size=0), "batch_size"),
         (dict(packing="u128"), "packing"),
+        # A field dropped at wire version 7: refused by name.
+        (dict(backend="tpu"), "backend"),
         (dict(seed="abc"), "seed"),
         (dict(n=16), "multiple"),
     ])
@@ -116,6 +118,23 @@ class TestValidation:
             with pytest.raises(ValueError,
                                match=f"does not accept fields .*{field}"):
                 JobSpec.from_dict(data)
+
+    @pytest.mark.parametrize("spec", [
+        _campaign(),
+        DriftSurvivalJobSpec(n=9, m=3, trials=5, seed=1),
+        BurstSurvivalJobSpec(n=9, m=3, length=2, trials=5, seed=1),
+        AdaptiveCampaignJobSpec(
+            n=9, m=3, tolerance=0.1, seed=1,
+            injector=InjectorSpec("uniform", {"probability": 0.01})),
+    ], ids=lambda spec: spec.kind)
+    def test_campaign_families_refuse_backend(self, spec):
+        """Every family that once carried ``backend`` refuses it now."""
+        data = spec.to_dict()
+        assert "backend" not in data
+        data["backend"] = "numpy"
+        with pytest.raises(ValueError,
+                           match="does not accept fields .*backend"):
+            JobSpec.from_dict(data)
 
 
 class TestNormalization:

@@ -104,6 +104,20 @@ class TestWordReductions:
         assert np.array_equal(unpack_batch(reduced, 65) != 0,
                               bits.any(axis=1))
 
+    @pytest.mark.parametrize("axis", [-1, -2, (-2, -1)])
+    def test_negative_axes(self, axis):
+        """Negative axes count from the end, as on the unpacked tensor
+        (the word axis 0 stays; the packed shape only replaces it)."""
+        rng = np.random.default_rng(10)
+        bits = rng.integers(0, 2, size=(70, 3, 4), dtype=np.uint8)
+        words = pack_batch(bits)
+        assert np.array_equal(
+            unpack_batch(or_reduce_words(words, axis=axis), 70) != 0,
+            bits.any(axis=axis))
+        assert np.array_equal(
+            unpack_batch(and_reduce_words(words, axis=axis), 70) != 0,
+            bits.all(axis=axis))
+
 
 class TestPopcount:
     def test_matches_unpacked_sum(self):
