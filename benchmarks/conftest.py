@@ -53,7 +53,7 @@ def bench_provenance():
     ``None`` and artifacts simply lack it.
     """
     return {
-        "git_rev": obs_perf.cached_git_revision(),
+        "git_rev": obs_perf.git_revision(),
         "host": obs_perf.host_fingerprint(),
     }
 

@@ -11,7 +11,7 @@
     python -m repro info
 
     python -m repro serve  [--host H --port P --store DIR --workers N]
-                           [--execution local|distributed --queue NAME]
+                           [--execution local|distributed]
     python -m repro submit SPEC.json [--url U --wait --timeout S]
     python -m repro status JOB_ID [--url U]
     python -m repro trace  JOB_ID (--store DIR | --url U) [--json]
@@ -46,8 +46,9 @@ exposition only). The ``perf`` family is the longitudinal observatory
 the seed epoch, ``report`` prints the trend table, ``compare`` is the
 regression gate (exit 1 past threshold), ``baseline`` snapshots a
 revision for CI, and ``jobs`` flags per-phase drift on settled service
-campaigns. Every subcommand honours ``REPRO_LOG=<level>[,text|json]``
-for trace-correlated structured logging on stderr.
+campaigns, read from the store's job records. Every subcommand honours
+``REPRO_LOG=<level>[,text|json]`` for trace-correlated structured
+logging on stderr.
 """
 
 from __future__ import annotations
@@ -165,7 +166,6 @@ def _cmd_info(args) -> int:
           f"(native extension: {native})")
     print(f"job kinds: {', '.join(info['job_kinds'])}")
     print(f"injector kinds: {', '.join(info['injector_kinds'])}")
-    print(f"queue backends: {', '.join(info['queue_backends'])}")
     print(f"execution modes: {', '.join(info['execution_modes'])}")
     print(f"draw contract: v{info['draw_contract']} "
           f"(wire version {info['wire_version']})")
@@ -191,7 +191,7 @@ def _cmd_serve(args) -> int:
             signal.SIGTERM, asyncio.current_task().cancel)
         service = CampaignService(
             args.store, workers=args.workers,
-            shard_trials=args.shard_trials, queue=args.queue,
+            shard_trials=args.shard_trials,
             max_concurrent_jobs=args.max_concurrent_jobs,
             execution=args.execution, broker_path=args.broker)
         server = ServiceServer(service, host=args.host, port=args.port)
@@ -382,12 +382,12 @@ def _cmd_perf_jobs(args) -> int:
 
     if (args.store is None) == (args.url is None):
         print("perf jobs needs exactly one of --store (read the "
-              "store's perf ledger) or --url (ask the service)",
+              "store's job records) or --url (ask the service)",
               file=sys.stderr)
         return 2
     if args.store is not None:
         from repro.service.store import ResultStore
-        report = perf.jobs_report(ResultStore(args.store).read_perf(),
+        report = perf.jobs_report(ResultStore(args.store).iter_jobs(),
                                   threshold=args.threshold)
     else:
         from repro.service.client import ServiceClient
@@ -524,8 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="work-unit pool size")
     p6.add_argument("--shard-trials", type=int, default=512,
                     help="max trials per checkpointable shard")
-    p6.add_argument("--queue", default="memory",
-                    help="registered job-queue backend (memory | sqlite)")
     p6.add_argument("--max-concurrent-jobs", type=int, default=2)
     p6.add_argument("--execution", default="local",
                     choices=["local", "distributed"],
@@ -626,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     pjobs = perf_sub.add_parser(
         "jobs", help="per-phase drift on settled service campaigns")
     pjobs.add_argument("--store", default=None,
-                       help="store root (reads perf/ledger.jsonl)")
+                       help="store root (reads its job records)")
     pjobs.add_argument("--url", default=None,
                        help="service URL (GET /perf; server-side "
                             "threshold)")

@@ -8,8 +8,7 @@ them. Three modules, three contracts:
 
 * :mod:`repro.distributed.broker` — stdlib-only SQLite broker: FIFO
   work units claimed under TTL leases with heartbeat/ack, expired
-  leases re-enqueued (a killed worker never strands a span), plus the
-  durable ``"sqlite"`` job-queue backend for the scheduler registry;
+  leases re-enqueued (a killed worker never strands a span);
 * :mod:`repro.distributed.wire` — versioned, hash-stamped JSON
   encoding of :class:`repro.faults.batch.ShardTask`: workers refuse
   payloads from a mismatched spec revision instead of mis-executing
@@ -29,7 +28,6 @@ including after killing workers mid-campaign (pinned by
 from repro.distributed.broker import (
     DEFAULT_LEASE_TTL_S,
     SqliteBroker,
-    SqliteJobQueue,
     WorkUnit,
 )
 from repro.distributed.wire import (
@@ -55,7 +53,6 @@ __all__ = [
     "HttpWorkSource",
     "ShardWorker",
     "SqliteBroker",
-    "SqliteJobQueue",
     "WIRE_FORMAT",
     "WIRE_VERSION",
     "WireFormatError",

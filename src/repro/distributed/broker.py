@@ -1,21 +1,18 @@
 """Durable, stdlib-only work broker (SQLite-backed) with TTL leases.
 
-Two cooperating surfaces live here, both on one SQLite file that any
-process on the service's host may open (workers on other hosts use
-the HTTP topology — see :mod:`repro.distributed`):
-
-* :class:`SqliteJobQueue` — the durable implementation of the
-  scheduler's :class:`repro.service.queue.JobQueue` registry interface
-  (FIFO of job ids). Registered as the ``"sqlite"`` backend; queued
-  submissions survive a service restart.
-* :class:`SqliteBroker` — the work-unit plane of distributed campaign
-  execution. A dispatcher publishes serialized shard-task payloads;
-  workers *claim* them under a TTL lease, *heartbeat* while running,
-  and *ack* on completion. A lease that expires without heartbeat or
-  ack — a killed or wedged worker — makes the unit claimable again on
-  the next claim, so no span is ever stranded. Claims are exclusive:
-  the claim transaction runs under SQLite's write lock, so two workers
-  racing for the same unit observe a strict winner.
+:class:`SqliteBroker` is the work-unit plane of distributed campaign
+execution, on one SQLite file that any process on the service's host
+may open (workers on other hosts use the HTTP topology — see
+:mod:`repro.distributed`). A dispatcher publishes serialized
+shard-task payloads; workers *claim* them under a TTL lease,
+*heartbeat* while running, and *ack* on completion. A lease that
+expires without heartbeat or ack — a killed or wedged worker — makes
+the unit claimable again on the next claim, so no span is ever
+stranded. Claims are exclusive: the claim transaction runs under
+SQLite's write lock, so two workers racing for the same unit observe a
+strict winner. The file holds work units only: the scheduler's job
+queue is in memory, and persisted job records are what a restarted
+service re-enqueues.
 
 Each thread of each process keeps one connection per broker object
 (opened on first use, and opened afresh in a forked child) and uses
@@ -36,7 +33,6 @@ the dispatcher/worker agree on content via
 
 from __future__ import annotations
 
-import asyncio
 import math
 import os
 import sqlite3
@@ -49,7 +45,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
-from repro.service.queue import JobQueue, register_queue_backend
 
 _LOG = get_logger("distributed.broker")
 
@@ -123,11 +118,6 @@ CREATE TABLE IF NOT EXISTS units (
 );
 CREATE INDEX IF NOT EXISTS idx_units_state_seq ON units(state, seq);
 CREATE INDEX IF NOT EXISTS idx_units_group ON units(group_key);
-CREATE TABLE IF NOT EXISTS jobq (
-    seq     INTEGER PRIMARY KEY AUTOINCREMENT,
-    job_id  TEXT NOT NULL,
-    claimed INTEGER NOT NULL DEFAULT 0
-);
 CREATE TABLE IF NOT EXISTS worker_health (
     owner      TEXT PRIMARY KEY,
     failures   INTEGER NOT NULL DEFAULT 0,
@@ -627,65 +617,3 @@ class SqliteBroker:
             payload=row["payload"], state=row["state"],
             owner=row["owner"], lease_expires=row["lease_expires"],
             attempts=row["attempts"], error=row["error"])
-
-
-class SqliteJobQueue(JobQueue):
-    """Durable FIFO of job ids on the broker's SQLite file.
-
-    The ``"sqlite"`` entry of the queue-backend registry. ``get``
-    polls (there is no cross-process wakeup in SQLite); the interval
-    bounds scheduler latency for an idle service and is irrelevant
-    under load.
-    """
-
-    backend_name = "sqlite"
-
-    def __init__(self, path, poll_interval_s: float = 0.05) -> None:
-        if poll_interval_s <= 0:
-            raise ValueError(f"poll_interval_s must be positive, "
-                             f"got {poll_interval_s}")
-        self._broker = SqliteBroker(path)  # creates the jobq table
-        self.poll_interval_s = poll_interval_s
-
-    async def put(self, job_id: str) -> None:
-        self._check_open()
-        await asyncio.to_thread(self._insert, job_id)
-        self._count_op("put")
-
-    async def get(self) -> str:
-        self._check_open()
-        while True:
-            job_id = await asyncio.to_thread(self._claim_next)
-            if job_id is not None:
-                self._count_op("get")
-                return job_id
-            self._check_open()
-            await asyncio.sleep(self.poll_interval_s)
-
-    def _insert(self, job_id: str) -> None:
-        with self._broker._connect() as conn:
-            conn.execute("INSERT INTO jobq (job_id) VALUES (?)", (job_id,))
-
-    def _claim_next(self) -> Optional[str]:
-        # Claimed rows are DELETEd, not flagged: scheduler job state is
-        # the durable truth (persisted records re-enqueue on restart),
-        # so keeping consumed rows would only grow the file forever.
-        with self._broker._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = conn.execute(
-                    "SELECT seq, job_id FROM jobq WHERE claimed = 0 "
-                    "ORDER BY seq LIMIT 1").fetchone()
-                if row is None:
-                    conn.execute("COMMIT")
-                    return None
-                conn.execute("DELETE FROM jobq WHERE seq = ?",
-                             (row["seq"],))
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-        return row["job_id"]
-
-
-register_queue_backend("sqlite", SqliteJobQueue)

@@ -5,11 +5,10 @@ far lives in point-in-time ``BENCH_*.json`` artifacts that each bench
 run overwrites — the trajectory is unrecoverable and a silent 10x
 regression would ship unnoticed. This module adds the time axis:
 
-* **Ledger.** An append-only JSONL file (one record per bench run;
-  ``benchmarks/results/ledger.jsonl`` locally, the store's ``perf/``
-  namespace for service-side job phases). Records carry provenance —
-  git revision, host fingerprint, kernel tier, backend — so epochs are
-  comparable across machines and commits::
+* **Ledger.** An append-only JSONL file of bench runs
+  (``benchmarks/results/ledger.jsonl``, one record per run). Records
+  carry provenance — git revision, host fingerprint, kernel tier,
+  backend — so epochs are comparable across machines and commits::
 
       {"schema": 1, "bench", "source", "params", "kernel_tier",
        "backend", "git_rev", "host", "timestamp",
@@ -28,17 +27,17 @@ regression would ship unnoticed. This module adds the time axis:
   second-valued metrics are reported but not gated unless asked,
   because quick-params CI runs change the work per invocation while
   leaving rates comparable.
-* **Jobs.** Per-phase nanoseconds merged onto job records (PR 9) feed
-  the same comparator, normalised to seconds-per-trial and grouped by
-  a digest of the job's shape, so ``repro perf jobs`` flags e.g. the
-  pack phase drifting on production campaigns.
+* **Jobs.** The per-phase nanoseconds on settled service job records
+  feed the same bootstrap, normalised to seconds-per-trial and grouped
+  by job kind and a digest of the job's shape, so ``repro perf jobs``
+  flags e.g. the decode sweep drifting on production campaigns. The
+  job records are the whole history: nothing else is written for it.
 
 Everything here is stdlib-only, like the rest of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -93,13 +92,6 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
         return None
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else None
-
-
-@functools.lru_cache(maxsize=1)
-def cached_git_revision() -> Optional[str]:
-    """One ``git rev-parse`` per process — hot paths (a job settling)
-    must not fork a subprocess every time."""
-    return git_revision()
 
 
 def _canonical(obj) -> str:
@@ -196,46 +188,6 @@ def bench_record(bench: str, payload: dict, *,
         "kernel_tier": kernel_tier or payload.get("kernels"),
         "backend": backend or payload.get("backend"),
         "git_rev": git_rev or payload.get("git_rev"),
-        "host": host if host is not None else host_fingerprint(),
-        "timestamp": time.time() if timestamp is None else timestamp,
-        "samples": samples,
-    }
-
-
-def job_phases_record(*, kind: str, key: str,
-                      phases: Dict[str, int],
-                      trials: Optional[int],
-                      params: Dict[str, object],
-                      kernel_tier: Optional[str] = None,
-                      git_rev: Optional[str] = None,
-                      host: Optional[dict] = None,
-                      timestamp: Optional[float] = None) -> dict:
-    """A ledger record from a settled job's merged phase profile.
-
-    Phase nanoseconds normalise to seconds-per-trial so campaigns of
-    different sizes but the same shape land in one comparable series;
-    ``group`` digests the shape params (minus trials/seed) for that
-    grouping.
-    """
-    per = max(int(trials or 0), 1)
-    samples = [{"metric": f"phase.{name}_s_per_trial",
-                "value": int(ns) / 1e9 / per}
-               for name, ns in sorted(phases.items())]
-    samples.append({"metric": "phase.total_s_per_trial",
-                    "value": sum(int(ns) for ns in phases.values())
-                    / 1e9 / per})
-    shape = {k: v for k, v in params.items()
-             if k not in ("trials", "seed", "entropy")}
-    return {
-        "schema": SCHEMA_VERSION,
-        "bench": f"job.{kind}",
-        "source": "job",
-        "params": dict(params),
-        "group": params_digest(shape),
-        "job_key": key,
-        "trials": trials,
-        "kernel_tier": kernel_tier,
-        "git_rev": git_rev,
         "host": host if host is not None else host_fingerprint(),
         "timestamp": time.time() if timestamp is None else timestamp,
         "samples": samples,
@@ -613,66 +565,98 @@ def load_baseline(path: str) -> Dict[Tuple[str, str, str], List[float]]:
 # --------------------------------------------------------------------
 # Job-phase drift
 
+#: Spec fields that vary between runs of one job shape.
+_RUN_FIELDS = ("trials", "seed", "entropy")
 
-def jobs_report(records: Sequence[dict], threshold: float = 0.5,
+
+def job_shape(record: dict) -> Tuple[str, str]:
+    """``(job.<kind>, digest)`` of a job record's spec minus the
+    fields that vary between runs of one shape."""
+    shape = {k: v for k, v in record["spec"].items()
+             if k not in _RUN_FIELDS}
+    return f"job.{record.get('kind')}", params_digest(shape)
+
+
+def job_phase_samples(record: dict) -> Dict[str, float]:
+    """A job record's phases as ``{metric: seconds per trial}``, plus
+    their total, so runs of one shape but different sizes compare."""
+    per = max(int(record["spec"].get("trials") or 0), 1)
+    phases = record["phases"]
+    samples = {f"phase.{name}_s_per_trial": int(ns) / 1e9 / per
+               for name, ns in phases.items()}
+    samples["phase.total_s_per_trial"] = \
+        sum(int(ns) for ns in phases.values()) / 1e9 / per
+    return samples
+
+
+def jobs_report(job_records: Iterable[dict], threshold: float = 0.5,
                 n_boot: int = 200, seed: int = 7) -> dict:
-    """Flag per-phase drift on settled campaigns in the perf namespace.
+    """Flag per-phase drift on settled service jobs.
 
-    Within each ``(bench, group, tier)`` job shape, the newest record
-    is compared against the history before it; phase seconds-per-trial
-    are lower-better and gated. ``threshold`` is generous by default —
-    phase timings on shared hosts are noisy, and the gate exists to
-    catch e.g. pack regressing by half, not scheduler jitter.
+    ``job_records`` are persisted job records (the store's ``jobs/``);
+    the settled, non-cached ones with a phase profile are the runs.
+    Within each ``(kind, shape)`` the newest run, by ``finished_at``,
+    is compared against the runs before it; phase seconds-per-trial
+    are lower-better, and a phase drifts when the bootstrap CI's upper
+    bound on the ratio sits below ``1 - threshold``. ``threshold`` is
+    generous by default — phase timings on shared hosts are noisy, and
+    the gate exists to catch e.g. a phase regressing by half, not
+    scheduler jitter.
     """
-    shapes: Dict[Tuple[str, str, str], List[dict]] = {}
-    for record in records:
-        if record.get("source") != "job":
+    shapes: Dict[Tuple[str, str], List[dict]] = {}
+    runs = 0
+    for record in job_records:
+        if record.get("state") != "done" or record.get("cached") \
+                or not record.get("phases") \
+                or not isinstance(record.get("spec"), dict):
             continue
-        key = (str(record.get("bench")),
-               str(record.get("group") or "-"),
-               str(record.get("kernel_tier") or "-"))
-        shapes.setdefault(key, []).append(record)
+        runs += 1
+        shapes.setdefault(job_shape(record), []).append(record)
     rows, drifted = [], []
     groups = 0
-    for key in sorted(shapes):
-        history = sorted(shapes[key],
-                         key=lambda r: r.get("timestamp") or 0)
+    for (bench, group), history in sorted(shapes.items()):
         if len(history) < 2:
             continue
         groups += 1
-        newest = history[-1]
-        base_series = collect_series(history[:-1])
-        cur_series = collect_series([newest])
-        report = compare(base_series, cur_series, threshold=threshold,
-                         n_boot=n_boot, seed=seed,
-                         gate_directions=("lower",))
-        for row in report["rows"]:
-            row = dict(row, group=key[1], runs=len(history))
+        history.sort(key=lambda r: r.get("finished_at") or 0)
+        samples = [job_phase_samples(r) for r in history]
+        newest = samples.pop()
+        for metric in sorted(newest):
+            base = [s[metric] for s in samples if metric in s]
+            current = newest[metric]
+            if not base or min(base) <= 0 or current <= 0:
+                continue
+            ratio, lo, hi = bootstrap_ratio(base, [current], "lower",
+                                            n_boot=n_boot, seed=seed)
+            row = {"bench": bench, "group": group, "metric": metric,
+                   "runs": len(history),
+                   "baseline_median": statistics.median(base),
+                   "current_median": current,
+                   "ratio": ratio, "ci_lo": lo, "ci_hi": hi,
+                   "regressed": hi < 1.0 - threshold}
             rows.append(row)
             if row["regressed"]:
                 drifted.append(row)
     return {"threshold": threshold, "groups": groups, "rows": rows,
-            "drift": drifted, "records": len(records),
-            "ok": not drifted}
+            "drift": drifted, "records": runs, "ok": not drifted}
 
 
 def render_jobs(report: dict) -> str:
     if not report["rows"]:
         return (f"no comparable job history yet "
-                f"({report['records']} perf record(s); a shape needs "
-                "at least two settled runs)")
+                f"({report['records']} settled job run(s); a shape "
+                "needs at least two)")
     rows = []
     for row in report["rows"]:
         rows.append([
-            row["bench"], row["group"], row["metric"],
-            row["kernel_tier"], str(row["runs"]),
+            row["bench"], row["group"], row["metric"], str(row["runs"]),
             f"{row['baseline_median']:.3e}",
             f"{row['current_median']:.3e}",
             f"{row['ratio']:.3f}",
             "DRIFT" if row["regressed"] else "",
         ])
-    table = format_table(rows, ["job", "shape", "metric", "tier",
-                                "runs", "hist s/trial", "last s/trial",
+    table = format_table(rows, ["job", "shape", "metric", "runs",
+                                "hist s/trial", "last s/trial",
                                 "ratio", ""])
     n = len(report["drift"])
     verdict = ("no phase drift past threshold" if report["ok"]

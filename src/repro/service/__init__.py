@@ -12,27 +12,20 @@ service jobs:
   store with shard-level checkpoints (identical ``(spec, entropy)``
   submissions dedupe to the cached result; a killed service resumes a
   half-done campaign without redoing completed spans);
-* :mod:`repro.service.queue` — pluggable job-queue backends (in-memory
-  asyncio queue by default; the durable SQLite queue from
-  :mod:`repro.distributed.broker` registers as ``"sqlite"``);
 * :mod:`repro.service.scheduler` — the asyncio scheduler executing
   jobs as :class:`repro.faults.batch.ShardTask` spans on a process
   pool (``execution="local"``) or publishing them to the
   :mod:`repro.distributed` worker fleet (``execution="distributed"``),
   under the per-trial seeding contract either way, so service-executed
-  results are bit-identical to in-process ``CampaignRunner`` runs;
+  results are bit-identical to in-process ``CampaignRunner`` runs. Job
+  ids wait on one in-process queue; the persisted job record is the
+  only durable record of a job;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a small
   stdlib HTTP surface (``repro serve`` / ``repro submit`` /
   ``repro status``) and its Python client.
 """
 
 from repro.service.client import ServiceClient
-from repro.service.queue import (
-    MemoryJobQueue,
-    available_queue_backends,
-    make_queue,
-    register_queue_backend,
-)
 from repro.service.scheduler import (
     EXECUTION_MODES,
     CampaignService,
@@ -68,15 +61,11 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "LogicEquivalenceJobSpec",
-    "MemoryJobQueue",
     "ResultStore",
     "ServiceClient",
     "ServiceServer",
     "UnitFailedError",
-    "available_queue_backends",
     "injector_kinds",
-    "make_queue",
-    "register_queue_backend",
     "result_from_dict",
     "result_to_dict",
     "service_info",

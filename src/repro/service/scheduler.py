@@ -2,8 +2,8 @@
 
 :class:`CampaignService` is the execution core behind ``repro serve``:
 an :mod:`asyncio` front-end that accepts :class:`JobSpec` submissions,
-orders them through a pluggable :class:`repro.service.queue.JobQueue`,
-and executes them as :class:`repro.faults.batch.ShardTask` spans on a
+orders their ids on one in-process :class:`asyncio.Queue`, and executes
+them as :class:`repro.faults.batch.ShardTask` spans on a
 ``concurrent.futures`` pool (a one-span job on a thread of this
 process, see step 3) — the *same* work units a sharded
 in-process :class:`CampaignRunner` builds, which is what makes
@@ -41,11 +41,14 @@ single work units (their results are not span-decomposable) but get the
 same normalize/dedupe/persist treatment.
 
 Job records themselves persist in the store's ``jobs/`` namespace when
-accepted and when settled, so a restarted service still answers
-``status`` for pre-restart job ids and re-enqueues submissions that
-never settled (their checkpointed spans are reused, so the replay only
+accepted and when settled, and they are the only durable record of a
+job: the queue holds ids in memory, so a restarted service answers
+``status`` for pre-restart job ids and re-enqueues every record that
+never settled (its checkpointed spans are reused, so the replay only
 executes the gaps). ``running`` is an in-memory state only: a restart
 treats an unsettled job the same whether or not it had started.
+Settled records are also the history ``GET /perf`` reads
+(:func:`repro.obs.perf.jobs_report`).
 
 Two **execution modes** share this pipeline (``execution=`` knob):
 
@@ -93,8 +96,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs.logs import get_logger
 from repro.obs.trace import Tracer, merge_phases
-from repro.service.queue import JobQueue, available_queue_backends, \
-    make_queue
 from repro.service.spec import (
     JOB_KINDS,
     AdaptiveCampaignJobSpec,
@@ -200,7 +201,7 @@ def service_info() -> dict:
 
     The payload behind ``repro info`` and the server's ``/info``
     endpoint — operators use it to see which tensor layouts, block
-    codes, kernel tiers, job kinds, and queue backends this build
+    codes, kernel tiers, job kinds, and execution modes this build
     serves. ``native_kernels_available`` reports whether the
     compiled extension actually imported here (registration alone does
     not imply it built), so fleet operators can tell at a glance which
@@ -219,7 +220,6 @@ def service_info() -> dict:
         "native_kernels_available": native_available(),
         "job_kinds": sorted(JOB_KINDS),
         "injector_kinds": list(injector_kinds()),
-        "queue_backends": list(available_queue_backends()),
         "execution_modes": list(EXECUTION_MODES),
     }
 
@@ -358,12 +358,6 @@ class CampaignService:
         one-span job runs on a thread and never touches it.
     shard_trials:
         Maximum trials per shard span — the checkpoint granularity.
-    queue:
-        Registered queue-backend name (default ``"memory"``), or an
-        already-built :class:`JobQueue` instance — the injection point
-        for wrapped/instrumented queues (the chaos harness hands in a
-        fault-wrapped queue this way). An instance is owned by the
-        service once handed over: ``close()`` closes it.
     max_concurrent_jobs:
         Scheduler tasks pulling from the queue; shards of concurrent
         jobs interleave on the shared pool.
@@ -399,9 +393,6 @@ class CampaignService:
         (``max_attempts``, ``breaker_threshold``,
         ``breaker_cooldown_s``, ...) — how deployments and tests tune
         retry budgets and circuit-breaker pacing.
-    queue_options:
-        Extra keyword options for the queue backend (``path=...`` for
-        ``"sqlite"``; defaults to the broker path).
     dispatch_poll_s:
         Distributed mode: initial envelope of the jittered store scan
         for worker-written checkpoints (it escalates to 10x while it
@@ -412,7 +403,6 @@ class CampaignService:
 
     def __init__(self, store: Union[ResultStore, str], workers: int = 2,
                  shard_trials: int = DEFAULT_SHARD_TRIALS,
-                 queue: Union[str, JobQueue] = "memory",
                  max_concurrent_jobs: int = 2,
                  executor: str = "process",
                  shard_runner: Optional[Callable] = None,
@@ -420,7 +410,6 @@ class CampaignService:
                  execution: str = "local",
                  broker_path: Optional[str] = None,
                  broker_options: Optional[dict] = None,
-                 queue_options: Optional[dict] = None,
                  dispatch_poll_s: float = 0.1) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -446,13 +435,6 @@ class CampaignService:
             else ResultStore(store)
         self.workers = workers
         self.shard_trials = shard_trials
-        if isinstance(queue, JobQueue):
-            self._queue_instance: Optional[JobQueue] = queue
-            self.queue_name = type(queue).__name__
-        else:
-            self._queue_instance = None
-            self.queue_name = queue
-        self.queue_options = dict(queue_options or {})
         self.max_concurrent_jobs = max_concurrent_jobs
         self.executor_kind = executor
         self.shard_runner = shard_runner or run_shard_task
@@ -478,7 +460,9 @@ class CampaignService:
         # claimable; empty HTTP claims wait on it.
         self._claimable: Optional[asyncio.Event] = None
         self._seq = 0
-        self._queue: Optional[JobQueue] = None
+        # Ids of queued jobs; only submit() and the restart recovery
+        # put them here, each id once.
+        self._queue: Optional[asyncio.Queue] = None
         self._pool: Optional[Executor] = None
         self._scheduler_tasks: List[asyncio.Task] = []
         self._started = False
@@ -490,15 +474,7 @@ class CampaignService:
     async def start(self) -> "CampaignService":
         if self._started:
             return self
-        if self._queue_instance is not None:
-            self._queue = self._queue_instance
-        else:
-            options = dict(self.queue_options)
-            if self.queue_name == "sqlite":
-                # The durable queue shares the broker file by default
-                # so a distributed deployment is one path, not two.
-                options.setdefault("path", self.broker_path)
-            self._queue = make_queue(self.queue_name, **options)
+        self._queue = asyncio.Queue()
         if self.execution == "distributed":
             from repro.distributed.broker import SqliteBroker
             self.broker = await asyncio.to_thread(
@@ -524,9 +500,15 @@ class CampaignService:
             except (asyncio.CancelledError, Exception):
                 pass
         self._scheduler_tasks = []
-        if self._queue is not None:
-            await self._queue.close()
-            self._queue = None
+        self._queue = None
+        # An unsettled job lives on in its persisted record alone: a
+        # later start() re-enqueues it from the store, as a fresh
+        # service would.
+        for job_id in [job.id for job in self._jobs.values()
+                       if job.state not in ("done", "failed")]:
+            del self._jobs[job_id]
+        self._inflight.clear()
+        self._followers.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -598,7 +580,7 @@ class CampaignService:
             self._followers.setdefault(key, []).append(job.id)
             return job
         self._inflight[key] = job.id
-        await self._queue.put(job.id)
+        self._queue.put_nowait(job.id)
         return job
 
     def _persist_job(self, job: JobRecord) -> None:
@@ -643,7 +625,7 @@ class CampaignService:
                 self._followers.setdefault(job.key, []).append(job.id)
                 continue
             self._inflight[job.key] = job.id
-            await self._queue.put(job.id)
+            self._queue.put_nowait(job.id)
         self._evict_settled_records()
 
     def _evict_settled_records(self) -> None:
@@ -697,7 +679,6 @@ class CampaignService:
             "workers": self.workers,
             "shard_trials": self.shard_trials,
             "executor": self.executor_kind,
-            "queue": self.queue_name,
             "execution": self.execution,
             "jobs": {
                 state: sum(1 for j in self._jobs.values()
@@ -773,12 +754,12 @@ class CampaignService:
         return obs_metrics.render_prometheus()
 
     def perf_report(self, threshold: float = 0.5) -> dict:
-        """Per-phase drift over the store's perf ledger: the
+        """Per-phase drift over the store's job records: the
         ``GET /perf`` payload (see :func:`repro.obs.perf.jobs_report`).
-        Settled non-cached jobs append their normalised phase profile;
-        this compares each job shape's newest run against its history.
+        Each job shape's newest settled, non-cached run is compared
+        against the runs before it.
         """
-        return obs_perf.jobs_report(self.store.read_perf(),
+        return obs_perf.jobs_report(self.store.iter_jobs(),
                                     threshold=threshold)
 
     # ------------------------------------------------------------------ #
@@ -923,33 +904,11 @@ class CampaignService:
     # ------------------------------------------------------------------ #
 
     async def _scheduler_loop(self) -> None:
-        backoff = RetryPolicy(initial_s=0.05, cap_s=1.0)
-        queue_errors = 0
+        queue = self._queue
         while True:
-            try:
-                job_id = await self._queue.get()
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - queue fault isolation
-                # A flaky queue backend (transient sqlite error, chaos
-                # injection) must not kill a scheduler task — that
-                # would silently shrink concurrency until nothing
-                # drains the queue at all. Closure is the one
-                # legitimate end: get() raises after close(), which is
-                # how shutdown reads here.
-                queue = self._queue
-                if queue is None or queue.closed:
-                    return
-                queue_errors += 1
-                await backoff.sleep_async(queue_errors - 1)
-                continue
-            queue_errors = 0
-            job = self._jobs.get(job_id)
-            if job is None or job.state != "queued":
-                # Unknown (evicted) or already picked up — a durable
-                # queue can replay ids across restarts; the state guard
-                # makes such duplicates harmless.
-                continue
+            # Each id is put once, and a queued job is never evicted, so
+            # every id names a live queued record.
+            job = self._jobs[await queue.get()]
             try:
                 await self._execute(job)
             except asyncio.CancelledError:
@@ -1050,21 +1009,6 @@ class CampaignService:
                 _LOG.info("job settled", extra={
                     "event": "job.settle", "job_id": job.id,
                     "state": job.state, "cached": job.cached})
-            # Feed the settled phase profile into the perf ledger so
-            # `repro perf jobs` can flag drift across campaigns.
-            # Telemetry: a ledger failure never touches the job.
-            if job.state == "done" and not job.cached and job.phases:
-                try:
-                    self.store.append_perf(obs_perf.job_phases_record(
-                        kind=job.spec.kind, key=job.key,
-                        phases=job.phases,
-                        trials=getattr(job.spec, "trials", None),
-                        params=job.spec.to_dict(),
-                        kernel_tier=getattr(job.spec, "kernels", None)
-                        or "auto",
-                        git_rev=obs_perf.cached_git_revision()))
-                except Exception:  # noqa: BLE001 - telemetry only
-                    pass
             self._inflight.pop(job.key, None)
             followers = self._resolve_followers(job)
             if followers:

@@ -37,7 +37,7 @@ the container bakes in numpy + pytest and nothing else) that exposes a
 ``GET  /trace/<job-id>``    the job's raw trace events (404 when the
                             trace is unknown)
 ``GET  /perf``              per-phase drift report over the store's
-                            perf ledger (:meth:`CampaignService.
+                            job records (:meth:`CampaignService.
                             perf_report`)
 ==========================  ============================================
 
@@ -305,7 +305,7 @@ class ServiceServer:
             text = await asyncio.to_thread(self.service.metrics_text)
             return 200, PlainText(text, PROMETHEUS_CONTENT_TYPE)
         if path == "/perf" and method == "GET":
-            # perf_report() reads the store's perf ledger — disk I/O,
+            # perf_report() reads the store's job records — disk I/O,
             # off the event loop like /health.
             return 200, await asyncio.to_thread(self.service.perf_report)
         if path.startswith("/trace/") and method == "GET":

@@ -8,7 +8,6 @@ record)::
     shards/<key>/<lo>-<hi>.json   checkpointed span of a running job
     jobs/<job_id>.json            persisted scheduler JobRecord
     events/<job_id>.jsonl         append-only trace events (telemetry)
-    perf/ledger.jsonl             append-only perf ledger (telemetry)
     quarantine/<namespace>/...    corrupt records pulled out of the way
 
 Every record carries a content digest (the ``integrity`` field: the
@@ -37,7 +36,9 @@ span bounds (see the service-sharded execution contract in
 just results — survive a service restart: a restarted
 :class:`repro.service.scheduler.CampaignService` reloads them, answers
 ``status`` queries for pre-restart ids, and re-enqueues the ones that
-never reached a terminal state.
+never reached a terminal state. They are the only durable record of a
+job, and the settled ones are also the history that
+:func:`repro.obs.perf.jobs_report` compares phase timings against.
 
 ``events/`` is the observability plane's namespace: one append-only
 JSONL file per trace (= per job id) accumulating span/event records
@@ -69,7 +70,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.faults.campaign import CampaignResult
 from repro.obs import metrics as obs_metrics
-from repro.obs import perf as obs_perf
 from repro.obs.logs import get_logger
 from repro.obs.trace import decode_event_lines, encode_event_lines
 from repro.service.spec import result_from_dict, result_to_dict
@@ -551,33 +551,13 @@ class ResultStore:
         return sorted(p.stem for p in self.events_dir.glob("*.jsonl"))
 
     # ------------------------------------------------------------------ #
-    # Perf ledger (append-only telemetry; see repro.obs.perf)
-    # ------------------------------------------------------------------ #
-
-    def _perf_path(self) -> Path:
-        return self.root / "perf" / "ledger.jsonl"
-
-    def append_perf(self, record: dict) -> None:
-        """Append one perf-ledger record (a settled job's phase
-        profile, normalised per trial — see
-        :func:`repro.obs.perf.job_phases_record`). Telemetry like
-        ``events/``: no integrity stamp, torn tails tolerated on read,
-        nothing in resume or dedupe depends on it."""
-        obs_perf.append_record(str(self._perf_path()), record)
-        _STORE_OPS.inc(op="append", namespace="perf")
-
-    def read_perf(self) -> List[dict]:
-        """Every readable perf-ledger record (torn lines skipped)."""
-        return obs_perf.read_ledger(str(self._perf_path()))
-
-    # ------------------------------------------------------------------ #
     # Eviction / garbage collection
     # ------------------------------------------------------------------ #
 
     def size_bytes(self) -> int:
         """Bytes in the namespaces :meth:`gc` evicts (results, shards,
         jobs) — what its ``max_bytes`` budget bounds. The broker file,
-        trace events, the perf ledger and quarantine are not counted."""
+        trace events and quarantine are not counted."""
         return sum(self._tree_bytes(self.root / namespace)
                    for namespace in NAMESPACES)
 
@@ -612,9 +592,9 @@ class ResultStore:
            namespaces (:meth:`size_bytes`) exceed the budget, the
            oldest result records are evicted (with their dependent job
            records), oldest first. Bytes gc never removes (the broker
-           and its log, events, perf ledger, quarantine) are reported
-           as ``other_bytes`` and never count against the budget, so
-           they cannot make it evict every result.
+           and its log, events, quarantine) are reported as
+           ``other_bytes`` and never count against the budget, so they
+           cannot make it evict every result.
 
         Eviction is safe, never destructive of meaning: a record is a
         pure function of its spec, so an evicted key simply re-executes

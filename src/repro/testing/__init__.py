@@ -2,7 +2,7 @@
 
 :mod:`repro.testing.chaos` is the deterministic fault-injection
 harness: seeded :class:`~repro.testing.chaos.ChaosPlan` schedules plus
-proxy wrappers for the store, queue, client, and worker transport.
+proxy wrappers for the store, client, and worker transport.
 Shipped under ``src/`` rather than ``tests/`` because operators can
 point it at a staging deployment, not just at the unit suites.
 """
@@ -12,7 +12,6 @@ from repro.testing.chaos import (
     ChaosClient,
     ChaosError,
     ChaosPlan,
-    ChaosQueue,
     ChaosStore,
     ChaosWorkSource,
     FaultRule,
@@ -25,7 +24,6 @@ __all__ = [
     "ChaosClient",
     "ChaosError",
     "ChaosPlan",
-    "ChaosQueue",
     "ChaosStore",
     "ChaosWorkSource",
     "FaultRule",

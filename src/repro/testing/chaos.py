@@ -19,8 +19,8 @@ decisions replay exactly even in a multi-threaded fleet.
 
 The injection points are thin proxies over the real components —
 subclasses where the host code type-checks
-(:class:`ChaosStore`/:class:`ChaosClient`/:class:`ChaosQueue`),
-a wrapper where it duck-types (:class:`ChaosWorkSource` over any
+(:class:`ChaosStore`/:class:`ChaosClient`), a wrapper where it
+duck-types (:class:`ChaosWorkSource` over any
 :class:`~repro.distributed.worker.WorkSource`, which is how broker
 transport faults reach both the shared-store and HTTP topologies)::
 
@@ -43,8 +43,6 @@ Sites the built-in proxies expose
 ``client.request.drop``            request never reaches the service
 ``client.request.delay``           request delayed ~20 ms, then sent
 ``client.response.drop``           request *took effect*, reply lost
-``queue.put`` / ``queue.get``      transient queue backend error
-``queue.put.duplicate``            job id enqueued twice
 ``source.claim``                   claim RPC raises
 ``source.claim.drop``              unit claimed, response lost (the
                                    lease-expiry race: nobody works the
@@ -78,7 +76,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.distributed.worker import WorkSource
 from repro.service.client import ServiceClient, ServiceUnavailableError
-from repro.service.queue import JobQueue
 from repro.service.store import ResultStore
 from repro.service.spec import result_to_dict
 
@@ -375,36 +372,6 @@ class ChaosClient(ServiceClient):
         return response
 
 
-class ChaosQueue(JobQueue):
-    """Fault-wrapped :class:`JobQueue` (``queue.put`` / ``queue.get``
-    transient errors, ``queue.put.duplicate`` double delivery).
-    Handed to :class:`CampaignService` via its queue-instance
-    injection point."""
-
-    def __init__(self, inner: JobQueue, plan: ChaosPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-
-    @property
-    def closed(self) -> bool:
-        return self.inner.closed
-
-    async def put(self, job_id: str) -> None:
-        if self.plan.should_fire("queue.put"):
-            raise ChaosError("chaos: queue put lost")
-        await self.inner.put(job_id)
-        if self.plan.should_fire("queue.put.duplicate"):
-            await self.inner.put(job_id)
-
-    async def get(self) -> str:
-        if self.plan.should_fire("queue.get"):
-            raise ChaosError("chaos: queue get failed")
-        return await self.inner.get()
-
-    async def close(self) -> None:
-        await self.inner.close()
-
-
 # ---------------------------------------------------------------------- #
 # Helpers + preset scenarios
 # ---------------------------------------------------------------------- #
@@ -458,12 +425,6 @@ CHAOS_SCENARIOS: Dict[str, Dict[str, FaultRule]] = {
         "client.request.drop": FaultRule(probability=0.25, max_fires=6),
         "client.request.delay": FaultRule(probability=0.25, max_fires=6),
     },
-    # Queue backend flaps + duplicate job delivery (scheduler loop
-    # resilience and the queued-state dedupe guard).
-    "flaky_queue": {
-        "queue.get": FaultRule(probability=0.3, max_fires=5),
-        "queue.put.duplicate": FaultRule(probability=0.5, max_fires=3),
-    },
     # Everything at once, capped low enough to converge.
     "mayhem": {
         "source.claim": FaultRule(probability=0.2, max_fires=4),
@@ -471,6 +432,5 @@ CHAOS_SCENARIOS: Dict[str, Dict[str, FaultRule]] = {
         "source.heartbeat": FaultRule(probability=0.2, max_fires=2),
         "store.put_shard.torn": FaultRule(probability=0.15, max_fires=2),
         "store.put_shard.after": FaultRule(probability=0.15, max_fires=2),
-        "queue.put.duplicate": FaultRule(probability=0.3, max_fires=2),
     },
 }

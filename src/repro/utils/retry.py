@@ -32,7 +32,6 @@ pass their own seeded instance.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import time
@@ -191,18 +190,6 @@ class RetryPolicy:
         if delay > 0:
             time.sleep(delay)
         return True
-
-    async def sleep_async(self, attempt: int, *,
-                          deadline: Optional[Deadline] = None,
-                          rng: Optional[random.Random] = None) -> None:
-        """The asyncio twin of :meth:`sleep` (cancellation plays the
-        role of the stop event on the event loop)."""
-        delay = self.delay_s(attempt, rng)
-        if deadline is not None:
-            delay = min(delay, deadline.remaining())
-        _RETRY_SLEEPS.inc()
-        _RETRY_SLEEP_SECONDS.inc(delay)
-        await asyncio.sleep(delay)
 
 
 #: A jittered constant-interval poll at ``interval_s`` — the steady

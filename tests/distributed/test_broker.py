@@ -1,10 +1,11 @@
 """Broker unit tests: the lease protocol under normal and hostile use.
 
-The queue-conformance suite (``tests/service/test_queue_conformance``)
-covers the :class:`JobQueue` face; here we pin the work-unit plane —
-publish idempotence, claim order and exclusivity, heartbeat/ack/fail
-ownership checks, and the load-bearing guarantee that an abandoned
-lease re-enqueues instead of stranding its span.
+Pins the work-unit plane — publish idempotence, claim order and
+exclusivity, heartbeat/ack/fail ownership checks, and the
+load-bearing guarantee that an abandoned lease re-enqueues instead of
+stranding its span. ``TestLeaseConformance`` states the lease contract
+once for every broker in ``LEASE_BROKER_FACTORIES`` (today the SQLite
+broker).
 """
 
 import threading
@@ -12,6 +13,11 @@ import threading
 import pytest
 
 from repro.distributed.broker import SqliteBroker
+
+#: name -> factory(tmp_path) for every lease-capable work-unit broker.
+LEASE_BROKER_FACTORIES = {
+    "sqlite": lambda tmp_path: SqliteBroker(tmp_path / "b.sqlite3"),
+}
 
 
 @pytest.fixture
@@ -182,3 +188,101 @@ class TestConcurrency:
             t.join()
         assert sorted(claimed) == [f"u{i:02d}" for i in range(total)]
         assert len(set(claimed)) == total
+
+
+@pytest.fixture(params=sorted(LEASE_BROKER_FACTORIES))
+def lease_broker(request, tmp_path):
+    return LEASE_BROKER_FACTORIES[request.param](tmp_path)
+
+
+class TestLeaseConformance:
+    """The lease API contract every work-unit broker must honour."""
+
+    def test_claim_is_fifo_and_exhaustible(self, lease_broker):
+        for i in range(3):
+            lease_broker.publish(f"u{i}", "p")
+        assert [lease_broker.claim("w").unit_id for _ in range(3)] == \
+            ["u0", "u1", "u2"]
+        assert lease_broker.claim("w") is None
+
+    def test_lease_expiry_requeues(self, lease_broker):
+        lease_broker.publish("u", "p")
+        lease_broker.claim("w1", ttl_s=1.0, now=100.0)
+        assert lease_broker.claim("w2", now=100.5) is None  # still held
+        reclaimed = lease_broker.claim("w2", now=102.0)     # expired
+        assert reclaimed is not None and reclaimed.unit_id == "u"
+        # the abandoned owner has lost every verb
+        assert not lease_broker.heartbeat("u", "w1", ttl_s=1.0)
+        assert not lease_broker.ack("u", "w1")
+
+    def test_concurrent_claim_exclusivity(self, lease_broker):
+        for i in range(16):
+            lease_broker.publish(f"u{i:02d}", "p")
+        seen, lock = [], threading.Lock()
+
+        def drain(owner):
+            while True:
+                unit = lease_broker.claim(owner, ttl_s=60)
+                if unit is None:
+                    return
+                with lock:
+                    seen.append(unit.unit_id)
+                lease_broker.ack(unit.unit_id, owner)
+
+        threads = [threading.Thread(target=drain, args=(f"w{i}",))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(seen) == 16 and len(set(seen)) == 16
+
+    def test_ack_finalizes_heartbeat_extends(self, lease_broker):
+        lease_broker.publish("u", "p")
+        lease_broker.claim("w", ttl_s=2.0, now=10.0)
+        assert lease_broker.heartbeat("u", "w", ttl_s=2.0, now=11.0)
+        assert lease_broker.claim("other", now=12.5) is None  # extended
+        assert lease_broker.ack("u", "w")
+        assert lease_broker.claim("other", now=1e9) is None   # done
+
+
+class TestFile:
+    """The broker file holds work units only."""
+
+    @staticmethod
+    def tables(path):
+        import sqlite3
+
+        with sqlite3.connect(path) as conn:
+            return {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name NOT LIKE 'sqlite_%'")}
+
+    def test_file_holds_only_the_work_unit_tables(self, tmp_path):
+        path = tmp_path / "broker.sqlite3"
+        broker = SqliteBroker(path)
+        broker.publish("u", "p")
+        assert self.tables(path) == {"units", "worker_health"}
+
+    def test_table_of_an_older_build_is_left_alone(self, tmp_path):
+        """A table the broker does not know, such as the job-id queue
+        an older build kept in the file, is neither read nor dropped."""
+        import sqlite3
+
+        path = tmp_path / "broker.sqlite3"
+        with sqlite3.connect(path) as conn:
+            conn.execute("CREATE TABLE old_job_queue (seq INTEGER "
+                         "PRIMARY KEY AUTOINCREMENT, job_id TEXT NOT NULL)")
+            conn.executemany(
+                "INSERT INTO old_job_queue (job_id) VALUES (?)",
+                [("j000001-aa",), ("j000002-bb",)])
+        broker = SqliteBroker(path)
+        assert broker.publish("u", "p")
+        unit = broker.claim("w")
+        assert unit.unit_id == "u" and broker.ack("u", "w")
+        assert self.tables(path) == {"units", "worker_health",
+                                     "old_job_queue"}
+        with sqlite3.connect(path) as conn:
+            assert conn.execute("SELECT job_id FROM old_job_queue "
+                                "ORDER BY seq").fetchall() == \
+                [("j000001-aa",), ("j000002-bb",)]

@@ -1,16 +1,17 @@
 """The longitudinal perf observatory: ledger, trends, the gate.
 
-Pins the PR's acceptance criteria: ``repro perf ingest`` backfills the
-committed ``BENCH_*.json`` artifacts as the seed epoch and
-``repro perf report`` renders a trend table from them; ``repro perf
-compare`` exits non-zero on a synthetically injected 10x regression;
-the service appends a phase record to the store's ``perf/`` namespace
-when a job settles, surfaced by ``repro perf jobs`` and ``GET /perf``.
+``repro perf ingest`` backfills the committed ``BENCH_*.json``
+artifacts as the seed epoch and ``repro perf report`` renders a trend
+table from them; ``repro perf compare`` exits non-zero on a
+synthetically injected 10x regression; ``repro perf jobs`` and
+``GET /perf`` derive per-phase drift from the store's settled job
+records, which are the only record a job leaves.
 """
 
 import asyncio
 import json
 import os
+import time
 
 import pytest
 
@@ -169,39 +170,72 @@ class TestTrendAndCompare:
         assert not row["regressed"]
 
 
-class TestJobPhaseLedger:
-    def run_job(self, tmp_path, seed):
-        return run_local(tmp_path, spec_for(seed=seed))[0]
+def job_record(seed=1, trials=64, phases=None, finished_at=1.0,
+               **fields):
+    """A settled job record as the store persists it."""
+    spec = spec_for(seed=seed, trials=trials).normalized()
+    record = {"id": f"j{seed:06d}-feed", "kind": spec.kind,
+              "key": spec.cache_key(), "state": "done", "cached": False,
+              "finished_at": finished_at, "spec": spec.to_dict(),
+              "phases": {"inject": 6400, "decode_sweep": 3200,
+                         "tally": 640} if phases is None else phases}
+    record.update(fields)
+    return record
 
-    def test_settled_job_appends_perf_record(self, tmp_path):
+
+class TestJobPhaseDrift:
+    def run_job(self, tmp_path, seed, trials=64):
+        return run_local(tmp_path, spec_for(seed=seed, trials=trials))[0]
+
+    def test_settled_job_record_gives_phase_samples(self, tmp_path):
         job = self.run_job(tmp_path, seed=21)
-        records = ResultStore(tmp_path).read_perf()
-        assert len(records) == 1
-        (record,) = records
-        assert record["source"] == "job"
-        assert record["bench"] == "job.campaign"
-        assert record["job_key"] == job.key
-        metrics = {s["metric"] for s in record["samples"]}
-        assert "phase.total_s_per_trial" in metrics
-        assert any(m.startswith("phase.decode_sweep") for m in metrics)
+        record = ResultStore(tmp_path).get_job(job.id)
+        assert record["state"] == "done" and not record["cached"]
+        samples = perf.job_phase_samples(record)
+        assert "phase.total_s_per_trial" in samples
+        assert any(m.startswith("phase.decode_sweep") for m in samples)
         # per-trial normalisation: values are small positive seconds
-        for sample in record["samples"]:
-            assert 0 < sample["value"] < 10
+        for value in samples.values():
+            assert 0 < value < 10
+        # the job record is the whole history: nothing else is written
+        assert not (tmp_path / "perf").exists()
 
-    def test_cached_job_appends_nothing(self, tmp_path):
-        run_local(tmp_path, spec_for(seed=22), submits=2)
-        assert len(ResultStore(tmp_path).read_perf()) == 1
+    def test_cached_job_adds_no_sample(self, tmp_path):
+        _, second = run_local(tmp_path, spec_for(seed=22), submits=2)
+        assert second.cached
+        report = perf.jobs_report(ResultStore(tmp_path).iter_jobs())
+        assert report["records"] == 1
+        assert report["groups"] == 0
+
+    def test_two_runs_of_one_shape_give_one_group(self, tmp_path,
+                                                   capsys):
+        # seed and size vary between runs of one shape
+        self.run_job(tmp_path, seed=25, trials=64)
+        self.run_job(tmp_path, seed=26, trials=96)
+        report = perf.jobs_report(ResultStore(tmp_path).iter_jobs())
+        assert report["records"] == 2
+        assert report["groups"] == 1
+        assert {(r["bench"], r["group"]) for r in report["rows"]} == \
+            {perf.job_shape(job_record())}
+        assert all(r["runs"] == 2 for r in report["rows"])
+        assert all("kernel_tier" not in r for r in report["rows"])
+        # two real runs may legitimately differ past the threshold
+        assert main(["perf", "jobs", "--store", str(tmp_path)]) in (0, 1)
+        header = capsys.readouterr().out.splitlines()[0].split()
+        assert "tier" not in header
+        assert header[:4] == ["job", "shape", "metric", "runs"]
 
     def test_jobs_report_flags_injected_drift(self, tmp_path):
-        job = self.run_job(tmp_path, seed=23)
+        older = self.run_job(tmp_path, seed=23)
+        newer = self.run_job(tmp_path, seed=24)
         store = ResultStore(tmp_path)
-        (record,) = store.read_perf()
-        slow = json.loads(json.dumps(record))
-        slow["timestamp"] = record["timestamp"] + 1000
-        slow["samples"] = [dict(s, value=s["value"] * 10)
-                           for s in slow["samples"]]
-        store.append_perf(slow)
-        report = perf.jobs_report(store.read_perf(), threshold=0.5)
+        base = store.get_job(older.id)
+        slow = store.get_job(newer.id)
+        assert slow["finished_at"] > base["finished_at"]
+        slow["phases"] = {name: ns * 10
+                          for name, ns in base["phases"].items()}
+        store.put_job(newer.id, slow)
+        report = perf.jobs_report(store.iter_jobs(), threshold=0.5)
         assert report["groups"] == 1
         assert not report["ok"]
         assert report["drift"]
@@ -209,7 +243,118 @@ class TestJobPhaseLedger:
                    for r in report["drift"])
         # and the CLI surfaces it with exit 1
         assert main(["perf", "jobs", "--store", str(tmp_path)]) == 1
-        assert job.state == "done"
+
+    def test_only_settled_fresh_profiled_runs_count(self):
+        records = [
+            job_record(seed=1, finished_at=1.0),
+            job_record(seed=2, finished_at=2.0),
+            job_record(seed=3, state="failed"),
+            job_record(seed=4, cached=True),
+            job_record(seed=5, phases={}),
+            job_record(seed=6, state="queued"),
+            {"id": "j000007-alien", "state": "done", "phases": {"x": 1}},
+        ]
+        report = perf.jobs_report(records)
+        assert report["records"] == 2
+        assert report["groups"] == 1 and report["ok"]
+        assert {r["metric"] for r in report["rows"]} == {
+            "phase.inject_s_per_trial", "phase.decode_sweep_s_per_trial",
+            "phase.tally_s_per_trial", "phase.total_s_per_trial"}
+
+    def test_newest_run_is_the_one_compared(self):
+        """Order is by ``finished_at``, not by the order records come
+        in: a slow run that finished first is history, not drift."""
+        slow = {"inject": 64_000, "decode_sweep": 32_000, "tally": 6_400}
+        records = [job_record(seed=2, finished_at=5.0),
+                   job_record(seed=1, finished_at=1.0, phases=slow)]
+        report = perf.jobs_report(records, threshold=0.5)
+        assert report["ok"]
+        assert all(r["ratio"] == pytest.approx(10.0)
+                   for r in report["rows"])
+        records[1]["finished_at"] = 9.0
+        assert not perf.jobs_report(records, threshold=0.5)["ok"]
+
+    def test_gc_bounds_the_drift_history(self, tmp_path, capsys):
+        """Drift history lives in the job records, so evicting them
+        (``repro store gc``, or ``max_job_records``) bounds it."""
+        self.run_job(tmp_path, seed=27)
+        self.run_job(tmp_path, seed=28)
+        store = ResultStore(tmp_path)
+        assert perf.jobs_report(store.iter_jobs())["groups"] == 1
+        store.gc(max_age_s=0, now=time.time() + 1)
+        assert perf.jobs_report(store.iter_jobs())["records"] == 0
+        assert main(["perf", "jobs", "--store", str(tmp_path)]) == 0
+        assert "no comparable job history yet" in capsys.readouterr().out
+
+    def test_empty_history(self):
+        report = perf.jobs_report([])
+        assert report == {"threshold": 0.5, "groups": 0, "rows": [],
+                          "drift": [], "records": 0, "ok": True}
+        assert perf.render_jobs(report).startswith(
+            "no comparable job history yet (0 settled job run(s)")
+
+    def test_shape_is_kind_and_spec_minus_run_fields(self):
+        base = job_record(seed=1, trials=64)
+        assert perf.job_shape(job_record(seed=2, trials=512)) == \
+            perf.job_shape(base)
+        wider = job_record(seed=3, finished_at=3.0)
+        wider["spec"] = dict(wider["spec"], n=9)
+        assert perf.job_shape(wider) != perf.job_shape(base)
+        assert perf.job_shape(dict(base, kind="drift_survival")) == \
+            ("job.drift_survival", perf.job_shape(base)[1])
+        report = perf.jobs_report([
+            base, job_record(seed=2, finished_at=2.0),
+            wider, dict(wider, id="j000004-feed", finished_at=4.0)])
+        assert report["groups"] == 2
+        assert {r["group"] for r in report["rows"]} == {
+            perf.job_shape(base)[1], perf.job_shape(wider)[1]}
+
+    def test_render_flags_drifted_rows(self):
+        slow = {"inject": 64_000, "decode_sweep": 32_000, "tally": 6_400}
+        records = [job_record(seed=1, finished_at=1.0),
+                   job_record(seed=2, finished_at=2.0),
+                   job_record(seed=3, finished_at=3.0, phases=slow)]
+        report = perf.jobs_report(records, threshold=0.5)
+        assert len(report["drift"]) == 4
+        out = perf.render_jobs(report)
+        assert out.count("DRIFT") == 4
+        assert "4 phase(s) drifted past threshold" in out
+
+    def test_perf_ledger_of_an_older_build_is_never_read(self, tmp_path,
+                                                         capsys):
+        """A ``perf/ledger.jsonl`` an older build appended is left in
+        place and ignored: only job records make the history."""
+        job = self.run_job(tmp_path, seed=31)
+        ledger = tmp_path / "perf" / "ledger.jsonl"
+        ledger.parent.mkdir()
+        old = {"schema": 1, "bench": "job.campaign", "source": "job",
+               "group": "0123456789", "kernel_tier": "auto",
+               "job_key": job.key, "timestamp": 1.0,
+               "samples": [{"metric": "phase.total_s_per_trial",
+                            "value": 1e-9}]}
+        ledger.write_text(json.dumps(old) + "\n" + json.dumps(
+            dict(old, timestamp=2.0, samples=[
+                {"metric": "phase.total_s_per_trial",
+                 "value": 1.0}])) + "\n")
+        assert main(["perf", "jobs", "--store", str(tmp_path)]) == 0
+        assert "no comparable job history yet (1 settled job run(s)" \
+            in capsys.readouterr().out
+        assert ledger.exists()
+
+    def test_perf_report_spans_service_restarts(self, tmp_path):
+        self.run_job(tmp_path, seed=29)
+
+        async def second_service():
+            async with CampaignService(tmp_path, executor="thread",
+                                       shard_trials=32) as service:
+                job = await service.submit(spec_for(seed=30))
+                await service.wait(job.id, timeout=300)
+                return service.perf_report()
+
+        report = asyncio.run(second_service())
+        assert report["records"] == 2
+        assert report["groups"] == 1
+        assert all(r["runs"] == 2 for r in report["rows"])
 
     def test_perf_over_http(self, tmp_path, capsys):
         from repro.service import ServiceServer

@@ -181,36 +181,6 @@ class TestDuplicateDelivery:
         # exactly one checkpoint file, valid, digest-clean
         assert store.verify()["corrupt"] == []
 
-    def test_requeued_job_id_is_harmless(self, tmp_path):
-        """A durable queue can replay a job id across restarts; the
-        scheduler's queued-state guard must make the duplicate a
-        no-op, not a double execution."""
-        from repro.service.queue import MemoryJobQueue
-        from repro.testing import ChaosQueue
-
-        spec = spec_for(seed=79, trials=64)
-        plan = ChaosPlan(seed=9, rules={
-            "queue.put.duplicate": FaultRule(probability=1.0,
-                                             max_fires=1)})
-
-        async def main():
-            queue = ChaosQueue(MemoryJobQueue(), plan)
-            async with CampaignService(tmp_path, executor="thread",
-                                       shard_trials=32,
-                                       queue=queue) as service:
-                job = await service.submit(spec)
-                await service.wait(job.id, timeout=300)
-                # drain a beat so the duplicate id is consumed too
-                await asyncio.sleep(0.05)
-                return job
-
-        job = asyncio.run(main())
-        assert job.state == "done" and not job.cached
-        assert plan.fired()["queue.put.duplicate"] == [1]
-        reference = spec.build_runner().run_reference(spec.trials)
-        assert result_from_dict(job.result).as_dict() == \
-            reference.as_dict()
-
 
 class TestLyingAck:
     def test_acked_but_missing_checkpoint_fails_structurally(

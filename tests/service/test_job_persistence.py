@@ -6,13 +6,18 @@ job id even though the results were safely in the store. Now records
 persist in the store's ``jobs/`` namespace on every transition, and a
 fresh service (a) answers ``status`` for old ids, (b) re-enqueues
 submissions that never settled, and (c) continues the id sequence
-without collisions.
+without collisions. The record is the only durable copy of a job (the
+queue of ids is in memory), so a job still queued at ``close()`` runs
+after a restart, and services sharing a store root never take each
+other's jobs.
 """
 
 import asyncio
+import threading
 
 import pytest
 
+from repro.faults.batch import run_shard_task
 from repro.service import (
     CampaignJobSpec,
     CampaignService,
@@ -28,6 +33,12 @@ UNIFORM = InjectorSpec("uniform", {"probability": 2e-3})
 def spec_for(seed, trials=100):
     return CampaignJobSpec(n=9, m=3, trials=trials, seed=seed,
                            injector=UNIFORM)
+
+
+def assert_matches_reference(record, spec):
+    reference = spec.build_runner().run_reference(spec.trials)
+    assert result_from_dict(record.result).as_dict() == \
+        reference.as_dict()
 
 
 def run_service(store, coro_fn, **kwargs):
@@ -145,6 +156,134 @@ class TestRestart:
             return job
 
         assert run_service(tmp_path, boots).state == "done"
+
+
+async def close_with_queued_job(root, first, second):
+    """Close a service whose only scheduler task a blocking shard
+    runner holds, with ``first`` running and ``second`` queued; the
+    runner is released after. Returns ``(service, running, queued)``."""
+    entered, release = threading.Event(), threading.Event()
+
+    def held_runner(task):
+        entered.set()
+        release.wait(60)
+        return run_shard_task(task)
+
+    service = CampaignService(root, executor="thread", shard_trials=64,
+                              max_concurrent_jobs=1,
+                              shard_runner=held_runner)
+    await service.start()
+    try:
+        running = await service.submit(first)
+        assert await asyncio.to_thread(entered.wait, 30)
+        queued = await service.submit(second)
+        assert running.state == "running"
+        assert queued.state == "queued"
+        await service.close()
+    finally:
+        release.set()
+    return service, running, queued
+
+
+class TestDurability:
+    def test_job_queued_at_close_runs_after_restart(self, tmp_path):
+        """close() with one job running and one queued: the persisted
+        records alone bring both back, and a fresh service settles
+        them bit-identical to the reference."""
+        first, second = spec_for(31, trials=40), spec_for(32, trials=40)
+
+        async def closed():
+            _, running, queued = await close_with_queued_job(
+                tmp_path, first, second)
+            return running.id, queued.id
+
+        ids = asyncio.run(closed())
+        store = ResultStore(tmp_path)
+        states = [store.get_job(i)["state"] for i in ids]
+        assert set(states) <= {"queued", "running"}, states
+        assert store.keys() == []
+
+        async def revived(service):
+            return [await service.wait(i, timeout=120) for i in ids]
+
+        records = run_service(tmp_path, revived)
+        for record, spec in zip(records, (first, second)):
+            assert record.state == "done" and not record.cached
+            assert_matches_reference(record, spec)
+        assert [store.get_job(i)["state"] for i in ids] == ["done"] * 2
+
+    def test_job_queued_at_close_runs_when_the_service_starts_again(
+            self, tmp_path):
+        """The same service object, closed with a job queued and
+        started again, recovers the job from its record."""
+        first, second = spec_for(33, trials=40), spec_for(34, trials=40)
+
+        async def main():
+            service, running, queued = await close_with_queued_job(
+                tmp_path, first, second)
+            async with service:
+                return [await service.wait(job.id, timeout=120)
+                        for job in (running, queued)]
+
+        records = asyncio.run(main())
+        for record, spec in zip(records, (first, second)):
+            assert record.state == "done" and not record.cached
+            assert_matches_reference(record, spec)
+
+    @pytest.mark.parametrize("execution", ["local", "distributed"])
+    def test_two_services_share_one_store_root(self, tmp_path, execution):
+        """Each of two live services on one store root runs every job
+        it accepted: job ids live in each service's own queue, so
+        neither takes (and drops) the other's. Distributed, they share
+        the root's broker file, and one shared-store worker runs the
+        units of both."""
+        from repro.distributed import BrokerWorkSource, ShardWorker, \
+            SqliteBroker
+
+        per_service = 10
+        batches = [[spec_for(base + i, trials=40)
+                    for i in range(per_service)] for base in (100, 200)]
+        kwargs = dict(executor="thread", shard_trials=64,
+                      execution=execution, dispatch_poll_s=0.02)
+
+        async def main():
+            async with CampaignService(tmp_path, **kwargs) as a, \
+                    CampaignService(tmp_path, **kwargs) as b:
+                stop = threading.Event()
+                workers = []
+                if execution == "distributed":
+                    assert a.broker_path == b.broker_path
+                    source = BrokerWorkSource(SqliteBroker(a.broker_path),
+                                              ResultStore(tmp_path))
+                    workers.append(threading.Thread(
+                        target=ShardWorker(source, worker_id="shared",
+                                           poll_interval_s=0.01).run,
+                        kwargs={"stop": stop}, daemon=True))
+                for worker in workers:
+                    worker.start()
+                try:
+                    submitted = [
+                        (service, await service.submit(spec), spec)
+                        for service, batch in zip((a, b), batches)
+                        for spec in batch]
+                    settled = await asyncio.gather(*(
+                        service.wait(job.id, timeout=60)
+                        for service, job, _ in submitted))
+                finally:
+                    stop.set()
+                    for worker in workers:
+                        await asyncio.to_thread(worker.join, 10)
+                return [(record, spec) for record, (_, _, spec)
+                        in zip(settled, submitted)]
+
+        settled = asyncio.run(main())
+        assert len(settled) == 2 * per_service
+        assert len({record.id for record, _ in settled}) == len(settled)
+        store = ResultStore(tmp_path)
+        for record, spec in settled:
+            assert record.state == "done" and not record.cached
+            assert_matches_reference(record, spec)
+            assert store.get_job(record.id)["state"] == "done"
 
 
 class TestEviction:

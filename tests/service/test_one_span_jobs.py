@@ -19,6 +19,7 @@ from repro.faults.batch import (
     run_shard_task,
     run_shard_task_profiled,
 )
+from repro.obs import perf
 from repro.service import (
     CampaignJobSpec,
     CampaignService,
@@ -119,7 +120,8 @@ class TestFreshOneSpanJob:
         # shard metrics land in the service's own registry
         assert runs == 1
 
-    def test_phases_agree_across_record_store_and_ledger(self, tmp_path):
+    def test_phases_agree_across_record_store_and_perf_samples(
+            self, tmp_path):
         spec = spec_for(seed=7)
         job, _, _, _ = run_one(tmp_path, spec)
         assert job.phases
@@ -127,12 +129,38 @@ class TestFreshOneSpanJob:
         assert all(ns > 0 for ns in job.phases.values())
         store = ResultStore(tmp_path)
         assert store.get(job.key)["phases"] == job.phases
-        (ledger,) = [r for r in store.read_perf()
-                     if r["job_key"] == job.key]
-        samples = {s["metric"]: s["value"] for s in ledger["samples"]}
+        persisted = store.get_job(job.id)
+        assert persisted["phases"] == job.phases
+        samples = perf.job_phase_samples(persisted)
         for phase, ns in job.phases.items():
             assert samples[f"phase.{phase}_s_per_trial"] == \
                 ns / 1e9 / spec.trials
+
+    def test_store_ops_of_a_fresh_job(self, tmp_path):
+        """Besides its trace events, a fresh one-span job looks its
+        result up twice (submit, execute start), writes its job record
+        twice and its result once — and appends to no other
+        namespace."""
+        from repro.obs import metrics as obs_metrics
+
+        ops = obs_metrics.counter("repro_store_ops_total", "",
+                                  ("op", "namespace"))
+        expected = {("get_miss", "results"): 2, ("put", "jobs"): 2,
+                    ("put", "results"): 1, ("append", "perf"): 0}
+
+        def counts():
+            return {key: ops.value(op=key[0], namespace=key[1])
+                    for key in expected}
+
+        before = counts()
+        job, _, _, _ = run_one(tmp_path, spec_for(seed=9),
+                               executor="thread")
+        assert job.state == "done" and not job.cached
+        after = counts()
+        assert {key: after[key] - before[key] for key in expected} == \
+            expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["events", "jobs", "results", "shards"]
 
     def test_injected_runner_called_on_a_thread(self, tmp_path):
         """An injected shard_runner keeps its contract (a bare
@@ -191,7 +219,7 @@ class TestPoolPathKept:
         """Checkpoints of another shard plan cover no span of a
         one-span job; it runs on the pool, which clears them. Their
         profiles stay out of the job's: the record, the stored result
-        and the perf ledger carry the executed span's alone."""
+        and the perf samples carry the executed span's alone."""
         spec = spec_for(seed=17)
         key = spec.normalized().cache_key()
         runner = spec.normalized().build_runner()
@@ -209,7 +237,6 @@ class TestPoolPathKept:
         executed = store.profiles[(0, spec.trials)]
         assert executed and job.phases == executed
         assert store.get(key)["phases"] == executed
-        (ledger,) = [r for r in store.read_perf() if r["job_key"] == key]
-        samples = {s["metric"]: s["value"] for s in ledger["samples"]}
+        samples = perf.job_phase_samples(store.get_job(job.id))
         assert samples["phase.total_s_per_trial"] == \
             sum(executed.values()) / 1e9 / spec.trials

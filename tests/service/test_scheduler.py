@@ -9,6 +9,7 @@ re-execution.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -22,7 +23,9 @@ from repro.service import (
     CampaignService,
     DriftSurvivalJobSpec,
     InjectorSpec,
+    JobRecord,
     LogicEquivalenceJobSpec,
+    ResultStore,
     result_from_dict,
     result_to_dict,
 )
@@ -304,6 +307,100 @@ class TestIntrospection:
         info = asyncio.run(main())
         assert info["packings"] == ["u8", "u64"]
         assert "drift_survival" in info["job_kinds"]
-        assert "memory" in info["queue_backends"]
+        # one in-memory queue: nothing to choose or report
+        assert [key for key in info if "queue" in key] == []
         assert info["jobs"]["done"] == 1
         assert info["stored_results"] == 1
+
+
+class TestSchedulerQueue:
+    """One in-process queue of job ids: FIFO, fed only by submit and
+    the restart recovery, and gone with the service."""
+
+    @staticmethod
+    def held_runner():
+        """``(runner, entered, release)``: a shard runner that blocks
+        until ``release`` is set, signalling ``entered`` first."""
+        entered, release = threading.Event(), threading.Event()
+
+        def runner(task):
+            entered.set()
+            release.wait(60)
+            return run_shard_task(task)
+
+        return runner, entered, release
+
+    def test_jobs_start_in_submission_order(self, tmp_path):
+        runner, entered, release = self.held_runner()
+        specs = [CampaignJobSpec(n=9, m=3, trials=40, seed=seed,
+                                 injector=UNIFORM) for seed in range(4)]
+
+        async def main():
+            async with CampaignService(
+                    tmp_path, executor="thread", shard_trials=64,
+                    max_concurrent_jobs=1,
+                    shard_runner=runner) as service:
+                first = await service.submit(specs[0])
+                assert await asyncio.to_thread(entered.wait, 30)
+                # the only scheduler task is busy: these three queue up
+                rest = [await service.submit(spec) for spec in specs[1:]]
+                assert [job.state for job in rest] == ["queued"] * 3
+                release.set()
+                jobs = [first] + rest
+                for job in jobs:
+                    await service.wait(job.id, timeout=120)
+                return jobs
+
+        jobs = asyncio.run(main())
+        assert [job.state for job in jobs] == ["done"] * 4
+        starts = [job.started_at for job in jobs]
+        assert starts == sorted(starts)
+
+    def test_recovered_jobs_start_in_submission_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        ids = []
+        for seq in (1, 2, 3):
+            spec = CampaignJobSpec(n=9, m=3, trials=40, seed=40 + seq,
+                                   injector=UNIFORM).normalized()
+            job = JobRecord(id=f"j{seq:06d}-{seq:08x}", spec=spec,
+                            key=spec.cache_key())
+            store.put_job(job.id, job.to_dict())
+            ids.append(job.id)
+
+        async def main():
+            async with CampaignService(
+                    tmp_path, executor="thread", shard_trials=64,
+                    max_concurrent_jobs=1) as service:
+                return [await service.wait(job_id, timeout=120)
+                        for job_id in ids]
+
+        jobs = asyncio.run(main())
+        assert [job.state for job in jobs] == ["done"] * 3
+        starts = [job.started_at for job in jobs]
+        assert starts == sorted(starts)
+
+    def test_submit_after_close_is_refused(self, tmp_path):
+        spec = CampaignJobSpec(n=9, m=3, trials=10, seed=1,
+                               injector=UNIFORM)
+
+        async def main():
+            service = CampaignService(tmp_path, executor="thread")
+            await service.start()
+            await service.close()
+            with pytest.raises(RuntimeError, match="not started"):
+                await service.submit(spec)
+
+        asyncio.run(main())
+
+    def test_close_stops_idle_scheduler_tasks(self, tmp_path):
+        async def main():
+            service = CampaignService(tmp_path, executor="thread",
+                                      max_concurrent_jobs=3)
+            await service.start()
+            tasks = list(service._scheduler_tasks)
+            assert len(tasks) == 3 and not any(t.done() for t in tasks)
+            await asyncio.wait_for(service.close(), 10)
+            assert all(t.done() for t in tasks)
+            await asyncio.wait_for(service.close(), 10)  # idempotent
+
+        asyncio.run(main())

@@ -113,10 +113,10 @@ class TestBytePolicy:
         assert store.keys() == []
 
     def test_files_gc_never_removes_do_not_count(self, tmp_path):
-        """The broker, its log, the perf ledger and quarantine sit
-        under the root too; gc never removes them, so they must not
-        count against the budget, or it would evict every result and
-        still be over it."""
+        """The broker, its log, quarantine and a ``perf/`` ledger an
+        older build left sit under the root too; gc never removes them,
+        so they must not count against the budget, or it would evict
+        every result and still be over it."""
         store = ResultStore(tmp_path)
         now = time.time()
         for i in range(5):

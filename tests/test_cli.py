@@ -48,13 +48,21 @@ class TestServiceParser:
 
     def test_serve_distributed_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--execution", "distributed", "--queue", "sqlite",
+            ["serve", "--execution", "distributed",
              "--broker", "/tmp/b.sqlite3"])
         assert args.execution == "distributed"
-        assert args.queue == "sqlite"
         assert args.broker == "/tmp/b.sqlite3"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--execution", "psychic"])
+
+    def test_serve_has_no_queue_option(self, capsys):
+        """The job queue is in memory; there is no backend to pick."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--queue", "sqlite"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --queue sqlite" in err
 
     def test_worker_flags(self):
         args = build_parser().parse_args(
@@ -98,7 +106,7 @@ class TestCommands:
         assert "(wire version 7)" in out
         assert "packings: u8, u64" in out
         assert "job kinds:" in out and "drift_survival" in out
-        assert "queue backends: memory, sqlite" in out
+        assert "queue backends" not in out
         assert "execution modes: local, distributed" in out
 
     def test_table2_default(self, capsys):

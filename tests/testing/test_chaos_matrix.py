@@ -28,12 +28,10 @@ from repro.service import (
     ServiceServer,
     result_from_dict,
 )
-from repro.service.queue import MemoryJobQueue, make_queue
 from repro.testing import (
     CHAOS_SCENARIOS,
     ChaosClient,
     ChaosPlan,
-    ChaosQueue,
     ChaosStore,
     ChaosWorkSource,
     FaultRule,
@@ -90,14 +88,12 @@ class ChaosFleet:
             t.join(timeout=10)
 
 
-def run_matrix_cell(tmp_path, spec, plan, queue=None, n_workers=2):
+def run_matrix_cell(tmp_path, spec, plan, n_workers=2):
     async def main():
-        kwargs = dict(executor="thread", shard_trials=48,
-                      execution="distributed", dispatch_poll_s=0.02,
-                      broker_options={"breaker_cooldown_s": 0.1})
-        if queue is not None:
-            kwargs["queue"] = queue
-        async with CampaignService(tmp_path, **kwargs) as service:
+        async with CampaignService(
+                tmp_path, executor="thread", shard_trials=48,
+                execution="distributed", dispatch_poll_s=0.02,
+                broker_options={"breaker_cooldown_s": 0.1}) as service:
             with ChaosFleet(tmp_path, service.broker_path, plan,
                             n=n_workers):
                 job = await service.submit(spec)
@@ -166,6 +162,22 @@ class TestPlanDeterminism:
             FaultRule(max_fires=-1)
 
 
+class TestScenarioSites:
+    def test_every_scenario_site_is_fired_by_a_proxy(self):
+        """A rule on a site no proxy calls would inject nothing and the
+        cell would pass vacuously; every preset names live sites only."""
+        import inspect
+        import re
+
+        from repro.testing import chaos
+
+        fired = set(re.findall(r'should_fire\(\s*"([^"]+)"\)',
+                               inspect.getsource(chaos)))
+        assert "source.claim" in fired and "store.put_job.after" in fired
+        for name, rules in CHAOS_SCENARIOS.items():
+            assert set(rules) <= fired, (name, set(rules) - fired)
+
+
 class TestMatrixSharedStore:
     """Every preset scenario, fixed seeds, shared-store topology."""
 
@@ -174,19 +186,7 @@ class TestMatrixSharedStore:
     def test_scenario_settles_soundly(self, tmp_path, scenario, seed):
         spec = spec_for(seed=91 + seed)
         plan = ChaosPlan.from_scenario(scenario, seed=seed)
-        queue = ChaosQueue(MemoryJobQueue(), plan)
-        job = run_matrix_cell(tmp_path, spec, plan, queue=queue)
-        assert_terminal_and_sound(job, spec)
-
-    def test_sqlite_queue_backend_cell(self, tmp_path):
-        """The durable-queue column of the matrix: the same invariant
-        holds when job ids flow through the SQLite queue."""
-        spec = spec_for(seed=97)
-        plan = ChaosPlan.from_scenario("mayhem", seed=2)
-        queue = ChaosQueue(
-            make_queue("sqlite", path=str(tmp_path / "queue.sqlite3")),
-            plan)
-        job = run_matrix_cell(tmp_path, spec, plan, queue=queue)
+        job = run_matrix_cell(tmp_path, spec, plan)
         assert_terminal_and_sound(job, spec)
 
 

@@ -115,17 +115,3 @@ class TestStopEvent:
     def test_uninterrupted_sleep_returns_true(self):
         policy = RetryPolicy(initial_s=0.01, cap_s=0.01, jitter=False)
         assert policy.sleep(0, stop=threading.Event()) is True
-
-
-class TestAsyncSleep:
-    def test_sleep_async_respects_deadline(self):
-        import asyncio
-
-        policy = RetryPolicy(initial_s=30.0, cap_s=30.0, jitter=False)
-
-        async def main():
-            start = time.monotonic()
-            await policy.sleep_async(0, deadline=Deadline.after(0.05))
-            return time.monotonic() - start
-
-        assert asyncio.run(main()) < 1.0
