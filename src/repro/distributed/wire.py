@@ -53,8 +53,10 @@ WIRE_FORMAT = "repro/shard-task"
 #: group); the same task again yields different tallies;
 #: 7 = removed the ``backend_name`` and ``kernels_name`` fields: the
 #: campaign engine computes with numpy and calls no kernel tier, so a
-#: worker resolves neither.
-WIRE_VERSION = 7
+#: worker resolves neither;
+#: 8 = ``batch_size`` may be ``null``: the engine then plans its own
+#: blocks by expected fault events, which a v7 worker cannot decode.
+WIRE_VERSION = 8
 
 
 class WireFormatError(ValueError):

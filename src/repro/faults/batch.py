@@ -4,8 +4,8 @@ The scalar :class:`repro.faults.campaign.FaultCampaign` runs one trial at
 a time: fresh crossbar, random data, encode, inject, full Python-loop
 check sweep. That loop is the slowest path in the repo (the Sec. V-A
 binomial-model validation and the MTTF benches all sit on it). This
-module runs ``B`` trials per block and simulates only the error pattern,
-at a cost that scales with the faults rather than the cells:
+module runs a block of trials at a time and simulates only the error
+pattern, at a cost that scales with the faults rather than the cells:
 
 * injection        — :meth:`repro.faults.injector.FaultInjector
   .draw_events`: flat ``(trial, cell)`` events in the exposed-field
@@ -71,9 +71,9 @@ The engine has two seeding modes, selected by ``seeding=``:
     (the campaign seed fills the scalar reference's data, which this
     engine never draws). A sequential batched run is **bit-for-bit
     identical** to ``FaultCampaign(grid, injector, seed).run(trials)``
-    with the same seeds, for any ``batch_size`` — the per-trial draws
-    are issued as separate generator calls precisely so chunking can
-    never change the stream. This mode cannot be sharded (shard ``k``
+    with the same seeds, for any block plan — the per-trial draws are
+    issued as separate generator calls precisely so blocking can never
+    change the stream. This mode cannot be sharded (shard ``k``
     would need shard ``k-1``'s stream position).
 
 ``"per-trial"`` (default and required for multi-process runs)
@@ -84,13 +84,13 @@ The engine has two seeding modes, selected by ``seeding=``:
     group ``g = i // 64`` from ``Philox(key=entropy, counter=[0, 1, g,
     stream])``, trial ``i`` keeping row ``i % 64`` — and
     :meth:`BatchCampaign.run_range_seeded` draws each group a span
-    touches once, however ``batch_size`` splits it. The burst
+    touches once, however its blocks split it. The burst
     injectors draw per trial from ``Philox(key=entropy, counter=[0, 0,
     i, stream])`` (:func:`repro.utils.rng.trial_stream`). Injection uses
     stream 1; the scalar reference fills its data from trial stream 0.
     Because every draw depends only on ``(entropy, i)``, the tallies
     are invariant under the shard layout: any ``workers`` count, any
-    ``batch_size``, and any contiguous partition of the trial range
+    block plan, and any contiguous partition of the trial range
     produce identical results. :func:`run_reference` replays trial
     ``i`` through ``FaultCampaign.run_trial`` (real data from stream 0,
     faults from the one-trial span ``[i, i + 1)`` of stream 1) — the
@@ -102,11 +102,29 @@ The Bernoulli fields are drawn sparsely by geometric gaps
 injector's own stream in sequential mode, per group under per-trial
 seeding.
 
+Block plan
+----------
+
+A block pays a few dozen numpy calls whatever its fault count, so its
+best size is a number of expected fault events, not of trials. With
+``batch_size=None`` (the default everywhere) :meth:`BatchCampaign
+.plan_blocks` cuts a range into whole, aligned 64-trial groups, as many
+per block as hold about :data:`BLOCK_EVENTS` expected events (the
+injector's :meth:`~repro.faults.injector.FaultInjector.events_per_trial`
+times 64 per group), at least one and at most :data:`MAX_BLOCK_GROUPS`;
+only the range's own edges cut a group. A perfbench-shaped 512-trial
+span at p=2e-4 is then one block, a p=1e-2 block stays one group, the
+burst injectors (which cannot estimate their events) run one group per
+block, and at the paper's p~1e-11 the cap bounds a block's trials. No
+per-block array grows with its trials: the faulty trials are counted
+from the sorted event keys. An integer ``batch_size`` keeps fixed
+blocks of that many trials. Neither changes a tally.
+
 Sharding uses a ``concurrent.futures`` process pool: trials are split
 into contiguous ranges (:func:`repro.utils.rng.shard_bounds`), each
 worker rebuilds the engine from a picklable :class:`ShardTask` (grid
 geometry, injector, entropy, engine configuration) and runs its range
-in ``batch_size`` chunks.
+in the blocks its engine plans.
 
 Service-sharded execution
 -------------------------
@@ -181,7 +199,7 @@ import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,6 +215,7 @@ from repro.faults.injector import FaultInjector
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import (
     DATA_STREAM,
+    GROUP_TRIALS,
     INJECT_STREAM,
     SeedLike,
     TrialStreams,
@@ -207,8 +226,19 @@ from repro.utils.rng import (
 )
 from repro.utils.stats import wilson_interval
 
-#: Default trials per engine block.
-DEFAULT_BATCH_SIZE = 64
+#: A fixed block of one 64-trial group, for callers that pass an
+#: explicit ``batch_size``.
+DEFAULT_BATCH_SIZE = GROUP_TRIALS
+
+#: Expected fault events a planned engine block holds
+#: (``batch_size=None``, :meth:`BatchCampaign.plan_blocks`). A block
+#: pays a few dozen numpy calls whatever its fault count, so sparse
+#: blocks span many groups and dense ones a single group.
+BLOCK_EVENTS = 16384
+
+#: Most 64-trial groups in one planned block. It bounds a block's
+#: trials, and with them its memory, when faults are rare.
+MAX_BLOCK_GROUPS = 1024
 
 #: Accepted ``packing`` values: the per-code kernels' tensor layouts, one
 #: byte per trial bit (``"u8"``) or 64 trials bit-sliced into each uint64
@@ -269,6 +299,21 @@ def derive_campaign_seeds(seed: SeedLike, seeding: Optional[str],
     return campaign_rng, injector_rng
 
 
+def planned_groups(events_per_trial: Optional[float]) -> int:
+    """64-trial groups per planned block for a trial's expected events.
+
+    About :data:`BLOCK_EVENTS` events per block, at least one group and
+    at most :data:`MAX_BLOCK_GROUPS`; one group when the events are
+    unknown (``None``).
+    """
+    if events_per_trial is None:
+        return 1
+    if events_per_trial <= 0:
+        return MAX_BLOCK_GROUPS
+    groups = BLOCK_EVENTS / (GROUP_TRIALS * events_per_trial)
+    return max(1, min(MAX_BLOCK_GROUPS, int(groups)))
+
+
 def merge_results(results: Sequence[CampaignResult]) -> CampaignResult:
     """Sum campaign tallies (shards of one run, or repeated runs)."""
     out = CampaignResult()
@@ -295,7 +340,8 @@ class BlockTable:
     is that cell's syndrome column, the block's check bits concatenated
     in the same order: the code's ``encode_block`` of the unit block for
     a data cell, a unit vector for a check bit. ``columns`` holds them
-    sorted, for matching.
+    sorted, for matching. ``plane_shapes`` are the code's per-trial
+    check-plane shapes, which the exposed-field layout follows.
     """
 
     blocks: int
@@ -303,6 +349,7 @@ class BlockTable:
     key: np.ndarray
     column: np.ndarray
     columns: np.ndarray
+    plane_shapes: Tuple[Tuple[int, ...], ...]
 
 
 def block_table(code: BlockCode) -> BlockTable:
@@ -346,7 +393,8 @@ def block_table(code: BlockCode) -> BlockTable:
     column = np.asarray(columns, dtype=np.uint64)
     table = BlockTable(blocks=b * b, cells_per_block=per_block,
                        key=np.concatenate(keys), column=column,
-                       columns=np.sort(column))
+                       columns=np.sort(column),
+                       plane_shapes=tuple(code.plane_shapes))
     for arr in (table.key, table.column, table.columns):
         arr.setflags(write=False)  # shared by every engine of the geometry
     return table
@@ -354,8 +402,9 @@ def block_table(code: BlockCode) -> BlockTable:
 
 @functools.lru_cache(maxsize=16)
 def _cached_block_table(name: str, builder, n: int, m: int) -> BlockTable:
-    """:func:`block_table` per (code name, registered builder, n, m)."""
-    return block_table(builder(BlockGrid(n, m)))
+    """:func:`block_table` per (code name, registered builder, n, m), of
+    the code :func:`repro.core.registry.build_code` builds (and checks)."""
+    return block_table(build_code(name, BlockGrid(n, m)))
 
 
 class BatchCampaign:
@@ -366,13 +415,17 @@ class BatchCampaign:
     equivalence contract per seeding mode). ``seed`` is the data-fill
     seed of the matching :class:`FaultCampaign`; this engine runs on
     all-zero data and never consumes it.
+
+    ``batch_size=None`` (the default) lets the engine plan its blocks
+    by expected fault events (:meth:`plan_blocks`); an integer runs
+    fixed blocks of that many trials. Neither changes a tally.
     """
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
                  seed: SeedLike = None, include_check_bits: bool = True,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
+                 batch_size: Optional[int] = None,
                  packing: str = "u8", code: str = "diagonal"):
-        if batch_size <= 0:
+        if batch_size is not None and batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if packing not in PACKINGS:
             raise ValueError(f"packing must be one of {PACKINGS}, "
@@ -383,18 +436,17 @@ class BatchCampaign:
         self.batch_size = batch_size
         self.packing = packing
         self.code_name = code
-        self.code = build_code(code, grid)
         #: Nanoseconds per phase of :data:`PROFILE_PHASES`, summed over
         #: every block this engine ran; every block adds to all three.
         #: The sums cost three integer adds per block, so they run
         #: unconditionally, and :func:`run_shard_task_profiled` reports
         #: them only when observability is enabled.
         self.phase_ns = dict.fromkeys(PROFILE_PHASES, 0)
-        self._data_shape = (grid.n, grid.n)
-        self._plane_shapes = self.code.plane_shapes \
-            if include_check_bits else None
-        self._table = _cached_block_table(code, CODE_KINDS[code],
+        self._table = _cached_block_table(code, CODE_KINDS.get(code),
                                           grid.n, grid.m)
+        self._data_shape = (grid.n, grid.n)
+        self._plane_shapes = self._table.plane_shapes \
+            if include_check_bits else None
         #: Key distance between consecutive trials' events.
         self._trial_stride = self._table.blocks * self._table.cells_per_block
 
@@ -402,38 +454,52 @@ class BatchCampaign:
     # Public entry points
     # ------------------------------------------------------------------ #
 
+    def plan_blocks(self, lo: int, hi: int) -> List[Tuple[int, int]]:
+        """The ``(a, b)`` trial blocks a run of ``[lo, hi)`` executes.
+
+        With an integer ``batch_size``, blocks of that many trials from
+        ``lo``. With ``batch_size=None``, whole aligned 64-trial groups,
+        :func:`planned_groups` of them per block, cut only by the
+        range's edges: a block then holds about :data:`BLOCK_EVENTS`
+        expected fault events (one group for injectors that cannot
+        estimate theirs) and draws each group once. Blocks are never
+        empty.
+        """
+        if lo >= hi:
+            return []
+        if self.batch_size is None:
+            rate = self.injector.events_per_trial(self._data_shape,
+                                                  self._plane_shapes)
+            step = planned_groups(rate) * GROUP_TRIALS
+            first = lo - lo % GROUP_TRIALS + step
+        else:
+            step = self.batch_size
+            first = lo + step
+        edges = [lo, *range(first, hi, step), hi]
+        return list(zip(edges[:-1], edges[1:]))
+
     def run(self, trials: int) -> CampaignResult:
         """Sequential-seeding run: bit-identical to ``FaultCampaign.run``.
 
         The injector consumes its own stream trial by trial, so the
-        result does not depend on ``batch_size``.
+        result does not depend on the blocks.
         """
-        chunks = []
-        done = 0
-        while done < trials:
-            batch = min(self.batch_size, trials - done)
-            chunks.append(self._run_block(batch, inject_rngs=None))
-            done += batch
-        return merge_results(chunks)
+        return merge_results([self._run_block(b - a, inject_rngs=None)
+                              for a, b in self.plan_blocks(0, trials)])
 
     def run_range_seeded(self, entropy: int, lo: int, hi: int) -> CampaignResult:
         """Per-trial-seeded run of trials ``[lo, hi)`` under ``entropy``.
 
         The building block of sharded campaigns: results depend only on
         ``(entropy, lo, hi)``, never on how ranges are grouped into
-        shards or chunked into batches. The blocks share one
-        :class:`~repro.utils.rng.TrialStreams`, so a 64-trial group that
-        straddles two blocks is drawn once.
+        shards or split into blocks (:meth:`plan_blocks`). The blocks
+        share one :class:`~repro.utils.rng.TrialStreams`, so a 64-trial
+        group that straddles two blocks is drawn once.
         """
         streams = TrialStreams(entropy, lo, hi, INJECT_STREAM)
-        chunks = []
-        start = lo
-        while start < hi:
-            batch = min(self.batch_size, hi - start)
-            chunks.append(self._run_block(
-                batch, inject_rngs=streams.span(start, start + batch)))
-            start += batch
-        return merge_results(chunks)
+        return merge_results([
+            self._run_block(b - a, inject_rngs=streams.span(a, b))
+            for a, b in self.plan_blocks(lo, hi)])
 
     # ------------------------------------------------------------------ #
     # Fault-centric core
@@ -475,7 +541,10 @@ class BatchCampaign:
             lost, caught = _distinct(damaged), _distinct(flagged)
         t2 = perf_counter_ns()
 
-        faulty = int(np.count_nonzero(np.bincount(trial, minlength=batch)))
+        # Sorted keys are trial-major, so the faulty trials are the
+        # distinct trials among them: no per-trial array, since a sparse
+        # block may span many thousands of trials.
+        faulty = _distinct(blocks // self._table.blocks)
         result = CampaignResult(
             trials=batch,
             clean=batch - faulty,
@@ -556,7 +625,7 @@ class ShardTask:
     lo: int
     hi: int
     include_check_bits: bool = True
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: Optional[int] = None
     packing: str = "u8"
     code: str = "diagonal"
 
@@ -608,7 +677,8 @@ class ShardTask:
             entropy=int(data["entropy"]),
             lo=int(data["lo"]), hi=int(data["hi"]),
             include_check_bits=bool(data["include_check_bits"]),
-            batch_size=int(data["batch_size"]),
+            batch_size=None if data["batch_size"] is None
+            else int(data["batch_size"]),
             packing=str(data["packing"]),
             code=str(data["code"]))
 
@@ -800,7 +870,9 @@ class CampaignRunner:
         ``"batched"`` (default) or ``"scalar"`` (the reference
         implementation, unchanged).
     batch_size:
-        Trials per vectorized block (memory/speed trade-off).
+        ``None`` (default): the engine plans its blocks by expected
+        fault events (:meth:`BatchCampaign.plan_blocks`). An integer:
+        fixed blocks of that many trials. Tallies do not depend on it.
     workers:
         Process count for sharded runs. ``workers > 1`` requires (and
         ``seeding="per-trial"`` provides) shard-invariant per-trial
@@ -824,7 +896,7 @@ class CampaignRunner:
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
                  seed: SeedLike = None, include_check_bits: bool = True,
                  engine: str = "batched",
-                 batch_size: int = DEFAULT_BATCH_SIZE,
+                 batch_size: Optional[int] = None,
                  workers: int = 1, seeding: Optional[str] = None,
                  packing: str = "u8", code: str = "diagonal"):
         if engine not in ("batched", "scalar"):
@@ -897,10 +969,8 @@ class CampaignRunner:
         """
         bounds = [(lo + a, lo + b)
                   for a, b in shard_bounds(hi - lo, self.workers)]
-        if self.workers == 1 or len(bounds) <= 1:
-            engine = self._make_engine()
-            return merge_results([engine.run_range_seeded(self.entropy, a, b)
-                                  for a, b in bounds])
+        if len(bounds) <= 1:
+            return self._make_engine().run_range_seeded(self.entropy, lo, hi)
         tasks = [self.shard_task(a, b) for a, b in bounds]
         if pool is not None:
             return merge_results(list(pool.map(run_shard_task, tasks)))
@@ -952,7 +1022,7 @@ class CampaignRunner:
         same total — and therefore depend only on the seed and the
         stopping point, not on how rounds were grouped. In per-trial
         mode the result is additionally invariant under ``workers`` and
-        ``batch_size``, like every other per-trial-seeded run.
+        the block plan, like every other per-trial-seeded run.
         """
         if tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")

@@ -251,7 +251,7 @@ class DriftInjector(BernoulliFieldInjector):
         self.include_check_bits = include_check_bits
         self.probability = model.flip_probability(window_hours,
                                                   refresh_period_hours)
-        self.rng = make_rng(seed)
+        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "drift",

@@ -256,26 +256,52 @@ class BatchInjectionResult:
         self.apply_planes_packed(data, (lead, ctr))
 
 
-def _resolve_rngs(rngs, default_rng: Optional[np.random.Generator],
+def _resolve_rngs(rngs, injector: "FaultInjector",
                   batch: int) -> Iterable[np.random.Generator]:
     """Per-trial generators for a batched injection round.
 
     ``None`` falls back to the injector's own stream consumed sequentially
-    across trials — the scalar-compatible mode. An explicit sized
+    across trials — the scalar-compatible mode, and the only one that
+    builds that stream. An explicit sized
     iterable (one generator per trial, e.g. a :class:`repro.utils.rng
     .TrialStreams`) is used as given. Callers consume each generator
     before taking the next, since a :class:`~repro.utils.rng
     .TrialStreams` re-addresses one generator in place.
     """
     if rngs is None:
-        return [default_rng] * batch
+        return [injector.rng] * batch
     if len(rngs) != batch:
         raise ValueError(f"need {batch} per-trial generators, got {len(rngs)}")
     return rngs
 
 
 class FaultInjector:
-    """Base class; concrete injectors implement :meth:`draw_events`."""
+    """Base class; concrete injectors implement :meth:`draw_events`.
+
+    A seeded injector keeps its seed in ``_seed`` and builds its own
+    stream, :attr:`rng`, only when a round first draws from it.
+    """
+
+    _seed: SeedLike = None
+    _rng: Optional[np.random.Generator] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The injector's own stream (sequential runs and scalar
+        :meth:`inject`), built from ``_seed`` on first use: per-trial
+        runs never draw from it, so they never build it."""
+        if self._rng is None:
+            self._rng = make_rng(self._seed)
+        return self._rng
+
+    def events_per_trial(self, data_shape: Tuple[int, ...],
+                         plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
+                         ) -> Optional[float]:
+        """Expected ``(trial, cell)`` events of one trial's round, or
+        ``None`` when the injector cannot say. The campaign engine sizes
+        its blocks by it (:meth:`repro.faults.batch.BatchCampaign
+        .plan_blocks`)."""
+        return None
 
     def to_config(self) -> dict:
         """This injector's declarative ``{"kind", "params"}`` config.
@@ -436,28 +462,36 @@ class BernoulliFieldInjector(FaultInjector):
       draws each 64-trial group the range touches once (draw contract
       v3).
 
-    Subclasses set ``probability``, ``rng``, ``include_check_bits``
+    Subclasses set ``probability``, ``_seed``, ``include_check_bits``
     (whether check planes are exposed) and ``exposes_data`` (whether
     data cells are).
     """
 
     probability: float
-    rng: np.random.Generator
     include_check_bits: bool = True
     exposes_data: bool = True
+
+    def _field(self, data_shape: Tuple[int, ...],
+               plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
+               ) -> Tuple[int, int]:
+        """``(start, cells)`` of the exposed field: the exposed layout
+        itself, minus the data part when data cells are not exposed."""
+        offsets = field_offsets(
+            data_shape, plane_shapes if self.include_check_bits else None)
+        start = 0 if self.exposes_data else offsets[1]
+        return start, offsets[-1] - start
+
+    def events_per_trial(self, data_shape: Tuple[int, ...],
+                         plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
+                         ) -> Optional[float]:
+        return self.probability * self._field(data_shape, plane_shapes)[1]
 
     def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
                     rngs: Optional[Sequence[np.random.Generator]],
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.include_check_bits:
-            plane_shapes = None
-        offsets = field_offsets(data_shape, plane_shapes)
-        # The field is the exposed layout itself, minus the data part
-        # when data cells are not exposed.
-        start = 0 if self.exposes_data else offsets[1]
-        cells = offsets[-1] - start
-        rngs = _resolve_rngs(rngs, self.rng, batch)
+        start, cells = self._field(data_shape, plane_shapes)
+        rngs = _resolve_rngs(rngs, self, batch)
         if isinstance(rngs, TrialStreams):
             trial, pos = rngs.bernoulli_field(cells, self.probability)
         else:
@@ -485,7 +519,7 @@ class UniformInjector(BernoulliFieldInjector):
             raise ValueError(f"probability must be in [0,1], got {probability}")
         self.probability = probability
         self.include_check_bits = include_check_bits
-        self.rng = make_rng(seed)
+        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "uniform",
@@ -565,7 +599,7 @@ class BurstInjector(FaultInjector):
         self.strikes = strikes
         self.radius = radius
         self.neighbor_probability = neighbor_probability
-        self.rng = make_rng(seed)
+        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "burst",
@@ -597,7 +631,7 @@ class BurstInjector(FaultInjector):
                     ) -> Tuple[np.ndarray, np.ndarray]:
         rows, cols = data_shape
         trial, cell = [], []
-        for i, rng in enumerate(_resolve_rngs(rngs, self.rng, batch)):
+        for i, rng in enumerate(_resolve_rngs(rngs, self, batch)):
             for r, c in self._strike_cells(rng, rows, cols):
                 trial.append(i)
                 cell.append(r * cols + c)
@@ -637,7 +671,7 @@ class LinearBurstInjector(FaultInjector):
                 f"orientation must be 'row' or 'col': {orientation}")
         self.length = length
         self.orientation = orientation
-        self.rng = make_rng(seed)
+        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "linear_burst",
@@ -667,7 +701,7 @@ class LinearBurstInjector(FaultInjector):
         rows, cols = data_shape
         cells = [r * cols + c for r, c in (
             self._burst_cells(rng, rows, cols)
-            for rng in _resolve_rngs(rngs, self.rng, batch))]
+            for rng in _resolve_rngs(rngs, self, batch))]
         trial = np.repeat(np.arange(batch, dtype=np.int64), self.length)
         cell = np.concatenate(cells) if cells \
             else np.empty(0, dtype=np.int64)
@@ -683,7 +717,7 @@ class CheckBitInjector(BernoulliFieldInjector):
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0,1], got {probability}")
         self.probability = probability
-        self.rng = make_rng(seed)
+        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "check_bit",

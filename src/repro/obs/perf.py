@@ -568,6 +568,11 @@ def load_baseline(path: str) -> Dict[Tuple[str, str, str], List[float]]:
 #: Spec fields that vary between runs of one job shape.
 _RUN_FIELDS = ("trials", "seed", "entropy")
 
+#: Most earlier runs of a shape :func:`jobs_report` compares the newest
+#: against: the newest ones. It bounds the bootstrap's cost however long
+#: the history grows.
+JOBS_WINDOW = 64
+
 
 def job_shape(record: dict) -> Tuple[str, str]:
     """``(job.<kind>, digest)`` of a job record's spec minus the
@@ -596,8 +601,9 @@ def jobs_report(job_records: Iterable[dict], threshold: float = 0.5,
     ``job_records`` are persisted job records (the store's ``jobs/``);
     the settled, non-cached ones with a phase profile are the runs.
     Within each ``(kind, shape)`` the newest run, by ``finished_at``,
-    is compared against the runs before it; phase seconds-per-trial
-    are lower-better, and a phase drifts when the bootstrap CI's upper
+    is compared against the :data:`JOBS_WINDOW` runs before it, and
+    ``runs`` counts the runs compared; phase seconds-per-trial are
+    lower-better, and a phase drifts when the bootstrap CI's upper
     bound on the ratio sits below ``1 - threshold``. ``threshold`` is
     generous by default — phase timings on shared hosts are noisy, and
     the gate exists to catch e.g. a phase regressing by half, not
@@ -619,6 +625,7 @@ def jobs_report(job_records: Iterable[dict], threshold: float = 0.5,
             continue
         groups += 1
         history.sort(key=lambda r: r.get("finished_at") or 0)
+        history = history[-(JOBS_WINDOW + 1):]
         samples = [job_phase_samples(r) for r in history]
         newest = samples.pop()
         for metric in sorted(newest):

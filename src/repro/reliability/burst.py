@@ -46,11 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.blocks import BlockGrid
-from repro.faults.batch import (
-    DEFAULT_BATCH_SIZE,
-    CampaignRunner,
-    derive_campaign_seeds,
-)
+from repro.faults.batch import CampaignRunner, derive_campaign_seeds
 from repro.faults.injector import LinearBurstInjector
 from repro.utils.rng import SeedLike
 
@@ -95,7 +91,7 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
                             orientation: str = "row",
                             seed: SeedLike = 0,
                             engine: str = "batched",
-                            batch_size: int = DEFAULT_BATCH_SIZE,
+                            batch_size: Optional[int] = None,
                             workers: int = 1,
                             seeding: Optional[str] = None,
                             packing: str = "u8",

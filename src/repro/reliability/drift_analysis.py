@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.blocks import BlockGrid
-from repro.faults.batch import (
-    DEFAULT_BATCH_SIZE,
-    CampaignRunner,
-    derive_campaign_seeds,
-)
+from repro.faults.batch import CampaignRunner, derive_campaign_seeds
 from repro.faults.campaign import CampaignResult
 from repro.faults.drift import DriftInjector, DriftModel
 from repro.reliability.model import MemoryOrganization, \
@@ -103,7 +99,7 @@ def simulate_drift_survival(grid: BlockGrid,
                             trials: int = 256,
                             seed: SeedLike = 0,
                             engine: str = "batched",
-                            batch_size: int = DEFAULT_BATCH_SIZE,
+                            batch_size: Optional[int] = None,
                             workers: int = 1,
                             seeding: Optional[str] = None,
                             include_check_bits: bool = True,

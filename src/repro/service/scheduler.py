@@ -81,6 +81,7 @@ from __future__ import annotations
 import asyncio
 import math
 import re
+import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
@@ -460,6 +461,7 @@ class CampaignService:
         # claimable; empty HTTP claims wait on it.
         self._claimable: Optional[asyncio.Event] = None
         self._seq = 0
+        self._seq_lock = threading.Lock()  # ids are minted off the loop
         # Ids of queued jobs; only submit() and the restart recovery
         # put them here, each id once.
         self._queue: Optional[asyncio.Queue] = None
@@ -539,8 +541,25 @@ class CampaignService:
         spec.validate()
         spec = spec.normalized()
         key = spec.cache_key()
-        self._seq += 1
-        job = JobRecord(id=f"j{self._seq:06d}-{key[:8]}", spec=spec, key=key)
+        job = JobRecord(id="", spec=spec, key=key)
+
+        def accept() -> bool:
+            # One hop: the result lookup, and the record that claims
+            # the job's id ("queued", or "done" for a cache hit).
+            cached = self.store.get(key)
+            if cached is not None:
+                job.state = "done"
+                job.cached = True
+                job.result = cached["result"]
+                job.phases = cached.get("phases")
+                job.shards_total = job.shards_cached = \
+                    cached.get("shards", {}).get("total", 0)
+                job.shards_done = job.shards_total
+                job.finished_at = time.time()
+            self._claim_id(job)
+            return cached is not None
+
+        cached = await asyncio.to_thread(accept)
         self._jobs[job.id] = job
         self._evict_settled_records()
         _JOBS_SUBMITTED.inc(kind=spec.kind)
@@ -548,31 +567,11 @@ class CampaignService:
         # the timeline `repro trace <job-id>` reconstructs.
         self.tracer.event(job.id, "job.submit",
                           attrs={"kind": spec.kind, "key": key})
-
-        def lookup() -> Optional[dict]:
-            # A leader and a follower persist the same "queued" record,
-            # so the write shares the lookup's hop and need not wait
-            # for the in-flight check below.
-            cached = self.store.get(key)
-            if cached is None:
-                self._persist_job(job)
-            return cached
-
-        cached = await asyncio.to_thread(lookup)
-        if cached is not None:
-            job.state = "done"
-            job.cached = True
-            job.result = cached["result"]
-            job.phases = cached.get("phases")
-            job.shards_total = job.shards_cached = \
-                cached.get("shards", {}).get("total", 0)
-            job.shards_done = job.shards_total
-            job.finished_at = time.time()
+        if cached:
             job.done_event.set()
             _JOBS_SETTLED.inc(outcome="cached")
             self.tracer.event(job.id, "job.cache_hit",
                               attrs={"key": key})
-            await asyncio.to_thread(self._persist_job, job)
             return job
         if key in self._inflight:
             self.tracer.event(job.id, "job.follow",
@@ -582,6 +581,20 @@ class CampaignService:
         self._inflight[key] = job.id
         self._queue.put_nowait(job.id)
         return job
+
+    def _claim_id(self, job: JobRecord) -> None:
+        """Mint ``job``'s id and persist its record under it.
+
+        Ids are ``j<seq>-<key[:8]>``. The record is created exclusively
+        (:meth:`ResultStore.create_job`), so an id that another service
+        on this store root already holds is skipped, never shared.
+        """
+        while True:
+            with self._seq_lock:
+                self._seq += 1
+                job.id = f"j{self._seq:06d}-{job.key[:8]}"
+            if self.store.create_job(job.id, job.to_dict()):
+                return
 
     def _persist_job(self, job: JobRecord) -> None:
         """Write ``job`` to the store's ``jobs/`` namespace.
@@ -614,7 +627,8 @@ class CampaignService:
                 continue
             match = _JOB_ID.match(job.id)
             if match:
-                self._seq = max(self._seq, int(match.group(1)))
+                with self._seq_lock:
+                    self._seq = max(self._seq, int(match.group(1)))
             self._jobs[job.id] = job
             if job.state in ("done", "failed"):
                 continue
@@ -978,6 +992,11 @@ class CampaignService:
                         self._persist_result, job, result, profile)
                     if job.phases:
                         span.set("phases", job.phases)
+        except asyncio.CancelledError:
+            # close() mid-job is not a settle: no metric, event or
+            # waiter wake-up, and the stored record stays "queued", so a
+            # restart runs the job (reusing its checkpointed spans).
+            raise
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             job.state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
@@ -987,45 +1006,44 @@ class CampaignService:
         else:
             job.result = result
             job.state = "done"
-        finally:
-            job.finished_at = time.time()
-            _JOBS_SETTLED.inc(outcome=job.state)
-            if job.started_at is not None:
-                _JOB_SECONDS.observe(job.finished_at - job.started_at)
-            settle_attrs = {"state": job.state,
-                            "shards_done": job.shards_done,
-                            "shards_cached": job.shards_cached}
-            if job.error:
-                settle_attrs["error"] = job.error
-            self.tracer.event(
-                job.id, "job.settle",
-                status="ok" if job.state == "done" else "error",
-                attrs=settle_attrs)
-            if job.state == "failed":
-                _LOG.error("job failed", extra={
-                    "event": "job.settle", "job_id": job.id,
-                    "key": job.key, "error": job.error})
-            else:
-                _LOG.info("job settled", extra={
-                    "event": "job.settle", "job_id": job.id,
-                    "state": job.state, "cached": job.cached})
-            self._inflight.pop(job.key, None)
-            followers = self._resolve_followers(job)
-            if followers:
-                _JOBS_SETTLED.inc(len(followers), outcome="follower")
-            # Persist the terminal state synchronously (a tiny JSON
-            # write) and *before* waking waiters: an awaited persist
-            # here could be cancelled by a service closing right after
-            # wait() returns, leaving "queued" as the last durable
-            # state — which a restart would wrongly re-enqueue.
-            for settled in [job] + followers:
-                try:
-                    self._persist_job(settled)
-                except OSError:
-                    pass  # the in-memory record still settles waiters
-            job.done_event.set()
-            for follower in followers:
-                follower.done_event.set()
+        job.finished_at = time.time()
+        _JOBS_SETTLED.inc(outcome=job.state)
+        if job.started_at is not None:
+            _JOB_SECONDS.observe(job.finished_at - job.started_at)
+        settle_attrs = {"state": job.state,
+                        "shards_done": job.shards_done,
+                        "shards_cached": job.shards_cached}
+        if job.error:
+            settle_attrs["error"] = job.error
+        self.tracer.event(
+            job.id, "job.settle",
+            status="ok" if job.state == "done" else "error",
+            attrs=settle_attrs)
+        if job.state == "failed":
+            _LOG.error("job failed", extra={
+                "event": "job.settle", "job_id": job.id,
+                "key": job.key, "error": job.error})
+        else:
+            _LOG.info("job settled", extra={
+                "event": "job.settle", "job_id": job.id,
+                "state": job.state, "cached": job.cached})
+        self._inflight.pop(job.key, None)
+        followers = self._resolve_followers(job)
+        if followers:
+            _JOBS_SETTLED.inc(len(followers), outcome="follower")
+        # Persist the terminal state synchronously (a tiny JSON write)
+        # and *before* waking waiters: an awaited persist here could be
+        # cancelled by a service closing right after wait() returns,
+        # leaving "queued" as the last durable state — which a restart
+        # would wrongly re-enqueue.
+        for settled in [job] + followers:
+            try:
+                self._persist_job(settled)
+            except OSError:
+                pass  # the in-memory record still settles waiters
+        job.done_event.set()
+        for follower in followers:
+            follower.done_event.set()
 
     def _resolve_followers(self, leader: JobRecord) -> List[JobRecord]:
         """Copy ``leader``'s outcome onto every attached submission.

@@ -25,9 +25,10 @@ Five kinds cover the library's campaign workload families:
 =====================  ==================================================
 
 Every campaign-family spec carries the full engine configuration —
-``packing`` (``"u8"``/``"u64"``), ``batch_size``,
-``include_check_bits``, ``code`` (registered block-code name,
-:mod:`repro.core.registry`) — with exactly the
+``packing`` (``"u8"``/``"u64"``), ``batch_size`` (``None``, the
+default, lets the engine plan its blocks by expected fault events; an
+integer fixes them), ``include_check_bits``, ``code`` (registered
+block-code name, :mod:`repro.core.registry`) — with exactly the
 semantics of the in-process :class:`CampaignRunner` knobs; service
 execution always uses the **per-trial** seeding contract (the only
 relocatable one), so the spec's ``seed`` is the campaign root entropy.
@@ -45,12 +46,7 @@ from typing import ClassVar, Dict, Optional, Type
 
 from repro.core.blocks import BlockGrid
 from repro.core.registry import code_names
-from repro.faults.batch import (
-    DEFAULT_BATCH_SIZE,
-    PACKINGS,
-    AdaptiveRunResult,
-    CampaignRunner,
-)
+from repro.faults.batch import PACKINGS, AdaptiveRunResult, CampaignRunner
 from repro.faults.campaign import CampaignResult
 from repro.faults.drift import DriftInjector, DriftModel
 from repro.faults.injector import FaultInjector, LinearBurstInjector
@@ -186,13 +182,15 @@ class JobSpec:
         version (:data:`repro.utils.rng.DRAW_CONTRACT`): the same spec
         yields different tallies under another contract, so records and
         shard checkpoints written under one are never served or merged
-        under another.
+        under another. It leaves out ``batch_size``, which under
+        per-trial seeding cannot change a tally.
         """
         if self.seed is None:
             raise ValueError("cache_key requires a normalized spec "
                              "(seed resolved to concrete entropy)")
-        return content_hash({"draw_contract": DRAW_CONTRACT,
-                             "spec": self.to_dict()})
+        spec = self.to_dict()
+        spec.pop("batch_size", None)
+        return content_hash({"draw_contract": DRAW_CONTRACT, "spec": spec})
 
     # -- validation ----------------------------------------------------- #
 
@@ -230,8 +228,8 @@ class _CampaignFamilySpec(JobSpec):
         if self.seed is not None and not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer or None, "
                              f"got {self.seed!r}")
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, "
+        if self.batch_size is not None and self.batch_size <= 0:
+            raise ValueError(f"batch_size must be positive or None, "
                              f"got {self.batch_size}")
         if self.packing not in PACKINGS:
             raise ValueError(f"packing must be one of {PACKINGS}, "
@@ -260,7 +258,7 @@ class CampaignJobSpec(_CampaignFamilySpec):
     trials: int
     seed: Optional[int] = None
     include_check_bits: bool = True
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: Optional[int] = None
     packing: str = "u8"
     code: str = "diagonal"
 
@@ -289,7 +287,7 @@ class DriftSurvivalJobSpec(_CampaignFamilySpec):
     refresh_period_hours: Optional[float] = None
     seed: Optional[int] = None
     include_check_bits: bool = True
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: Optional[int] = None
     packing: str = "u8"
     code: str = "diagonal"
 
@@ -315,7 +313,7 @@ class BurstSurvivalJobSpec(_CampaignFamilySpec):
     trials: int
     orientation: str = "row"
     seed: Optional[int] = None
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: Optional[int] = None
     packing: str = "u8"
     code: str = "diagonal"
 
@@ -358,7 +356,7 @@ class AdaptiveCampaignJobSpec(_CampaignFamilySpec):
     growth: float = 2.0
     seed: Optional[int] = None
     include_check_bits: bool = True
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: Optional[int] = None
     packing: str = "u8"
     code: str = "diagonal"
 

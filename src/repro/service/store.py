@@ -150,15 +150,30 @@ def _integrity_error(payload) -> Optional[str]:
     return None
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write stamped JSON so readers see the old file or the new one."""
+def _atomic_write_json(path: Path, payload: dict,
+                       exclusive: bool = False) -> bool:
+    """Write stamped JSON so readers see the old file or the new one.
+
+    ``exclusive`` publishes with ``os.link`` instead of ``os.replace``,
+    which fails when ``path`` exists: of several writers racing for one
+    new path, exactly one succeeds. Returns whether the file was written.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             json.dump(_stamped(payload), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        os.replace(tmp, path)
+        if not exclusive:
+            os.replace(tmp, path)
+            return True
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(tmp)
+        return True
     except BaseException:
         try:
             os.unlink(tmp)
@@ -472,6 +487,17 @@ class ResultStore:
         """Persist one scheduler job record (atomic overwrite)."""
         _atomic_write_json(self._job_path(job_id), record)
         _STORE_OPS.inc(op="put", namespace="jobs")
+
+    def create_job(self, job_id: str, record: dict) -> bool:
+        """Persist a new job record unless ``job_id`` already has one.
+
+        Atomic and exclusive across processes: of several services
+        minting one id on a shared root, exactly one gets ``True``.
+        """
+        created = _atomic_write_json(self._job_path(job_id), record,
+                                     exclusive=True)
+        _STORE_OPS.inc(op="put", namespace="jobs")
+        return created
 
     def get_job(self, job_id: str) -> Optional[dict]:
         """The persisted record of ``job_id``, or ``None`` (corrupt

@@ -276,13 +276,20 @@ class ChaosStore(ResultStore):
                 f"before ack")
 
     def put_job(self, job_id: str, record: dict) -> None:
+        self._job_write(super().put_job, job_id, record)
+
+    def create_job(self, job_id: str, record: dict) -> bool:
+        return self._job_write(super().create_job, job_id, record)
+
+    def _job_write(self, write, job_id: str, record: dict):
         if self.plan.should_fire("store.put_job.before"):
             raise TornWriteError(
                 f"chaos: crashed before persisting job {job_id}")
-        super().put_job(job_id, record)
+        written = write(job_id, record)
         if self.plan.should_fire("store.put_job.after"):
             raise TornWriteError(
                 f"chaos: crashed after persisting job {job_id}")
+        return written
 
 
 class ChaosWorkSource(WorkSource):

@@ -196,15 +196,15 @@ class _Rekeyed:
 class _GroupCache:
     """What a trial range shares with every span of it: one generator
     re-keyed to each group's counter (built on the first draw), and the
-    last group field drawn, keyed by ``(group, cells, p)`` — so engine
-    blocks that split a group draw it once."""
+    positions of the last group field drawn, keyed by ``(group, cells,
+    p)`` — so engine blocks that split a group draw it once."""
 
-    __slots__ = ("rng", "key", "field")
+    __slots__ = ("rng", "key", "positions")
 
     def __init__(self) -> None:
         self.rng: Optional[_Rekeyed] = None
         self.key: Optional[tuple] = None
-        self.field: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.positions: Optional[np.ndarray] = None
 
 
 class TrialStreams:
@@ -255,35 +255,42 @@ class TrialStreams:
         Returns ``(trial, cell)`` int64 arrays, ``trial`` counted from
         ``lo``, sorted trial-major and by cell within a trial. Each
         group the range touches is drawn once, by
-        :func:`bernoulli_positions` over its ``64 * cells`` field, and
-        split into ``(trial, cell)`` by ``divmod(position, cells)``.
+        :func:`bernoulli_positions` over its ``64 * cells`` field. Its
+        positions are shifted to ``(trial - lo) * cells + cell`` (a group
+        cut by the range's edge keeps only its own trials' slice), and
+        one ``divmod`` by ``cells`` splits them all.
         """
         if self.lo == self.hi or cells == 0 or probability == 0:
             return _NO_POSITIONS, _NO_POSITIONS
-        trials, hits = [], []
-        for group in range(self.lo // GROUP_TRIALS,
-                           (self.hi - 1) // GROUP_TRIALS + 1):
-            trial, cell = self._group_field(group, cells, probability)
+        lo, hi = self.lo, self.hi
+        pieces = []
+        for group in range(lo // GROUP_TRIALS, (hi - 1) // GROUP_TRIALS + 1):
+            positions = self._group_positions(group, cells, probability)
             base = group * GROUP_TRIALS
-            a, b = np.searchsorted(trial, (self.lo - base, self.hi - base))
-            trials.append(trial[a:b] + (base - self.lo))
-            hits.append(cell[a:b])
-        return np.concatenate(trials), np.concatenate(hits)
+            if base < lo or base + GROUP_TRIALS > hi:
+                a, b = positions.searchsorted(
+                    ((max(lo, base) - base) * cells,
+                     (min(hi, base + GROUP_TRIALS) - base) * cells))
+                positions = positions[a:b]
+            shift = (base - lo) * cells
+            pieces.append(positions + shift if shift else positions)
+        positions = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        return np.divmod(positions, cells)
 
-    def _group_field(self, group: int, cells: int, probability: float
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(slot, cell)`` of group ``group``'s field (slot = ``i % 64``)."""
+    def _group_positions(self, group: int, cells: int, probability: float
+                         ) -> np.ndarray:
+        """Sorted upset positions of group ``group``'s ``64 * cells``
+        field (position ``(i % 64) * cells + cell``)."""
         cache = self._groups
         key = (group, cells, probability)
         if cache.key != key:
             if cache.rng is None:
                 cache.rng = _Rekeyed(self.key)
-            positions = bernoulli_positions(
+            cache.positions = bernoulli_positions(
                 cache.rng.at(_GROUP_SPACE, group, self.stream),
                 GROUP_TRIALS * cells, probability)
-            cache.field = np.divmod(positions, cells)
             cache.key = key
-        return cache.field
+        return cache.positions
 
 
 def _gap_chunk(size: int, probability: float) -> int:
@@ -317,12 +324,13 @@ def bernoulli_positions(rng: np.random.Generator, cells: int,
         # Any gap past the field ends it; clipping keeps the sum from
         # overflowing when numpy returns INT64_MAX (tiny p).
         np.minimum(positions, cells + 1, out=positions)
-        np.cumsum(positions, out=positions)
-        positions += last
+        positions[0] += last
+        positions.cumsum(out=positions)
         found.append(positions)
         last = int(positions[-1])
-    positions = np.concatenate(found)
-    return positions[:np.searchsorted(positions, cells)]
+    # One chunk almost always leaves the field.
+    positions = found[0] if len(found) == 1 else np.concatenate(found)
+    return positions[:positions.searchsorted(cells)]
 
 
 def shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:

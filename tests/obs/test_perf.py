@@ -293,6 +293,30 @@ class TestJobPhaseDrift:
         assert perf.render_jobs(report).startswith(
             "no comparable job history yet (0 settled job run(s)")
 
+    def test_long_history_bootstraps_a_bounded_window(self, monkeypatch):
+        """2,000 runs of one shape: the newest is compared against the
+        JOBS_WINDOW runs before it, not the whole history."""
+        records = [job_record(seed=seed, finished_at=float(seed))
+                   for seed in range(1, 2001)]
+        records[-1]["phases"] = {"inject": 64_000, "decode_sweep": 32_000,
+                                 "tally": 6_400}
+        sizes = []
+        bootstrap = perf.bootstrap_ratio
+
+        def spy(baseline, current, *args, **kwargs):
+            sizes.append(len(baseline))
+            return bootstrap(baseline, current, *args, **kwargs)
+
+        monkeypatch.setattr(perf, "bootstrap_ratio", spy)
+        t0 = time.perf_counter()
+        report = perf.jobs_report(records, threshold=0.5)
+        elapsed = time.perf_counter() - t0
+        assert report["records"] == 2000 and report["groups"] == 1
+        assert sizes and set(sizes) == {perf.JOBS_WINDOW}
+        assert all(r["runs"] == perf.JOBS_WINDOW + 1 for r in report["rows"])
+        assert not report["ok"]  # the newest run still reads as drift
+        assert elapsed < 0.5, elapsed
+
     def test_shape_is_kind_and_spec_minus_run_fields(self):
         base = job_record(seed=1, trials=64)
         assert perf.job_shape(job_record(seed=2, trials=512)) == \

@@ -3,8 +3,9 @@
 The campaign draw contract (:data:`repro.utils.rng.DRAW_CONTRACT`) fixes
 which tallies a ``(spec, entropy)`` pair yields, so the service's cache
 key stamps it. A store written before the stamp existed keyed records
-and shard checkpoints by the bare spec hash, and a store written under
-contract v2 by the v2-stamped hash; the same spec must miss both,
+and shard checkpoints by the bare spec hash, a store written under
+contract v2 by the v2-stamped hash, and one written while keys still
+hashed ``batch_size`` by that hash; the same spec must miss all three,
 recompute, and match the in-process runner.
 """
 
@@ -43,6 +44,14 @@ def v2_key(spec) -> str:
                          "spec": spec.normalized().to_dict()})
 
 
+def batch_hashed_key(spec) -> str:
+    """The cache key of a store written while keys hashed ``batch_size``
+    (then 64 by default)."""
+    hashed = spec.normalized().to_dict()
+    hashed["batch_size"] = 64
+    return content_hash({"draw_contract": DRAW_CONTRACT, "spec": hashed})
+
+
 def run_one(store):
     async def main():
         async with CampaignService(store, workers=1,
@@ -58,11 +67,14 @@ def run_one(store):
 class TestContractStampedKey:
     def test_key_hashes_contract_and_spec(self):
         spec = SPEC.normalized()
+        hashed = spec.to_dict()
+        del hashed["batch_size"]  # it cannot change a tally
         assert spec.cache_key() == content_hash(
-            {"draw_contract": DRAW_CONTRACT, "spec": spec.to_dict()})
+            {"draw_contract": DRAW_CONTRACT, "spec": hashed})
         assert spec.cache_key() != unstamped_key(SPEC)
 
-    @pytest.mark.parametrize("stale_key", [unstamped_key, v2_key])
+    @pytest.mark.parametrize("stale_key", [unstamped_key, v2_key,
+                                           batch_hashed_key])
     def test_unstamped_record_and_checkpoints_are_a_miss(self, tmp_path,
                                                          stale_key):
         """Unstamped, or stamped with an older contract: both miss."""

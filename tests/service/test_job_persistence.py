@@ -286,6 +286,120 @@ class TestDurability:
             assert store.get_job(record.id)["state"] == "done"
 
 
+class TestCloseMidJob:
+    def test_close_mid_job_is_not_a_settle(self, tmp_path):
+        """close() while a job runs: no settle metric, event or waiter
+        wake-up, and the record stays "queued"; a fresh service on the
+        root then settles it bit-identical to the reference."""
+        from repro.service.scheduler import _JOBS_SETTLED
+
+        spec = spec_for(35, trials=40)
+        entered, release = threading.Event(), threading.Event()
+
+        def held_runner(task):
+            entered.set()
+            release.wait(60)
+            return run_shard_task(task)
+
+        settled_before = _JOBS_SETTLED.total()
+
+        async def closed():
+            service = CampaignService(tmp_path, executor="thread",
+                                      shard_trials=16,
+                                      shard_runner=held_runner)
+            await service.start()
+            try:
+                job = await service.submit(spec)
+                assert await asyncio.to_thread(entered.wait, 30)
+                assert job.state == "running"
+                await service.close()
+            finally:
+                release.set()
+            return job
+
+        job = asyncio.run(closed())
+        assert not job.done_event.is_set()
+        assert _JOBS_SETTLED.total() == settled_before
+        store = ResultStore(tmp_path)
+        names = [event["name"] for event in store.read_events(job.id)]
+        assert "job.submit" in names and "job.settle" not in names
+        record = store.get_job(job.id)
+        assert record["state"] == "queued"
+        assert record["finished_at"] is None
+
+        async def revived(service):
+            return await service.wait(job.id, timeout=120)
+
+        settled = run_service(tmp_path, revived)
+        assert settled.state == "done" and not settled.cached
+        assert_matches_reference(settled, spec)
+        assert store.get_job(job.id)["state"] == "done"
+
+
+class TestSharedRootIds:
+    def test_same_spec_on_two_services_gets_two_ids(self, tmp_path):
+        """Both services count ids from the same persisted maximum; the
+        exclusive create of the record makes the second take the next
+        free id instead of sharing (and overwriting) the first's."""
+        spec = spec_for(36, trials=400)
+
+        async def main():
+            kwargs = dict(executor="thread", shard_trials=64)
+            async with CampaignService(tmp_path, **kwargs) as a, \
+                    CampaignService(tmp_path, **kwargs) as b:
+                jobs = [await a.submit(spec), await b.submit(spec)]
+                return await asyncio.gather(
+                    a.wait(jobs[0].id, timeout=120),
+                    b.wait(jobs[1].id, timeout=120))
+
+        records = asyncio.run(main())
+        assert len({record.id for record in records}) == 2
+        store = ResultStore(tmp_path)
+        assert sorted(store.job_ids()) == sorted(r.id for r in records)
+        for record in records:
+            assert record.state == "done"
+            assert_matches_reference(record, spec)
+            assert store.get_job(record.id)["state"] == "done"
+
+    def test_concurrent_submissions_mint_distinct_ids(self, tmp_path):
+        """Many submissions of one spec at once on two services (ids are
+        minted on executor threads, switching often): every id is
+        distinct and has its own record."""
+        import sys
+
+        spec = spec_for(37, trials=40)
+
+        async def main():
+            kwargs = dict(executor="thread", shard_trials=64)
+            async with CampaignService(tmp_path, **kwargs) as a, \
+                    CampaignService(tmp_path, **kwargs) as b:
+                jobs = await asyncio.gather(*(
+                    service.submit(spec) for _ in range(12)
+                    for service in (a, b)))
+                for service, job in zip((a, b) * 12, jobs):
+                    await service.wait(job.id, timeout=120)
+                return jobs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            jobs = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [job.id for job in jobs]
+        assert len(set(ids)) == 24
+        assert sorted(ResultStore(tmp_path).job_ids()) == sorted(ids)
+        assert all(job.state == "done" for job in jobs)
+
+    def test_create_job_is_exclusive(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.create_job("j000001-aaaa", {"id": "first"})
+        assert not store.create_job("j000001-aaaa", {"id": "second"})
+        assert store.get_job("j000001-aaaa") == {"id": "first"}
+        assert list(store.jobs_dir.iterdir()) == \
+            [store.jobs_dir / "j000001-aaaa.json"]
+
+
 class TestEviction:
     def test_eviction_forgets_persisted_ids_too(self, tmp_path):
         async def main(service):

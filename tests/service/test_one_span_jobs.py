@@ -63,6 +63,10 @@ class CountingStore(ResultStore):
         self.job_states.append(record["state"])
         return super().put_job(job_id, record)
 
+    def create_job(self, job_id, record):
+        self.job_states.append(record["state"])
+        return super().create_job(job_id, record)
+
 
 def run_one(store, spec, **service_kwargs):
     """``(job, pool submits, new child pids, shard-task runs)`` of one

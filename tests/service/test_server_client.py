@@ -84,7 +84,7 @@ class TestEndToEnd:
             assert info["packings"] == ["u8", "u64"]
             assert "campaign" in info["job_kinds"]
             assert info["executor"] == "thread"
-            assert info["wire_version"] == 7
+            assert info["wire_version"] == 8
             assert "backends" not in info
 
         _serve(tmp_path, flow)

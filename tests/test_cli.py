@@ -103,7 +103,7 @@ class TestCommands:
         assert "kernel tiers:" in out and "numpy" in out
         assert not [line for line in out.splitlines()
                     if line.startswith("backends:")]
-        assert "(wire version 7)" in out
+        assert "(wire version 8)" in out
         assert "packings: u8, u64" in out
         assert "job kinds:" in out and "drift_survival" in out
         assert "queue backends" not in out
