@@ -1,10 +1,11 @@
-"""Throughput bench: scalar ``FaultCampaign`` vs the batched engine.
+"""Throughput bench: the scalar ``run_reference`` vs the batched engine.
 
 The batched campaign engine exists for one reason — trials/sec on the
 Monte-Carlo hot path. This bench pins the claim: at the target geometry
-(the issue's n=128 has no odd block divisor, so the closest valid
-geometry n=129, m=3 is used) the batched engine must clear at least a
-5x speedup over ``FaultCampaign.run``. Smaller differential checks
+(n=128 has no odd block divisor, so the closest valid geometry n=129,
+m=3 is used) the batched engine must clear at least a 5x speedup over
+the scalar replay of the same run (``run_reference``). Smaller
+differential checks
 re-assert that the engines agree bit-for-bit on the tallies while the
 clock runs, and every claim is persisted both human-readable (``.txt``)
 and machine-readable (``BENCH_*.json``). The packed-kernel pack-tax
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 
 from repro.core.blocks import BlockGrid
-from repro.faults import BatchCampaign, FaultCampaign, UniformInjector
+from repro.faults import CampaignRunner, UniformInjector
 
 #: Closest valid geometry to the n=128 target (128 = 2^7 has no odd
 #: divisor except 1; 129 = 3 * 43 keeps blocks realistic).
@@ -38,19 +39,17 @@ def _trials_per_second(run, trials: int) -> float:
 
 def test_batched_engine_speedup(benchmark, save_artifact, save_json):
     """Batched engine beats the scalar reference by >= 5x trials/sec."""
-    scalar = FaultCampaign(GRID, UniformInjector(PROBABILITY, seed=1), seed=2)
-    scalar_rate = _trials_per_second(scalar.run, SCALAR_TRIALS)
-
-    engine = BatchCampaign(GRID, UniformInjector(PROBABILITY, seed=1), seed=2,
-                           batch_size=64)
+    runner = CampaignRunner(GRID, UniformInjector(PROBABILITY), seed=2,
+                            batch_size=64)
+    scalar_rate = _trials_per_second(runner.run_reference, SCALAR_TRIALS)
     batch_rate = BATCH_TRIALS / benchmark.pedantic(
-        lambda: _measure(engine), rounds=1, iterations=1)
+        lambda: _measure(runner), rounds=1, iterations=1)
 
     speedup = batch_rate / scalar_rate
     save_artifact("campaign_batch_throughput.txt", "\n".join([
         f"geometry: n={GRID.n}, m={GRID.m} "
         f"({GRID.blocks_per_side}x{GRID.blocks_per_side} blocks)",
-        f"scalar FaultCampaign : {scalar_rate:10.1f} trials/s",
+        f"scalar run_reference : {scalar_rate:10.1f} trials/s",
         f"batched engine (B={BATCH_TRIALS}): {batch_rate:10.1f} trials/s",
         f"speedup: {speedup:.1f}x (required >= {REQUIRED_SPEEDUP:.0f}x)",
     ]))
@@ -71,16 +70,16 @@ def test_batched_engine_speedup(benchmark, save_artifact, save_json):
 def test_packed_campaign_end_to_end(save_json):
     """Full packed campaign: tallies identical, throughput recorded.
 
-    End-to-end trials/sec includes the per-trial host RNG draws (shared
-    by both layouts per the seeding contract), so the gap here is
-    narrower than the kernel gate above — the JSON keeps the trajectory
-    honest across PRs.
+    End-to-end trials/sec includes the host RNG draws (shared by both
+    layouts per the seeding contract), so the gap here is narrower than
+    the kernel gate above — the JSON keeps the trajectory honest across
+    PRs.
     """
     def rate(packing):
-        engine = BatchCampaign(GRID, UniformInjector(PROBABILITY, seed=1),
-                               seed=2, batch_size=256, packing=packing)
+        runner = CampaignRunner(GRID, UniformInjector(PROBABILITY), seed=2,
+                                batch_size=256, packing=packing)
         t0 = time.perf_counter()
-        result = engine.run(1024)
+        result = runner.run(1024)
         return 1024 / (time.perf_counter() - t0), result
 
     u8_rate, u8_result = rate("u8")
@@ -96,9 +95,9 @@ def test_packed_campaign_end_to_end(save_json):
     })
 
 
-def _measure(engine: BatchCampaign) -> float:
+def _measure(runner: CampaignRunner) -> float:
     t0 = time.perf_counter()
-    engine.run(BATCH_TRIALS)
+    runner.run(BATCH_TRIALS)
     return time.perf_counter() - t0
 
 
@@ -107,11 +106,9 @@ def test_engines_agree_while_benched(benchmark):
     trials = 8
 
     def both():
-        s = FaultCampaign(GRID, UniformInjector(5e-4, seed=3),
-                          seed=4).run(trials)
-        b = BatchCampaign(GRID, UniformInjector(5e-4, seed=3),
-                          seed=4, batch_size=3).run(trials)
-        return s, b
+        runner = CampaignRunner(GRID, UniformInjector(5e-4), seed=4,
+                                batch_size=3)
+        return runner.run_reference(trials), runner.run(trials)
 
     s, b = benchmark.pedantic(both, rounds=1, iterations=1)
     assert s.as_dict() == b.as_dict()

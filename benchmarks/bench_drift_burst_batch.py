@@ -1,16 +1,15 @@
 """Throughput bench: batched drift and burst simulation vs their scalar
 references.
 
-This PR moved the drift-window and burst-survival Monte-Carlo paths onto
-the unified ``(B, n, n)`` campaign engine; this bench pins the speedup
-claim at the target geometry (n=129, m=3 — the closest odd-block
-geometry to the n=128 target, as in ``bench_campaign_batch``) with
-``B = 1024`` batched trials:
+The drift-window and burst-survival Monte-Carlo paths run on the
+unified campaign engine; this bench pins the speedup claim at the
+target geometry (n=129, m=3 — the closest odd-block geometry to n=128,
+as in ``bench_campaign_batch``) with ``B = 1024`` batched trials:
 
-* drift: ``CampaignRunner`` + ``DriftInjector`` batched vs the scalar
-  ``FaultCampaign`` reference (per-block Python check sweep);
-* burst: ``simulate_burst_survival(engine="batched")`` vs
-  ``engine="scalar"``.
+* drift: ``simulate_drift_survival`` vs the scalar replay of the same
+  campaign (``run_reference``: per-block Python check sweep);
+* burst: ``simulate_burst_survival`` vs ``run_reference`` of its
+  ``LinearBurstInjector`` campaign.
 
 Both must clear 20x; in practice the vectorized check sweep lands around
 two orders of magnitude ahead, like the uniform-SER campaigns. A small
@@ -29,7 +28,12 @@ import time
 import pytest
 
 from repro.core.blocks import BlockGrid
-from repro.faults import DriftModel
+from repro.faults import (
+    CampaignRunner,
+    DriftInjector,
+    DriftModel,
+    LinearBurstInjector,
+)
 from repro.reliability.burst import simulate_burst_survival
 from repro.reliability.drift_analysis import simulate_drift_survival
 
@@ -50,18 +54,25 @@ def _rate(fn, trials: int) -> float:
     return trials / (time.perf_counter() - t0)
 
 
+def _drift_runner(seed: int) -> CampaignRunner:
+    """The campaign ``simulate_drift_survival`` runs with ``seed``."""
+    return CampaignRunner(
+        GRID, DriftInjector(MODEL, WINDOW_HOURS, REFRESH_HOURS), seed=seed)
+
+
+def _burst_runner(seed: int) -> CampaignRunner:
+    """The campaign ``simulate_burst_survival`` runs with ``seed``."""
+    return CampaignRunner(GRID, LinearBurstInjector(BURST_LENGTH), seed=seed)
+
+
 @pytest.mark.slow
 def test_batched_drift_speedup(save_artifact, save_json):
     """Batched drift campaign >= 20x the scalar reference trials/sec."""
-    scalar_rate = _rate(
-        lambda t: simulate_drift_survival(
-            GRID, MODEL, WINDOW_HOURS, REFRESH_HOURS, trials=t, seed=1,
-            engine="scalar"),
-        SCALAR_TRIALS)
+    scalar_rate = _rate(_drift_runner(1).run_reference, SCALAR_TRIALS)
     batch_rate = _rate(
         lambda t: simulate_drift_survival(
             GRID, MODEL, WINDOW_HOURS, REFRESH_HOURS, trials=t, seed=1,
-            engine="batched", batch_size=64),
+            batch_size=64),
         BATCH_TRIALS)
     speedup = batch_rate / scalar_rate
     save_json("drift_batch_throughput", {
@@ -91,14 +102,10 @@ def test_batched_drift_speedup(save_artifact, save_json):
 @pytest.mark.slow
 def test_batched_burst_speedup(save_artifact, save_json):
     """Batched burst survival >= 20x the scalar reference trials/sec."""
-    scalar_rate = _rate(
-        lambda t: simulate_burst_survival(
-            GRID, BURST_LENGTH, t, seed=2, engine="scalar"),
-        SCALAR_TRIALS)
+    scalar_rate = _rate(_burst_runner(2).run_reference, SCALAR_TRIALS)
     batch_rate = _rate(
         lambda t: simulate_burst_survival(
-            GRID, BURST_LENGTH, t, seed=2, engine="batched",
-            batch_size=64),
+            GRID, BURST_LENGTH, t, seed=2, batch_size=64),
         BATCH_TRIALS)
     speedup = batch_rate / scalar_rate
     save_json("burst_batch_throughput", {
@@ -130,10 +137,10 @@ def test_packed_drift_burst_throughput(save_artifact, save_json):
     """Bit-packed uint64 drift/burst campaigns: tallies identical to the
     uint8 layout, throughput recorded for the cross-PR trajectory.
 
-    End-to-end rates include the per-trial host RNG draws (drift draws
-    several random fields per trial, so they dominate its runtime and
-    narrow the end-to-end gap); the check-sweep kernel itself is gated
-    at the 4x bar in ``bench_campaign_batch.py``.
+    End-to-end rates include the host RNG draws (burst draws from a
+    keyed stream per trial, so they dominate its runtime and narrow the
+    end-to-end gap); the check-sweep kernel itself is gated at the 4x
+    bar in ``bench_campaign_batch.py``.
     """
     rows = []
     payload = {"bench": "packed_drift_burst_throughput",
@@ -143,12 +150,12 @@ def test_packed_drift_burst_throughput(save_artifact, save_json):
         drift_rate = _rate(
             lambda t: simulate_drift_survival(
                 GRID, MODEL, WINDOW_HOURS, REFRESH_HOURS, trials=t, seed=1,
-                engine="batched", batch_size=64, packing=packing),
+                batch_size=64, packing=packing),
             BATCH_TRIALS)
         burst_rate = _rate(
             lambda t: simulate_burst_survival(
-                GRID, BURST_LENGTH, t, seed=2, engine="batched",
-                batch_size=64, packing=packing),
+                GRID, BURST_LENGTH, t, seed=2, batch_size=64,
+                packing=packing),
             BATCH_TRIALS)
         payload[f"drift_{packing}_trials_per_s"] = drift_rate
         payload[f"burst_{packing}_trials_per_s"] = burst_rate
@@ -185,13 +192,12 @@ def test_engines_agree_while_benched():
     drift_kwargs = dict(model=MODEL, window_hours=WINDOW_HOURS,
                         refresh_period_hours=REFRESH_HOURS, trials=trials,
                         seed=3)
-    s = simulate_drift_survival(GRID, engine="scalar", **drift_kwargs)
-    b = simulate_drift_survival(GRID, engine="batched", batch_size=3,
-                                **drift_kwargs)
+    s = _drift_runner(3).run_reference(trials)
+    b = simulate_drift_survival(GRID, batch_size=3, **drift_kwargs)
     assert s.as_dict() == b.as_dict()
 
-    sb = simulate_burst_survival(GRID, BURST_LENGTH, trials, seed=4,
-                                 engine="scalar")
+    sb = _burst_runner(4).run_reference(trials)
     bb = simulate_burst_survival(GRID, BURST_LENGTH, trials, seed=4,
-                                 engine="batched", batch_size=3)
-    assert sb == bb
+                                 batch_size=3)
+    assert (sb.trials, sb.clean + sb.corrected, sb.detected) == \
+        (bb.trials, bb.survived, bb.detected)

@@ -5,9 +5,9 @@ models from the paper's Sec. II-B (uniform SER upsets, abrupt ion-strike
 bursts, check-bit-only faults) and reports corrected / detected / silent
 rates, cross-validating the binomial failure model behind Figure 6.
 
-Campaigns run on the batched engine behind :class:`CampaignRunner`; the
-scalar ``FaultCampaign`` remains available as the (bit-identical)
-reference implementation via ``engine="scalar"``.
+Campaigns run on the batched engine behind :class:`CampaignRunner`;
+``CampaignRunner.run_reference`` replays the same trials, bit for bit,
+through the scalar reference implementation.
 
 Run:  python examples/fault_injection_campaign.py
 """
@@ -28,13 +28,12 @@ def main() -> None:
     trials = 60
 
     campaigns = {
-        "uniform p=1e-3": UniformInjector(1e-3, seed=1),
-        "uniform p=5e-3": UniformInjector(5e-3, seed=2),
-        "uniform p=2e-2": UniformInjector(2e-2, seed=3),
+        "uniform p=1e-3": UniformInjector(1e-3),
+        "uniform p=5e-3": UniformInjector(5e-3),
+        "uniform p=2e-2": UniformInjector(2e-2),
         "burst (1 strike, r=1)": BurstInjector(strikes=1, radius=1,
-                                               neighbor_probability=0.6,
-                                               seed=4),
-        "check-bits only p=1e-2": CheckBitInjector(1e-2, seed=5),
+                                               neighbor_probability=0.6),
+        "check-bits only p=1e-2": CheckBitInjector(1e-2),
     }
 
     rows = []
@@ -56,7 +55,7 @@ def main() -> None:
 
     # A larger sharded sweep: per-trial seeding keeps the tallies
     # identical for any worker count.
-    sharded = CampaignRunner(grid, UniformInjector(5e-3, seed=0), seed=7,
+    sharded = CampaignRunner(grid, UniformInjector(5e-3), seed=7,
                              workers=2).run(400)
     print(f"\nsharded sweep (400 trials, 2 workers): "
           f"failure rate {sharded.failure_rate:.3f}, "
@@ -65,9 +64,8 @@ def main() -> None:
     # Adaptive sampling: stop as soon as the failure-rate CI is tight
     # enough instead of guessing a trial count up front. The round
     # schedule is deterministic, so the run is seed-reproducible.
-    adaptive = CampaignRunner(grid, UniformInjector(5e-3, seed=0), seed=7,
-                              seeding="per-trial").run_adaptive(
-        tolerance=0.05, max_trials=4096)
+    adaptive = CampaignRunner(grid, UniformInjector(5e-3), seed=7) \
+        .run_adaptive(tolerance=0.05, max_trials=4096)
     print(f"\nadaptive sweep: stopped after {adaptive.trials} trials "
           f"({adaptive.rounds} rounds), failure rate "
           f"{adaptive.failure_rate:.3f} in "

@@ -89,7 +89,7 @@ def empirical_scrub_failure(grid: BlockGrid, ser_fit_per_bit: float,
                                         include_check_bits=include_check_bits)
     runner = CampaignRunner(grid, injector, seed=seed,
                             include_check_bits=include_check_bits,
-                            workers=workers, seeding="per-trial")
+                            workers=workers)
     if tolerance is None:
         report = runner.run(trials).as_dict()
     else:

@@ -121,7 +121,7 @@ def evaluate_code(scenario: Scenario, code: str,
 
     runner = CampaignRunner(
         grid, UniformInjector(scenario.ber), seed=scenario.seed,
-        seeding="per-trial", packing=packing, code=code)
+        packing=packing, code=code)
     start = time.perf_counter()
     result = runner.run(scenario.trials)
     elapsed = time.perf_counter() - start

@@ -1,11 +1,11 @@
 """Batched Monte-Carlo campaign engine.
 
-The scalar :class:`repro.faults.campaign.FaultCampaign` runs one trial at
-a time: fresh crossbar, random data, encode, inject, full Python-loop
-check sweep. That loop is the slowest path in the repo (the Sec. V-A
-binomial-model validation and the MTTF benches all sit on it). This
-module runs a block of trials at a time and simulates only the error
-pattern, at a cost that scales with the faults rather than the cells:
+The scalar reference (:func:`run_reference`) replays one trial at a
+time: fresh crossbar, random data, encode, inject, full Python-loop
+check sweep — far too slow for the Sec. V-A binomial-model validation
+or the MTTF benches. This module runs a block of trials at a time and
+simulates only the error pattern, at a cost that scales with the faults
+rather than the cells:
 
 * injection        — :meth:`repro.faults.injector.FaultInjector
   .draw_events`: flat ``(trial, cell)`` events in the exposed-field
@@ -20,7 +20,7 @@ pattern, at a cost that scales with the faults rather than the cells:
   column is flagged uncorrectable;
 * classification   — per-trial counts give the same
   :class:`repro.faults.campaign.CampaignResult` tallies the scalar
-  campaign produces.
+  reference produces.
 
 Exactness (the column-matching premise)
 =======================================
@@ -53,8 +53,7 @@ data error plus the check bit of its own diagonal (or row) matches a
 single check-bit column and ends silent, on both paths.
 :func:`repro.core.registry.build_code` refuses a code that fails a
 seeded linearity check or does not restore every single-cell error of a
-block. The scalar :class:`~repro.faults.campaign.FaultCampaign` and
-:func:`run_reference` keep real random data and the codes' own
+block. :func:`run_reference` keeps real random data and the codes' own
 decoders, and the per-code tensor sweeps
 (:meth:`repro.core.registry.BlockCode.check_batched_packed`) stay as
 the reference of ``tests/faults/test_fault_centric.py``, so the
@@ -64,43 +63,28 @@ proportional to the events, not to ``B * n**2``.
 Seeding + sharding contract
 ===========================
 
-The engine has two seeding modes, selected by ``seeding=``:
+Every campaign draws under draw contract v3
+(:data:`repro.utils.rng.DRAW_CONTRACT`): every draw is addressed
+directly by a keyed counter-based generator under the campaign's root
+entropy, and injectors hold no stream of their own. The
+Bernoulli-field injectors (uniform, check-bit, drift) draw one field
+per aligned 64-trial group — group ``g = i // 64`` from
+``Philox(key=entropy, counter=[0, 1, g, stream])``, trial ``i`` keeping
+row ``i % 64`` — and :meth:`BatchCampaign.run_range_seeded` draws each
+group a span touches once, however its blocks split it. The burst
+injectors draw per trial from ``Philox(key=entropy, counter=[0, 0, i,
+stream])`` (:func:`repro.utils.rng.trial_stream`). Injection uses stream
+1; the scalar reference fills its data from trial stream 0. The fields
+are drawn sparsely by geometric gaps
+(:func:`repro.utils.rng.bernoulli_positions`).
 
-``"sequential"`` (default for single-process runs)
-    The injector consumes its own stream trial by trial in scalar order
-    (the campaign seed fills the scalar reference's data, which this
-    engine never draws). A sequential batched run is **bit-for-bit
-    identical** to ``FaultCampaign(grid, injector, seed).run(trials)``
-    with the same seeds, for any block plan — the per-trial draws are
-    issued as separate generator calls precisely so blocking can never
-    change the stream. This mode cannot be sharded (shard ``k``
-    would need shard ``k-1``'s stream position).
-
-``"per-trial"`` (default and required for multi-process runs)
-    Draw contract v3 (:data:`repro.utils.rng.DRAW_CONTRACT`): every
-    draw is addressed directly by a keyed counter-based generator under
-    the campaign entropy. The Bernoulli-field injectors (uniform,
-    check-bit, drift) draw one field per aligned 64-trial group —
-    group ``g = i // 64`` from ``Philox(key=entropy, counter=[0, 1, g,
-    stream])``, trial ``i`` keeping row ``i % 64`` — and
-    :meth:`BatchCampaign.run_range_seeded` draws each group a span
-    touches once, however its blocks split it. The burst
-    injectors draw per trial from ``Philox(key=entropy, counter=[0, 0,
-    i, stream])`` (:func:`repro.utils.rng.trial_stream`). Injection uses
-    stream 1; the scalar reference fills its data from trial stream 0.
-    Because every draw depends only on ``(entropy, i)``, the tallies
-    are invariant under the shard layout: any ``workers`` count, any
-    block plan, and any contiguous partition of the trial range
-    produce identical results. :func:`run_reference` replays trial
-    ``i`` through ``FaultCampaign.run_trial`` (real data from stream 0,
-    faults from the one-trial span ``[i, i + 1)`` of stream 1) — the
-    differential harness in ``tests/faults/test_batch_equivalence.py``
-    pins both equivalences.
-
-The Bernoulli fields are drawn sparsely by geometric gaps
-(:func:`repro.utils.rng.bernoulli_positions`): per trial from the
-injector's own stream in sequential mode, per group under per-trial
-seeding.
+Because every draw depends only on ``(entropy, i)``, the tallies are
+invariant under the shard layout: any ``workers`` count, any block
+plan, and any contiguous partition of the trial range produce identical
+results. :func:`run_reference` replays trial ``i`` from its real data
+(stream 0) and the one-trial span ``[i, i + 1)`` of stream 1 — the
+differential harness in ``tests/faults/test_batch_equivalence.py`` pins
+both equivalences.
 
 Block plan
 ----------
@@ -131,14 +115,12 @@ Service-sharded execution
 
 The campaign service (:mod:`repro.service`) executes submitted jobs by
 materializing the *same* :class:`ShardTask` spans a sharded
-:class:`CampaignRunner` builds — there is no third execution path.
-Both contracts therefore extend verbatim to service execution:
+:class:`CampaignRunner` builds — there is no other execution path. The
+contract therefore extends verbatim to service execution:
 
-* a service job always runs under **per-trial seeding** (sequential
-  streams cannot be split into relocatable spans), so its merged
-  tallies are a pure function of ``(spec, entropy)`` — independent of
-  the service's shard size, worker count, scheduling order,
-  interruptions, and checkpoint/resume boundaries;
+* a service job's merged tallies are a pure function of ``(spec,
+  entropy)`` — independent of the service's shard size, worker count,
+  scheduling order, interruptions, and checkpoint/resume boundaries;
 * because :func:`run_shard_task` tallies depend only on
   ``(entropy, lo, hi)`` and the engine configuration, a shard span
   completed before a crash can be persisted and *reused* after a
@@ -221,7 +203,6 @@ from repro.utils.rng import (
     TrialStreams,
     resolve_entropy,
     shard_bounds,
-    spawn_rngs,
     trial_stream,
 )
 from repro.utils.stats import wilson_interval
@@ -259,14 +240,6 @@ _SHARD_RUNS = obs_metrics.counter(
 _SHARD_SECONDS = obs_metrics.histogram(
     "repro_shard_seconds",
     "Wall seconds per shard-task execution.", ("packing",))
-_PHASE_SECONDS = obs_metrics.counter(
-    "repro_shard_phase_seconds_total",
-    "Cumulative seconds spent per campaign phase (profiled shards).",
-    ("phase",))
-#: The per-shard metric handles, resolved once (a shard takes well under
-#: a millisecond, so per-call label checks would show in its budget).
-_PHASE_HANDLES = {phase: _PHASE_SECONDS.labels(phase=phase)
-                  for phase in PROFILE_PHASES}
 
 
 @functools.lru_cache(maxsize=64)
@@ -274,29 +247,6 @@ def _shard_handles(packing: str, code: str) -> tuple:
     """``(runs, seconds)`` metric handles of one shard configuration."""
     return (_SHARD_RUNS.labels(packing=packing, code=code),
             _SHARD_SECONDS.labels(packing=packing))
-
-
-def derive_campaign_seeds(seed: SeedLike, seeding: Optional[str],
-                          workers: int) -> tuple:
-    """Split one user seed into ``(campaign_seed, injector_seed)``.
-
-    The helper for simulator entry points that wrap a single ``seed``
-    around a :class:`CampaignRunner` (burst survival, drift survival):
-
-    * per-trial mode (``seeding="per-trial"`` or ``workers > 1``): the
-      engine derives both streams per trial from the root entropy, so
-      the seed passes through as the campaign seed and the injector's
-      own stream is never consumed (``None``);
-    * sequential mode: the seed is split into independent data-fill and
-      injection generators by ``SeedSequence`` spawning
-      (:func:`repro.utils.rng.spawn_rngs`) — deterministic for any
-      integral seed, loud for a live ``Generator``. Only the scalar
-      engine consumes the data-fill generator.
-    """
-    if seeding == "per-trial" or workers > 1:
-        return seed, None
-    campaign_rng, injector_rng = spawn_rngs(seed, 2)
-    return campaign_rng, injector_rng
 
 
 def planned_groups(events_per_trial: Optional[float]) -> int:
@@ -411,10 +361,8 @@ class BatchCampaign:
     """Fault-centric inject-check-verify engine over blocks of trials.
 
     Produces the same :class:`CampaignResult` tallies as the scalar
-    :class:`FaultCampaign` (see the module docstring for the exact
-    equivalence contract per seeding mode). ``seed`` is the data-fill
-    seed of the matching :class:`FaultCampaign`; this engine runs on
-    all-zero data and never consumes it.
+    :func:`run_reference` under the same entropy (see the module
+    docstring).
 
     ``batch_size=None`` (the default) lets the engine plan its blocks
     by expected fault events (:meth:`plan_blocks`); an integer runs
@@ -422,7 +370,7 @@ class BatchCampaign:
     """
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
-                 seed: SeedLike = None, include_check_bits: bool = True,
+                 include_check_bits: bool = True,
                  batch_size: Optional[int] = None,
                  packing: str = "u8", code: str = "diagonal"):
         if batch_size is not None and batch_size <= 0:
@@ -478,17 +426,8 @@ class BatchCampaign:
         edges = [lo, *range(first, hi, step), hi]
         return list(zip(edges[:-1], edges[1:]))
 
-    def run(self, trials: int) -> CampaignResult:
-        """Sequential-seeding run: bit-identical to ``FaultCampaign.run``.
-
-        The injector consumes its own stream trial by trial, so the
-        result does not depend on the blocks.
-        """
-        return merge_results([self._run_block(b - a, inject_rngs=None)
-                              for a, b in self.plan_blocks(0, trials)])
-
     def run_range_seeded(self, entropy: int, lo: int, hi: int) -> CampaignResult:
-        """Per-trial-seeded run of trials ``[lo, hi)`` under ``entropy``.
+        """Run trials ``[lo, hi)`` under ``entropy``.
 
         The building block of sharded campaigns: results depend only on
         ``(entropy, lo, hi)``, never on how ranges are grouped into
@@ -498,26 +437,20 @@ class BatchCampaign:
         """
         streams = TrialStreams(entropy, lo, hi, INJECT_STREAM)
         return merge_results([
-            self._run_block(b - a, inject_rngs=streams.span(a, b))
+            self._run_block(b - a, streams.span(a, b))
             for a, b in self.plan_blocks(lo, hi)])
 
     # ------------------------------------------------------------------ #
     # Fault-centric core
     # ------------------------------------------------------------------ #
 
-    def _run_block(self, batch: int,
-                   inject_rngs: Optional[TrialStreams],
-                   ) -> CampaignResult:
-        """One block of ``batch`` trials, from its fault events.
-
-        ``inject_rngs`` of ``None`` selects sequential mode (the
-        injector's own stream); a :class:`~repro.utils.rng.TrialStreams`
-        span selects per-trial seeding.
-        """
+    def _run_block(self, batch: int, streams: TrialStreams) -> CampaignResult:
+        """One block of ``batch`` trials, from the fault events drawn
+        from ``streams``, its span of the injection stream."""
         per_block = self._table.cells_per_block
         t0 = perf_counter_ns()
         trial, cell = self.injector.draw_events(
-            batch, self._data_shape, self._plane_shapes, inject_rngs)
+            batch, self._data_shape, self._plane_shapes, streams)
         t1 = perf_counter_ns()
 
         # Each event's trial-keyed block key; sorted, a block's events
@@ -606,11 +539,11 @@ def _distinct(values) -> int:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Picklable description of one per-trial-seeded trial span.
+    """Picklable description of one trial span.
 
     The unit of sharded campaign execution: everything a worker process
     needs to rebuild the engine and run trials ``[lo, hi)`` under the
-    per-trial seeding contract. Because the contract makes the tallies a
+    seeding contract. Because the contract makes the tallies a
     pure function of ``(entropy, lo, hi)`` and the engine configuration,
     a ``ShardTask`` can run anywhere — this process, a local pool
     worker, or a remote service worker — and :func:`merge_results` over
@@ -648,7 +581,7 @@ class ShardTask:
         Requires an injector with a declarative config
         (:meth:`FaultInjector.to_config`); the config — not the live
         object — crosses the wire, so a worker rebuilds an injector
-        that is behaviourally identical under per-trial seeding.
+        that draws identically.
         """
         return {
             "n": self.n, "m": self.m,
@@ -716,16 +649,13 @@ def run_shard_task_profiled(task: ShardTask
     seconds.observe(elapsed_ns / 1e9)
     if not obs_metrics.is_enabled():
         return result, {}
-    phases = engine.phase_ns
-    for phase, ns in phases.items():
-        _PHASE_HANDLES[phase].inc(ns / 1e9)
-    return result, phases
+    return result, engine.phase_ns
 
 
 def run_reference(grid: BlockGrid, injector: FaultInjector, entropy: int,
                   trials: int, include_check_bits: bool = True,
                   code: str = "diagonal") -> CampaignResult:
-    """Scalar replay of a per-trial-seeded batched run.
+    """Scalar replay of a batched run under ``entropy``.
 
     Trial ``i`` fills real random data from stream
     :data:`~repro.utils.rng.DATA_STREAM` and replays its faults from its
@@ -746,8 +676,8 @@ def run_reference(grid: BlockGrid, injector: FaultInjector, entropy: int,
         out = CampaignResult()
         for i in range(trials):
             kind, faults, multi = campaign.run_trial(
-                data_rng=trial_stream(entropy, i, DATA_STREAM),
-                inject_rng=TrialStreams(entropy, i, i + 1, INJECT_STREAM))
+                trial_stream(entropy, i, DATA_STREAM),
+                TrialStreams(entropy, i, i + 1, INJECT_STREAM))
             out.trials += 1
             out.injected_faults += faults
             out.blocks_with_multi_faults += multi
@@ -860,27 +790,26 @@ class AdaptiveRunResult:
 
 
 class CampaignRunner:
-    """Facade over the scalar reference and the batched/sharded engines.
+    """Facade over the batched engine and its process-pool shards.
 
     Parameters
     ----------
-    grid, injector, seed, include_check_bits:
-        As for :class:`FaultCampaign`.
-    engine:
-        ``"batched"`` (default) or ``"scalar"`` (the reference
-        implementation, unchanged).
+    grid, injector, include_check_bits:
+        The crossbar geometry, the fault model, and whether check
+        memory is exposed to it.
+    seed:
+        The campaign's root entropy: an integer in ``[0, 2**128)``, or
+        ``None`` for fresh OS entropy (kept as :attr:`entropy`).
     batch_size:
         ``None`` (default): the engine plans its blocks by expected
         fault events (:meth:`BatchCampaign.plan_blocks`). An integer:
         fixed blocks of that many trials. Tallies do not depend on it.
     workers:
-        Process count for sharded runs. ``workers > 1`` requires (and
-        ``seeding="per-trial"`` provides) shard-invariant per-trial
-        seeding; the seed must then be an integer or ``None``.
+        Process count for sharded runs; tallies do not depend on it.
     seeding:
-        ``"sequential"`` | ``"per-trial"`` | ``None`` (auto: sequential
-        for one worker, per-trial otherwise). See the module docstring
-        for the exact reproducibility contract of each mode.
+        ``"per-trial"``, the only draw contract (see the module
+        docstring); accepted for compatibility with callers that still
+        name it.
     packing:
         ``"u8"`` (default) or ``"u64"``: the per-code kernels' tensor
         layouts. Validated and carried on every shard task (and so in
@@ -888,80 +817,39 @@ class CampaignRunner:
         both — see the module docstring.
     code:
         Registered block-code name (:func:`repro.core.registry
-        .code_names`); default ``"diagonal"``. The scalar engine is the
-        diagonal reference implementation, so ``engine="scalar"``
-        requires the default.
+        .code_names`); default ``"diagonal"``.
     """
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
                  seed: SeedLike = None, include_check_bits: bool = True,
-                 engine: str = "batched",
                  batch_size: Optional[int] = None,
-                 workers: int = 1, seeding: Optional[str] = None,
+                 workers: int = 1, seeding: str = "per-trial",
                  packing: str = "u8", code: str = "diagonal"):
-        if engine not in ("batched", "scalar"):
-            raise ValueError(f"engine must be 'batched' or 'scalar', "
-                             f"got {engine!r}")
         if code not in code_names():
             raise ValueError(f"unknown code {code!r}; registered codes: "
                              f"{code_names()}")
-        if engine == "scalar" and code != "diagonal":
-            raise ValueError("the scalar engine is the diagonal reference "
-                             "implementation; non-diagonal codes require "
-                             "engine='batched' (run_reference replays them "
-                             "in scalar form)")
         if packing not in PACKINGS:
             raise ValueError(f"packing must be one of {PACKINGS}, "
                              f"got {packing!r}")
-        if engine == "scalar" and packing != "u8":
-            raise ValueError("the scalar engine has no packed layout; "
-                             "packing='u64' requires engine='batched'")
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if seeding is None:
-            seeding = "sequential" if workers == 1 else "per-trial"
-        if seeding not in ("sequential", "per-trial"):
-            raise ValueError(f"seeding must be 'sequential' or 'per-trial', "
-                             f"got {seeding!r}")
-        if seeding == "sequential" and workers > 1:
-            raise ValueError("sequential seeding cannot be sharded; use "
-                             "seeding='per-trial' for workers > 1")
-        if engine == "scalar" and (workers > 1 or seeding == "per-trial"):
-            raise ValueError("the scalar engine only supports sequential "
-                             "single-process runs; use run_reference() to "
-                             "replay a per-trial-seeded run")
+        if seeding != "per-trial":
+            raise ValueError(f"seeding={seeding!r} was removed: every "
+                             f"campaign draws under per-trial seeding, "
+                             f"the only value left")
         self.grid = grid
         self.injector = injector
         self.include_check_bits = include_check_bits
-        self.engine = engine
         self.batch_size = batch_size
         self.workers = workers
-        self.seeding = seeding
         self.packing = packing
         self.code = code
-        if seeding == "per-trial":
-            self.entropy: Optional[int] = resolve_entropy(seed)
-            self._seed: SeedLike = None
-        else:
-            self.entropy = None
-            self._seed = seed
-
-    def _make_engine(self):
-        """Fresh engine honouring this runner's configuration."""
-        if self.engine == "scalar":
-            return FaultCampaign(
-                self.grid, self.injector, seed=self._seed,
-                include_check_bits=self.include_check_bits)
-        return BatchCampaign(
-            self.grid, self.injector,
-            include_check_bits=self.include_check_bits,
-            batch_size=self.batch_size, packing=self.packing,
-            code=self.code)
+        self.entropy = resolve_entropy(seed)
 
     def _run_span(self, lo: int, hi: int,
                   pool: Optional[ProcessPoolExecutor] = None
                   ) -> CampaignResult:
-        """Per-trial-seeded trials ``[lo, hi)``, sharded across workers.
+        """Trials ``[lo, hi)``, sharded across workers.
 
         ``pool`` reuses a caller-managed executor (the adaptive loop runs
         many spans and should not respawn workers per round); ``None``
@@ -970,7 +858,12 @@ class CampaignRunner:
         bounds = [(lo + a, lo + b)
                   for a, b in shard_bounds(hi - lo, self.workers)]
         if len(bounds) <= 1:
-            return self._make_engine().run_range_seeded(self.entropy, lo, hi)
+            engine = BatchCampaign(
+                self.grid, self.injector,
+                include_check_bits=self.include_check_bits,
+                batch_size=self.batch_size, packing=self.packing,
+                code=self.code)
+            return engine.run_range_seeded(self.entropy, lo, hi)
         tasks = [self.shard_task(a, b) for a, b in bounds]
         if pool is not None:
             return merge_results(list(pool.map(run_shard_task, tasks)))
@@ -981,14 +874,9 @@ class CampaignRunner:
     def shard_task(self, lo: int, hi: int) -> ShardTask:
         """The :class:`ShardTask` for trials ``[lo, hi)`` of this runner.
 
-        Requires per-trial seeding (the only mode whose spans are
-        relocatable); the campaign service uses this to turn one
-        submitted job into independently executable work units.
+        The campaign service uses this to turn one submitted job into
+        independently executable work units.
         """
-        if self.seeding != "per-trial":
-            raise ValueError("shard tasks require seeding='per-trial'; "
-                             "sequential streams cannot be split into "
-                             "independent spans")
         return ShardTask(self.grid.n, self.grid.m, self.injector,
                          self.entropy, lo, hi,
                          include_check_bits=self.include_check_bits,
@@ -996,9 +884,7 @@ class CampaignRunner:
                          packing=self.packing, code=self.code)
 
     def run(self, trials: int) -> CampaignResult:
-        """Run ``trials`` trials on the configured engine."""
-        if self.seeding == "sequential":
-            return self._make_engine().run(trials)
+        """Run trials ``[0, trials)``."""
         return self._run_span(0, trials)
 
     def run_adaptive(self, tolerance: float, confidence: float = 0.95,
@@ -1016,13 +902,10 @@ class CampaignRunner:
         ``tolerance``.
 
         Reproducibility: because the schedule is deterministic and each
-        round extends the same trial sequence (sequential modes continue
-        one engine's streams; per-trial mode runs trial ranges under the
-        root entropy), the merged tallies equal a plain ``run`` of the
-        same total — and therefore depend only on the seed and the
-        stopping point, not on how rounds were grouped. In per-trial
-        mode the result is additionally invariant under ``workers`` and
-        the block plan, like every other per-trial-seeded run.
+        round runs the next trial range under the root entropy, the
+        merged tallies equal a plain ``run`` of the same total — and
+        therefore depend only on the seed and the stopping point, not on
+        how rounds were grouped, on ``workers`` or on the block plan.
         """
         if tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -1037,21 +920,10 @@ class CampaignRunner:
         if growth < 1.0:
             raise ValueError(f"growth must be >= 1, got {growth}")
 
-        pool: Optional[ProcessPoolExecutor] = None
-        if self.seeding == "sequential":
-            engine = self._make_engine()
-
-            def run_span(lo: int, hi: int) -> CampaignResult:
-                return engine.run(hi - lo)
-        else:
-            if self.workers > 1:
-                # One executor across every round — adaptive sweeps run
-                # many spans and must not respawn workers per round.
-                pool = ProcessPoolExecutor(max_workers=self.workers)
-
-            def run_span(lo: int, hi: int) -> CampaignResult:
-                return self._run_span(lo, hi, pool=pool)
-
+        # One executor across every round — adaptive sweeps run many
+        # spans and must not respawn workers per round.
+        pool = ProcessPoolExecutor(max_workers=self.workers) \
+            if self.workers > 1 else None
         try:
             total = CampaignResult()
             done = 0
@@ -1059,7 +931,8 @@ class CampaignRunner:
             step = initial_trials
             while True:
                 take = min(step, max_trials - done)
-                total = merge_results([total, run_span(done, done + take)])
+                total = merge_results(
+                    [total, self._run_span(done, done + take, pool=pool)])
                 done += take
                 rounds += 1
                 failures = total.detected + total.silent
@@ -1079,10 +952,6 @@ class CampaignRunner:
                 pool.shutdown()
 
     def run_reference(self, trials: int) -> CampaignResult:
-        """Scalar replay of this runner's per-trial-seeded contract."""
-        if self.seeding != "per-trial":
-            raise ValueError("run_reference replays per-trial seeding; "
-                             "sequential runs are already bit-identical to "
-                             "FaultCampaign.run")
+        """Scalar replay of :meth:`run` over trials ``[0, trials)``."""
         return run_reference(self.grid, self.injector, self.entropy, trials,
                              self.include_check_bits, code=self.code)

@@ -1,9 +1,9 @@
-"""Monte-Carlo fault campaigns.
+"""Monte-Carlo fault campaigns: the tallies and the scalar reference trial.
 
-A campaign repeatedly (1) fills a protected crossbar with random data,
+A campaign trial (1) fills a protected crossbar with random data,
 (2) injects one round of faults, (3) runs a full ECC check sweep, and
 (4) compares the corrected memory against the golden copy, classifying
-each trial as:
+the trial as:
 
 * ``clean`` — no fault injected, nothing to do;
 * ``corrected`` — memory restored exactly and no uncorrectable report;
@@ -12,14 +12,18 @@ each trial as:
 * ``silent`` — memory differs from golden yet no block complained
   (miscorrection / silent data corruption).
 
-The reliability benches use campaigns to validate the analytic binomial
-model of Sec. V-A empirically (DESIGN.md experiment E7).
+:class:`FaultCampaign` runs one such trial on the diagonal code's own
+encoder and checker, from the two streams it is handed. It is the
+diagonal engine of :func:`repro.faults.batch.run_reference`, the scalar
+oracle of the batched engine; campaigns themselves run through
+:class:`repro.faults.batch.CampaignRunner`. The reliability benches use
+campaigns to validate the analytic binomial model of Sec. V-A
+empirically (DESIGN.md experiment E7).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +31,8 @@ from repro.core.blocks import BlockGrid
 from repro.core.checker import BlockChecker
 from repro.core.checkstore import CheckStore
 from repro.core.code import DecodeStatus, DiagonalParityCode
-from repro.faults.injector import FaultInjector, UniformInjector
-from repro.utils.rng import SeedLike, TrialStreams, make_rng
+from repro.faults.injector import FaultInjector
+from repro.utils.rng import TrialStreams
 from repro.xbar.crossbar import CrossbarArray
 
 
@@ -74,39 +78,36 @@ class CampaignResult:
 
 
 class FaultCampaign:
-    """Drives repeated inject-check-verify trials on one geometry."""
+    """Runs inject-check-verify trials of the diagonal code on one geometry."""
 
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
-                 seed: SeedLike = None, include_check_bits: bool = True):
+                 include_check_bits: bool = True):
         self.grid = grid
         self.injector = injector
-        self.rng = make_rng(seed)
         self.include_check_bits = include_check_bits
         self.code = DiagonalParityCode(grid)
 
-    def run_trial(self, data_rng: Optional[np.random.Generator] = None,
-                  inject_rng: Optional[Union[np.random.Generator,
-                                             TrialStreams]] = None,
-                  ) -> tuple[str, int, int]:
+    def run_trial(self, data_rng: np.random.Generator,
+                  inject_streams: TrialStreams) -> tuple[str, int, int]:
         """One trial; returns (classification, faults, multi_fault_blocks).
 
-        ``data_rng``/``inject_rng`` override the campaign and injector
-        streams for this trial (``inject_rng`` as
-        :meth:`FaultInjector.inject` takes it). The batched engine's
-        differential harness uses them to replay a per-trial-seeded
-        sharded run through this scalar reference implementation.
+        ``data_rng`` fills the trial's random data; ``inject_streams``
+        is the one-trial range its faults are drawn from (as
+        :meth:`FaultInjector.inject` takes it). :func:`repro.faults.batch
+        .run_reference` hands trial ``i``'s keyed streams in, replaying a
+        batched run through this scalar implementation.
         """
         n = self.grid.n
         mem = CrossbarArray(n, n, "campaign-mem")
-        rng = self.rng if data_rng is None else data_rng
-        data = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        data = data_rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         mem.write_region(0, 0, data)
         store = self.code.encode(mem.snapshot())
         golden = mem.snapshot()
         golden_store = store.copy()
 
         result = self.injector.inject(
-            mem, store if self.include_check_bits else None, rng=inject_rng)
+            mem, store if self.include_check_bits else None,
+            streams=inject_streams)
 
         checker = BlockChecker(self.grid, self.code, store)
         sweep = checker.check_all(mem)
@@ -122,17 +123,6 @@ class FaultCampaign:
         if sweep.uncorrectable:
             return "detected", result.total, multi
         return "silent", result.total, multi
-
-    def run(self, trials: int) -> CampaignResult:
-        """Run ``trials`` independent trials and aggregate."""
-        out = CampaignResult()
-        for _ in range(trials):
-            kind, faults, multi = self.run_trial()
-            out.trials += 1
-            out.injected_faults += faults
-            out.blocks_with_multi_faults += multi
-            setattr(out, kind, getattr(out, kind) + 1)
-        return out
 
     def _count_multi_fault_blocks(self, result) -> int:
         """Blocks hit by >= 2 upsets (data or their own check-bits)."""

@@ -38,12 +38,12 @@ draws the same sparse Bernoulli field as the uniform-SER injector.
 (:func:`window_flip_mask`): it exists to validate the closed form the
 injector consumes, so it must not be built on it.
 
-Seeding: all draws flow through :mod:`repro.utils.rng`. Injection rounds
-follow the campaign contract (sequential mode consumes the injector's
-own stream trial by trial, bit-identically to scalar :meth:`DriftInjector
-.inject` calls; per-trial mode takes engine-supplied per-trial
-streams), and :meth:`DriftSimulator.empirical_flip_probability` accepts
-an ``entropy`` for shard-invariant per-trial streams.
+Seeding: all draws flow through :mod:`repro.utils.rng`. The injector
+holds no stream: its rounds draw the campaign's keyed group fields like
+every Bernoulli-field injector. :class:`DriftSimulator` is not a
+campaign and keeps its own stream;
+:meth:`DriftSimulator.empirical_flip_probability` also accepts an
+``entropy`` for shard-invariant per-trial streams.
 """
 
 from __future__ import annotations
@@ -131,11 +131,9 @@ def window_flip_mask(model: DriftModel, rng: np.random.Generator,
                      ) -> np.ndarray:
     """Boolean field: which cells flip within one exposure window.
 
-    The shared discrete-event kernel behind :class:`DriftSimulator` and
-    :class:`DriftInjector`. Draw order is part of the seeding contract
-    (abrupt exponential first-arrival field, then one uniform field per
-    refresh segment): both consumers issue exactly these draws per trial,
-    so scalar and batched paths consume any stream identically.
+    The discrete-event kernel behind :class:`DriftSimulator`. Draw
+    order per window: the abrupt exponential first-arrival field, then
+    one uniform field per refresh segment.
     """
     if window_hours < 0:
         raise ValueError("window must be non-negative")
@@ -203,7 +201,7 @@ class DriftSimulator:
         """Monte-Carlo estimate of the per-cell flip probability.
 
         With ``entropy=None`` the simulator's own stream is consumed
-        trial by trial (sequential mode). An integer ``entropy`` draws
+        trial by trial. An integer ``entropy`` draws
         trial ``i`` from its keyed injection stream
         (:func:`repro.utils.rng.trial_stream`), making the estimate
         invariant under any partition of the trial range — the same
@@ -240,7 +238,7 @@ class DriftInjector(BernoulliFieldInjector):
 
     def __init__(self, model: DriftModel, window_hours: float,
                  refresh_period_hours: Optional[float] = None,
-                 seed: SeedLike = None, include_check_bits: bool = True):
+                 include_check_bits: bool = True):
         if window_hours < 0:
             raise ValueError("window must be non-negative")
         if refresh_period_hours is not None and refresh_period_hours <= 0:
@@ -251,7 +249,6 @@ class DriftInjector(BernoulliFieldInjector):
         self.include_check_bits = include_check_bits
         self.probability = model.flip_probability(window_hours,
                                                   refresh_period_hours)
-        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "drift",

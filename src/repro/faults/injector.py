@@ -21,22 +21,20 @@ tensors, and :meth:`FaultInjector.inject_batch_packed`, which upsets the
 bit-sliced ``uint64`` layout (64 trials per word,
 :mod:`repro.utils.bitpack`).
 
-A round draws from one of two sources. ``None`` consumes the injector's
-own stream trial by trial in the scalar order, so a sequential batched
-run consumes it exactly as ``B`` scalar :meth:`inject` calls would. A
-:class:`repro.utils.rng.TrialStreams` range selects the per-trial-seeded
-draw contract of :mod:`repro.utils.rng`, and a one-trial range is how
-the scalar reference replays trial ``i``. This is what the differential
-test harnesses (`tests/faults/test_batch_equivalence.py`,
-`tests/faults/test_packed_equivalence.py`) pin down.
+Injectors hold no stream of their own. Every round draws from a
+:class:`repro.utils.rng.TrialStreams` range of the campaign's keyed
+streams (draw contract v3 of :mod:`repro.utils.rng`), one trial of it
+for :meth:`inject`; a one-trial range is how the scalar reference
+replays trial ``i`` of a batched run. The differential test harnesses
+(`tests/faults/test_batch_equivalence.py`,
+`tests/faults/test_packed_equivalence.py`) pin this down.
 
 The uniform-field injectors (uniform, check-bit, drift) share one draw
 (:class:`BernoulliFieldInjector`): a sparse Bernoulli field over the
-exposed cells, per trial from the injector's own stream
-(:func:`repro.utils.rng.bernoulli_positions`), or per 64-trial group
-under per-trial seeding (:meth:`repro.utils.rng.TrialStreams
-.bernoulli_field`). Its positions already are exposed-field cells. The
-burst injectors draw per trial either way and emit ``row * n + col``.
+exposed cells, drawn per 64-trial group (:meth:`repro.utils.rng
+.TrialStreams.bernoulli_field`). Its positions already are exposed-field
+cells. The burst injectors draw per trial, from each trial's own
+generator, and emit ``row * n + col``.
 
 Check planes are code-defined: the diagonal code stores two ``(m, b, b)``
 planes (leading, counter), the row+column product code two, and the
@@ -49,18 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.checkstore import CheckStore
 from repro.faults.ser import probability_from_fit
-from repro.utils.rng import (
-    SeedLike,
-    TrialStreams,
-    bernoulli_positions,
-    make_rng,
-)
+from repro.utils.rng import TrialStreams
 from repro.xbar.crossbar import CrossbarArray
 
 #: Plane codes used by the flat batched ground truth.
@@ -256,43 +249,16 @@ class BatchInjectionResult:
         self.apply_planes_packed(data, (lead, ctr))
 
 
-def _resolve_rngs(rngs, injector: "FaultInjector",
-                  batch: int) -> Iterable[np.random.Generator]:
-    """Per-trial generators for a batched injection round.
-
-    ``None`` falls back to the injector's own stream consumed sequentially
-    across trials — the scalar-compatible mode, and the only one that
-    builds that stream. An explicit sized
-    iterable (one generator per trial, e.g. a :class:`repro.utils.rng
-    .TrialStreams`) is used as given. Callers consume each generator
-    before taking the next, since a :class:`~repro.utils.rng
-    .TrialStreams` re-addresses one generator in place.
-    """
-    if rngs is None:
-        return [injector.rng] * batch
-    if len(rngs) != batch:
-        raise ValueError(f"need {batch} per-trial generators, got {len(rngs)}")
-    return rngs
+def _check_range(streams: TrialStreams, batch: int) -> TrialStreams:
+    """``streams``, after checking that it holds ``batch`` trials."""
+    if len(streams) != batch:
+        raise ValueError(f"need a {batch}-trial stream range, "
+                         f"got {len(streams)} trials")
+    return streams
 
 
 class FaultInjector:
-    """Base class; concrete injectors implement :meth:`draw_events`.
-
-    A seeded injector keeps its seed in ``_seed`` and builds its own
-    stream, :attr:`rng`, only when a round first draws from it.
-    """
-
-    _seed: SeedLike = None
-    _rng: Optional[np.random.Generator] = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The injector's own stream (sequential runs and scalar
-        :meth:`inject`), built from ``_seed`` on first use: per-trial
-        runs never draw from it, so they never build it."""
-        if self._rng is None:
-            self._rng = make_rng(self._seed)
-        return self._rng
+    """Base class; concrete injectors implement :meth:`draw_events`."""
 
     def events_per_trial(self, data_shape: Tuple[int, ...],
                          plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
@@ -308,8 +274,7 @@ class FaultInjector:
 
         The JSON form :mod:`repro.faults.serialize` registers builders
         for — what lets a :class:`repro.faults.batch.ShardTask` cross
-        process and host boundaries as plain data. Seeds are not part of
-        the config: per-trial seeding never consumes the injector's own
+        process and host boundaries as plain data. Injectors hold no
         stream, so the config fully determines relocatable behaviour.
         Classes without a declarative form (explicit flip lists, ad-hoc
         test doubles) raise ``TypeError``.
@@ -320,21 +285,18 @@ class FaultInjector:
             f"serialized for distributed execution")
 
     def inject(self, mem: CrossbarArray,
-               store: Optional[CheckStore] = None,
-               rng: Optional[Union[np.random.Generator, TrialStreams]]
-               = None) -> InjectionResult:
+               store: Optional[CheckStore] = None, *,
+               streams: TrialStreams) -> InjectionResult:
         """Apply one round of upsets; return the ground truth.
 
-        ``rng`` overrides the injector's own stream for this round: a
-        generator, or a one-trial :class:`~repro.utils.rng.TrialStreams`
-        span — the hook the per-trial-seeded differential reference
-        uses. The round is :meth:`_draw_batch` for one trial.
+        ``streams`` is the one-trial :class:`~repro.utils.rng
+        .TrialStreams` range the round draws from — how the scalar
+        reference replays one trial of a batched run. The round is
+        :meth:`_draw_batch` for one trial.
         """
         shapes = None if store is None else (store.lead.shape,
                                               store.ctr.shape)
-        rngs = rng if isinstance(rng, TrialStreams) \
-            else [self.rng if rng is None else rng]
-        drawn = self._draw_batch(1, (mem.rows, mem.cols), shapes, rngs)
+        drawn = self._draw_batch(1, (mem.rows, mem.cols), shapes, streams)
         result = drawn.result_of(0)
         if drawn.rows.size:
             mem.flip_many(drawn.rows, drawn.cols)
@@ -344,17 +306,16 @@ class FaultInjector:
 
     def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
+                    streams: TrialStreams,
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw one round of upsets for ``batch`` trials (no application).
 
         Returns int64 ``(trial, cell)`` event arrays, ``cell`` in the
         exposed-field layout of :func:`field_offsets`; a cell listed
         twice for one trial flips twice. Concrete injectors implement
-        their draws here. ``rngs`` is ``None`` (the injector's own
-        stream, per trial in the scalar order), a
-        :class:`~repro.utils.rng.TrialStreams` range, or one generator
-        per trial. ``plane_shapes`` is the code-ordered tuple of
+        their draws here, from ``streams``, a
+        :class:`~repro.utils.rng.TrialStreams` range of ``batch``
+        trials. ``plane_shapes`` is the code-ordered tuple of
         per-trial check-plane shapes — ``((m, b, b), (m, b, b))`` for
         the diagonal layout, ``((r, b, b),)`` for a single-plane matrix
         code — or ``None``/empty when check memory is not exposed.
@@ -363,37 +324,36 @@ class FaultInjector:
 
     def _draw_batch(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
+                    streams: TrialStreams,
                     ) -> BatchInjectionResult:
         """:meth:`draw_events`, unravelled into a
         :class:`BatchInjectionResult` — the ground truth :meth:`inject`,
         :meth:`inject_batch` and :meth:`inject_batch_packed` apply."""
-        trial, cell = self.draw_events(batch, data_shape, plane_shapes, rngs)
+        trial, cell = self.draw_events(batch, data_shape, plane_shapes,
+                                       streams)
         return BatchInjectionResult.from_cells(batch, trial, cell,
                                                data_shape, plane_shapes)
 
-    def inject_batch_planes(self, data, planes: Sequence = (),
-                            rngs: Optional[Sequence[np.random.Generator]]
-                            = None) -> BatchInjectionResult:
+    def inject_batch_planes(self, data, planes: Sequence = (), *,
+                            streams: TrialStreams) -> BatchInjectionResult:
         """Apply one round of upsets to a ``(B, n, n)`` stack, in place.
 
         ``planes`` is the code-ordered sequence of stored check-plane
         tensors (each ``(B, rk, b, b)``); empty when check memory is not
         exposed (the batched analogue of passing ``store=None`` to
-        :meth:`inject`). ``rngs`` supplies one generator per trial;
-        ``None`` consumes the injector's own stream sequentially, which
-        reproduces ``B`` scalar rounds bit-for-bit.
+        :meth:`inject`). ``streams`` is the ``B``-trial range drawn from;
+        its trial ``i`` draws what a one-trial :meth:`inject` of that
+        trial draws.
         """
         planes = tuple(planes)
         shapes = tuple(tuple(p.shape[1:]) for p in planes) or None
         result = self._draw_batch(int(data.shape[0]), tuple(data.shape[1:]),
-                                  shapes, rngs)
+                                  shapes, streams)
         result.apply_planes(data, planes)
         return result
 
-    def inject_batch(self, data, lead=None, ctr=None,
-                     rngs: Optional[Sequence[np.random.Generator]] = None
-                     ) -> BatchInjectionResult:
+    def inject_batch(self, data, lead=None, ctr=None, *,
+                     streams: TrialStreams) -> BatchInjectionResult:
         """Two-plane (diagonal layout) wrapper over
         :meth:`inject_batch_planes`.
 
@@ -403,14 +363,13 @@ class FaultInjector:
         """
         shapes = None if lead is None else (tuple(lead.shape[1:]),) * 2
         result = self._draw_batch(int(data.shape[0]), tuple(data.shape[1:]),
-                                  shapes, rngs)
+                                  shapes, streams)
         result.apply_planes(data, (lead, ctr))
         return result
 
     def inject_batch_planes_packed(self, batch: int, data,
-                                   planes: Sequence = (),
-                                   rngs: Optional[
-                                       Sequence[np.random.Generator]] = None
+                                   planes: Sequence = (), *,
+                                   streams: TrialStreams
                                    ) -> BatchInjectionResult:
         """Apply one round of upsets to a packed ``(W, n, n)`` word stack.
 
@@ -419,28 +378,25 @@ class FaultInjector:
         (:mod:`repro.utils.bitpack` layout) and ``planes`` the packed
         ``(W, rk, b, b)`` check-bit words (empty when not exposed).
         ``batch`` is the true trial count (it cannot be recovered from
-        ``W`` when ``batch % 64 != 0``). The RNG draws are identical to
-        the unpacked path — the same :meth:`_draw_batch` on the same
-        host-side streams — so both seeding contracts of
-        :mod:`repro.faults.batch` hold regardless of layout; only the
-        application step differs
+        ``W`` when ``batch % 64 != 0``). The draws are identical to the
+        unpacked path — the same :meth:`_draw_batch` on the same
+        ``streams`` — so only the application step differs
         (:meth:`BatchInjectionResult.apply_planes_packed`).
         """
         planes = tuple(planes)
         shapes = tuple(tuple(p.shape[1:]) for p in planes) or None
         result = self._draw_batch(int(batch), tuple(data.shape[1:]),
-                                  shapes, rngs)
+                                  shapes, streams)
         result.apply_planes_packed(data, planes)
         return result
 
-    def inject_batch_packed(self, batch: int, data, lead=None, ctr=None,
-                            rngs: Optional[Sequence[np.random.Generator]]
-                            = None) -> BatchInjectionResult:
+    def inject_batch_packed(self, batch: int, data, lead=None, ctr=None, *,
+                            streams: TrialStreams) -> BatchInjectionResult:
         """Two-plane (diagonal layout) wrapper over
         :meth:`inject_batch_planes_packed`."""
         shapes = None if lead is None else (tuple(lead.shape[1:]),) * 2
         result = self._draw_batch(int(batch), tuple(data.shape[1:]),
-                                  shapes, rngs)
+                                  shapes, streams)
         result.apply_planes_packed(data, (lead, ctr))
         return result
 
@@ -451,20 +407,13 @@ class BernoulliFieldInjector(FaultInjector):
     One round of one trial flips every cell of the concatenated exposed
     field — data cells row-major, then check plane 0, plane 1, ... in
     code order — independently with probability ``self.probability``.
-    :meth:`draw_events` draws the fields sparsely in one of two ways:
+    :meth:`draw_events` draws the fields sparsely, in one
+    :meth:`~repro.utils.rng.TrialStreams.bernoulli_field` call that
+    draws each 64-trial group the range touches once (draw contract v3).
 
-    * from the injector's own stream (or one generator per trial), one
-      :func:`repro.utils.rng.bernoulli_positions` call per trial, which
-      scalar :meth:`inject` shares, so sequential-seeded batched runs
-      are bit-identical to ``B`` scalar :meth:`inject` calls;
-    * from a :class:`repro.utils.rng.TrialStreams` range, one
-      :meth:`~repro.utils.rng.TrialStreams.bernoulli_field` call, which
-      draws each 64-trial group the range touches once (draw contract
-      v3).
-
-    Subclasses set ``probability``, ``_seed``, ``include_check_bits``
-    (whether check planes are exposed) and ``exposes_data`` (whether
-    data cells are).
+    Subclasses set ``probability``, ``include_check_bits`` (whether
+    check planes are exposed) and ``exposes_data`` (whether data cells
+    are).
     """
 
     probability: float
@@ -488,18 +437,11 @@ class BernoulliFieldInjector(FaultInjector):
 
     def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
+                    streams: TrialStreams,
                     ) -> Tuple[np.ndarray, np.ndarray]:
         start, cells = self._field(data_shape, plane_shapes)
-        rngs = _resolve_rngs(rngs, self, batch)
-        if isinstance(rngs, TrialStreams):
-            trial, pos = rngs.bernoulli_field(cells, self.probability)
-        else:
-            drawn = [bernoulli_positions(rng, cells, self.probability)
-                     for rng in rngs]
-            trial = np.repeat(np.arange(batch, dtype=np.int64),
-                              [d.size for d in drawn])
-            pos = np.concatenate(drawn) if drawn else trial
+        trial, pos = _check_range(streams, batch).bernoulli_field(
+            cells, self.probability)
         return trial, (pos + start if start else pos)
 
 
@@ -513,13 +455,11 @@ class UniformInjector(BernoulliFieldInjector):
     check memory is built from the same memristors as data memory.
     """
 
-    def __init__(self, probability: float, seed: SeedLike = None,
-                 include_check_bits: bool = True):
+    def __init__(self, probability: float, include_check_bits: bool = True):
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0,1], got {probability}")
         self.probability = probability
         self.include_check_bits = include_check_bits
-        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "uniform",
@@ -528,10 +468,9 @@ class UniformInjector(BernoulliFieldInjector):
 
     @classmethod
     def from_ser(cls, ser_fit_per_bit: float, hours: float,
-                 seed: SeedLike = None,
                  include_check_bits: bool = True) -> "UniformInjector":
         """Injector with ``p = 1 - exp(-lambda T / 1e9)``."""
-        return cls(probability_from_fit(ser_fit_per_bit, hours), seed,
+        return cls(probability_from_fit(ser_fit_per_bit, hours),
                    include_check_bits)
 
 
@@ -551,8 +490,9 @@ class DeterministicInjector(FaultInjector):
             else None
 
     def inject(self, mem: CrossbarArray,
-               store: Optional[CheckStore] = None,
-               rng: Optional[np.random.Generator] = None) -> InjectionResult:
+               store: Optional[CheckStore] = None, *,
+               streams: Optional[TrialStreams] = None) -> InjectionResult:
+        """Flip the listed cells; ``streams`` is accepted and unused."""
         result = InjectionResult()
         for r, c in self.data_flips:
             mem.flip(r, c)
@@ -565,7 +505,7 @@ class DeterministicInjector(FaultInjector):
 
     def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
+                    streams: Optional[TrialStreams],
                     ) -> Tuple[np.ndarray, np.ndarray]:
         cells = [int(np.ravel_multi_index((r, c), data_shape))
                  for r, c in self.data_flips]
@@ -591,7 +531,7 @@ class BurstInjector(FaultInjector):
     """
 
     def __init__(self, strikes: int = 1, radius: int = 1,
-                 neighbor_probability: float = 0.5, seed: SeedLike = None):
+                 neighbor_probability: float = 0.5):
         if strikes < 0:
             raise ValueError(f"strikes must be non-negative, got {strikes}")
         if radius < 0:
@@ -599,7 +539,6 @@ class BurstInjector(FaultInjector):
         self.strikes = strikes
         self.radius = radius
         self.neighbor_probability = neighbor_probability
-        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "burst",
@@ -627,11 +566,11 @@ class BurstInjector(FaultInjector):
 
     def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
+                    streams: TrialStreams,
                     ) -> Tuple[np.ndarray, np.ndarray]:
         rows, cols = data_shape
         trial, cell = [], []
-        for i, rng in enumerate(_resolve_rngs(rngs, self, batch)):
+        for i, rng in enumerate(_check_range(streams, batch)):
             for r, c in self._strike_cells(rng, rows, cols):
                 trial.append(i)
                 cell.append(r * cols + c)
@@ -656,14 +595,11 @@ class LinearBurstInjector(FaultInjector):
     closed form for; without the wrap the edge placements bias L=2
     survival from ``1/m`` down to ``(b-1)/(n-1)``.
 
-    Draw order per trial is (lane, start) — two bounded-integer draws —
-    identically in :meth:`inject` and :meth:`inject_batch`, so the
-    batched engine's sequential-seeding contract holds for this injector
-    like every other.
+    Draw order per trial is (lane, start) — two bounded-integer draws
+    from the trial's own generator.
     """
 
-    def __init__(self, length: int, orientation: str = "row",
-                 seed: SeedLike = None):
+    def __init__(self, length: int, orientation: str = "row"):
         if length < 1:
             raise ValueError(f"burst length must be >= 1, got {length}")
         if orientation not in ("row", "col"):
@@ -671,7 +607,6 @@ class LinearBurstInjector(FaultInjector):
                 f"orientation must be 'row' or 'col': {orientation}")
         self.length = length
         self.orientation = orientation
-        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "linear_burst",
@@ -696,12 +631,12 @@ class LinearBurstInjector(FaultInjector):
 
     def draw_events(self, batch: int, data_shape: Tuple[int, ...],
                     plane_shapes: Optional[Tuple[Tuple[int, ...], ...]],
-                    rngs: Optional[Sequence[np.random.Generator]],
+                    streams: TrialStreams,
                     ) -> Tuple[np.ndarray, np.ndarray]:
         rows, cols = data_shape
         cells = [r * cols + c for r, c in (
             self._burst_cells(rng, rows, cols)
-            for rng in _resolve_rngs(rngs, self, batch))]
+            for rng in _check_range(streams, batch))]
         trial = np.repeat(np.arange(batch, dtype=np.int64), self.length)
         cell = np.concatenate(cells) if cells \
             else np.empty(0, dtype=np.int64)
@@ -713,11 +648,10 @@ class CheckBitInjector(BernoulliFieldInjector):
 
     exposes_data = False
 
-    def __init__(self, probability: float, seed: SeedLike = None):
+    def __init__(self, probability: float):
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0,1], got {probability}")
         self.probability = probability
-        self._seed = seed
 
     def to_config(self) -> dict:
         return {"kind": "check_bit",

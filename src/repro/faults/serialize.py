@@ -12,10 +12,10 @@ injector, shared by two consumers that must agree exactly:
 A config is ``{"kind": <registered name>, "params": {<JSON scalars>}}``.
 :func:`build_injector` turns a config into a live injector;
 :meth:`FaultInjector.to_config` (implemented per concrete class) is the
-inverse. Injector *seeds* are deliberately absent from the config: the
-per-trial seeding contract (:mod:`repro.faults.batch`) never consumes an
-injector's own stream, which is precisely what makes a config — and the
-shard tasks built from it — relocatable across processes and hosts.
+inverse. A config holds no seed: injectors hold no stream, and every
+draw comes from the campaign's keyed streams (:mod:`repro.faults.batch`),
+which is precisely what makes a config — and the shard tasks built from
+it — relocatable across processes and hosts.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from repro.faults.injector import (
 )
 
 #: kind -> (builder, allowed parameter names). Builders receive the
-#: params dict and return a fresh injector; the injector's own stream is
-#: never consumed under per-trial seeding, so no seed is threaded.
+#: params dict and return a fresh injector.
 INJECTOR_KINDS: Dict[str, Tuple[Callable[[dict], FaultInjector],
                                 Tuple[str, ...]]] = {
     "uniform": (

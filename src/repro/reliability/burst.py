@@ -28,16 +28,12 @@ The Monte-Carlo side is a thin classification layer over the unified
 campaign engine: each trial drives one
 :class:`repro.faults.injector.LinearBurstInjector` round through
 :class:`repro.faults.batch.CampaignRunner`, so burst sweeps inherit the
-fault-centric batched engine, process-pool sharding and both campaign
-seeding contracts (``engine="scalar"`` is
-the per-block Python reference; sequential batched runs are bit-identical
-to it, per-trial runs are shard-layout invariant).
-
-Seeding: the single ``seed`` is split into independent data-fill and
-injection streams with :func:`repro.utils.rng.spawn_rngs` (sequential
-modes) or used as the root entropy of the keyed per-trial streams
-(per-trial mode, :func:`repro.utils.rng.trial_stream`) — no ad-hoc
-single-stream consumption.
+fault-centric batched engine, process-pool sharding and the campaign
+seeding contract: the ``seed`` is the campaign's root entropy, each
+trial draws from its own keyed stream
+(:func:`repro.utils.rng.trial_stream`), tallies do not depend on the
+shard layout, and :func:`repro.faults.batch.run_reference` replays them
+through the scalar checker.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.blocks import BlockGrid
-from repro.faults.batch import CampaignRunner, derive_campaign_seeds
+from repro.faults.batch import CampaignRunner
 from repro.faults.injector import LinearBurstInjector
 from repro.utils.rng import SeedLike
 
@@ -90,10 +86,8 @@ class BurstSurvivalResult:
 def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
                             orientation: str = "row",
                             seed: SeedLike = 0,
-                            engine: str = "batched",
                             batch_size: Optional[int] = None,
                             workers: int = 1,
-                            seeding: Optional[str] = None,
                             packing: str = "u8",
                             ) -> BurstSurvivalResult:
     """Empirical burst survival through the real checker.
@@ -104,23 +98,17 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
     detected (uncorrectable reports — never silent corruption, which is
     asserted).
 
-    ``engine``/``batch_size``/``workers``/``seeding``/``packing`` are
-    the :class:`repro.faults.batch.CampaignRunner` knobs: the default
-    batched engine runs trials in blocks and, with the same
-    ``seed``, reproduces the scalar reference (``engine="scalar"``)
-    bit-for-bit in sequential mode; ``workers > 1`` (or
-    ``seeding="per-trial"``) switches to the shard-invariant per-trial
-    contract, which requires an integer seed.
+    ``seed`` (the root entropy: an integer, or ``None`` for fresh
+    entropy), ``batch_size``, ``workers`` and ``packing`` are the
+    :class:`repro.faults.batch.CampaignRunner` knobs; the tallies depend
+    on the seed alone.
     """
     if length > grid.n:
         raise ValueError(f"burst length {length} exceeds the {grid.n}-cell "
                          f"crossbar lane")
-    campaign_seed, injector_seed = derive_campaign_seeds(seed, seeding,
-                                                         workers)
     runner = CampaignRunner(
-        grid, LinearBurstInjector(length, orientation, seed=injector_seed),
-        seed=campaign_seed, include_check_bits=True, engine=engine,
-        batch_size=batch_size, workers=workers, seeding=seeding,
+        grid, LinearBurstInjector(length, orientation), seed=seed,
+        include_check_bits=True, batch_size=batch_size, workers=workers,
         packing=packing)
     result = runner.run(trials)
     # A linear burst can never alias to a correctable syndrome: within a

@@ -12,6 +12,11 @@ This module evaluates the four protection configurations on the same
 * ECC alone already dominates refresh alone;
 * refresh + ECC is the strongest — refresh shrinks the per-window bit
   flip probability that the block-level binomial then squares.
+
+The empirical side (:func:`simulate_drift_survival`,
+:func:`validate_drift_model`) runs drift campaigns through
+:class:`repro.faults.batch.CampaignRunner` under the campaign seeding
+contract: the ``seed`` is the root entropy of the keyed streams.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.blocks import BlockGrid
-from repro.faults.batch import CampaignRunner, derive_campaign_seeds
+from repro.faults.batch import CampaignRunner
 from repro.faults.campaign import CampaignResult
 from repro.faults.drift import DriftInjector, DriftModel
 from repro.reliability.model import MemoryOrganization, \
@@ -98,10 +103,8 @@ def simulate_drift_survival(grid: BlockGrid,
                             refresh_period_hours: Optional[float] = None,
                             trials: int = 256,
                             seed: SeedLike = 0,
-                            engine: str = "batched",
                             batch_size: Optional[int] = None,
                             workers: int = 1,
-                            seeding: Optional[str] = None,
                             include_check_bits: bool = True,
                             packing: str = "u8",
                             ) -> CampaignResult:
@@ -114,25 +117,19 @@ def simulate_drift_survival(grid: BlockGrid,
     of :func:`compare_protections` are built from.
 
     Dispatches through :class:`repro.faults.batch.CampaignRunner`, so
-    drift sweeps get the fault-centric batched engine, process-pool
-    sharding and adaptive sampling with the standard seeding contracts
-    (``engine="scalar"`` is the bit-identical sequential reference;
-    per-trial mode is shard-invariant and needs an integer seed). ``packing="u64"`` selects the bit-sliced uint64
-    layout (64 trials per word, identical tallies). The single ``seed``
-    is split into data-fill and injection streams via
-    :func:`repro.utils.rng.spawn_rngs`.
+    drift sweeps get the fault-centric batched engine and process-pool
+    sharding under the campaign seeding contract: ``seed`` is the root
+    entropy (an integer, or ``None`` for fresh entropy), and the tallies
+    depend on it alone, not on ``batch_size``, ``workers`` or
+    ``packing``.
     """
     model = model or DriftModel()
-    campaign_seed, injector_seed = derive_campaign_seeds(seed, seeding,
-                                                         workers)
     runner = CampaignRunner(
         grid,
         DriftInjector(model, window_hours, refresh_period_hours,
-                      seed=injector_seed,
                       include_check_bits=include_check_bits),
-        seed=campaign_seed, include_check_bits=include_check_bits,
-        engine=engine, batch_size=batch_size, workers=workers,
-        seeding=seeding, packing=packing)
+        seed=seed, include_check_bits=include_check_bits,
+        batch_size=batch_size, workers=workers, packing=packing)
     return runner.run(trials)
 
 

@@ -29,9 +29,9 @@ Every campaign-family spec carries the full engine configuration —
 default, lets the engine plan its blocks by expected fault events; an
 integer fixes them), ``include_check_bits``, ``code`` (registered
 block-code name, :mod:`repro.core.registry`) — with exactly the
-semantics of the in-process :class:`CampaignRunner` knobs; service
-execution always uses the **per-trial** seeding contract (the only
-relocatable one), so the spec's ``seed`` is the campaign root entropy.
+semantics of the in-process :class:`CampaignRunner` knobs; campaigns
+draw under the **per-trial** seeding contract, so the spec's ``seed``
+is the campaign root entropy.
 ``seed=None`` draws fresh OS entropy once at submission
 (:meth:`JobSpec.normalized`); the normalized spec is what gets hashed,
 executed, and recorded, making every run reproducible from its record.
@@ -220,7 +220,7 @@ class _CampaignFamilySpec(JobSpec):
             self.build_grid(), self.build_injector(), seed=self.entropy,
             include_check_bits=self.include_check_bits,
             batch_size=self.batch_size, workers=workers,
-            seeding="per-trial", packing=self.packing, code=self.code)
+            packing=self.packing, code=self.code)
 
     def _validate_engine_fields(self) -> None:
         self.build_grid()

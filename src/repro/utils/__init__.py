@@ -34,7 +34,7 @@ from repro.utils.kernels import (
     native_available,
     register_kernels,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.stats import wilson_halfwidth, wilson_interval
 from repro.utils.validation import (
     check_index,
@@ -76,7 +76,6 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "make_rng",
-    "spawn_rngs",
     "check_index",
     "check_odd",
     "check_positive",

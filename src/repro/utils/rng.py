@@ -1,9 +1,11 @@
 """Deterministic random-number-generator plumbing.
 
-Every stochastic component in the library (fault injectors, Monte-Carlo
-campaigns, randomized tests) takes either a seed or a ``numpy.random
-.Generator``. Centralizing the coercion here guarantees reproducible runs:
-the same seed always produces the same fault pattern.
+Fault campaigns draw only from the keyed streams of the contract below,
+addressed by the campaign's root entropy; fault injectors hold no stream
+of their own. The other stochastic components (simulators, randomized
+tests) take either a seed or a ``numpy.random.Generator``
+(:func:`make_rng`). Either way the same seed always produces the same
+fault pattern.
 
 Campaign draw contract (version :data:`DRAW_CONTRACT`)
 ======================================================
@@ -42,9 +44,9 @@ that scales with the faults rather than the cells. The gaps are drawn
 in chunks whose size is a fixed function of the field size and ``p``,
 and every gap is clipped at the field size plus one before summing
 (numpy returns ``INT64_MAX`` for the gaps of tiny ``p``; a gap that
-long already leaves the field). Sequential-seeded runs, and scalar
-:meth:`repro.faults.injector.FaultInjector.inject` on the injector's
-own stream, draw one field per trial with the same sampler.
+long already leaves the field). Every field is drawn from a generator
+freshly addressed to its group's counter, so no draw continues a stream
+another field advanced: the chunk size changes no position.
 """
 
 from __future__ import annotations
@@ -85,27 +87,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``seed``.
-
-    Used by parallel Monte-Carlo campaigns so each trial gets its own
-    stream while remaining reproducible from the single campaign seed.
-    Any integral seed (Python or numpy) seeds the root deterministically;
-    ``None`` draws fresh OS entropy. A live :class:`numpy.random
-    .Generator` cannot be decomposed into independent children and is
-    rejected rather than silently falling back to fresh entropy.
-    """
-    if isinstance(seed, np.random.Generator):
-        raise ValueError(
-            "spawn_rngs needs an integer seed (or None), not a Generator: "
-            "independent child streams cannot be derived from a live "
-            "stream")
-    if seed is not None:
-        seed = int(seed)
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(count)]
 
 
 def resolve_entropy(seed: SeedLike = None) -> int:
@@ -297,8 +278,9 @@ def _gap_chunk(size: int, probability: float) -> int:
     """Gaps per ``geometric`` call for a ``size``-cell field.
 
     The mean count needed to leave the field plus a four-sigma margin,
-    so one call almost always suffices. Part of the draw contract: it
-    fixes how far a sequential stream advances per field.
+    so one call almost always suffices. It changes no position: the
+    gaps are the same draws whatever the chunking, and no stream is
+    drawn from again once its field is done.
     """
     mean = size * probability
     return int(mean + 4.0 * math.sqrt(mean)) + 16
@@ -310,9 +292,7 @@ def bernoulli_positions(rng: np.random.Generator, cells: int,
 
     Equal in distribution to ``np.flatnonzero(rng.random(cells) <
     probability)``, drawn exactly but sparsely by geometric gaps (see
-    the module docstring). Each call consumes ``rng`` the same way
-    whatever the caller, which is what keeps scalar and batched
-    injection bit-identical.
+    the module docstring).
     """
     if cells == 0 or probability == 0:
         return _NO_POSITIONS

@@ -6,11 +6,10 @@ from repro.faults import CampaignRunner, UniformInjector
 from repro.utils.stats import wilson_halfwidth
 
 
-def _runner(seeding="per-trial", p=0.02, workers=1, **kwargs):
+def _runner(p=0.02, workers=1, **kwargs):
     from repro.core.blocks import BlockGrid
-    return CampaignRunner(BlockGrid(15, 5), UniformInjector(p, seed=0),
-                          seed=33, seeding=seeding, workers=workers,
-                          **kwargs)
+    return CampaignRunner(BlockGrid(15, 5), UniformInjector(p),
+                          seed=33, workers=workers, **kwargs)
 
 
 class TestAdaptiveSampling:
@@ -50,19 +49,8 @@ class TestAdaptiveSampling:
         plain = _runner().run(out.trials)
         assert out.result.as_dict() == plain.as_dict()
 
-    def test_sequential_mode_prefix_equals_plain_run(self):
-        out = _runner(seeding="sequential").run_adaptive(
-            tolerance=0.05, initial_trials=64, max_trials=4096)
-        plain = _runner(seeding="sequential").run(out.trials)
-        assert out.result.as_dict() == plain.as_dict()
-
-    def test_scalar_engine_supported(self):
-        out = _runner(seeding="sequential", engine="scalar").run_adaptive(
-            tolerance=0.2, initial_trials=16, max_trials=64)
-        assert out.trials >= 16
-
     def test_worker_invariance(self):
-        one = _runner(workers=1, seeding="per-trial").run_adaptive(
+        one = _runner(workers=1).run_adaptive(
             tolerance=0.08, initial_trials=48, max_trials=1024)
         two = _runner(workers=2).run_adaptive(
             tolerance=0.08, initial_trials=48, max_trials=1024)

@@ -5,20 +5,17 @@ cut a trial range into whole, aligned 64-trial groups holding about
 ``BLOCK_EVENTS`` expected fault events each. The plan may change only
 how fast a run is, never what it tallies: planned runs equal fixed
 ``batch_size=64`` runs and the scalar ``run_reference`` for every
-injector kind, code and seeding mode, over aligned and unaligned spans.
-Per-trial runs and service submissions never build an injector's own
-stream, and a spec's cache key does not see ``batch_size``.
+injector kind and code, over aligned and unaligned spans, and a spec's
+cache key does not see ``batch_size``.
 
 The CI ``differential`` leg runs this file with the slow filter
 cleared, which adds the exhaustive split-point check.
 """
 
-import asyncio
 import math
 
 import pytest
 
-import repro.faults.injector as injector_mod
 from repro.core.blocks import BlockGrid
 from repro.distributed.wire import (
     WIRE_VERSION,
@@ -43,16 +40,11 @@ from repro.faults.drift import DriftInjector, DriftModel
 from repro.faults.injector import (
     BurstInjector,
     CheckBitInjector,
+    DeterministicInjector,
     LinearBurstInjector,
     UniformInjector,
 )
-from repro.service import (
-    BurstSurvivalJobSpec,
-    CampaignJobSpec,
-    CampaignService,
-    DriftSurvivalJobSpec,
-    InjectorSpec,
-)
+from repro.service import CampaignJobSpec, InjectorSpec
 from repro.utils.rng import GROUP_TRIALS
 
 ENTROPY = 0x5EED_B10C
@@ -62,22 +54,24 @@ PERFBENCH_GRID = BlockGrid(129, 3)
 PERFBENCH_RATES = (2e-4, 1e-2)
 
 
-def drift(p, seed=None):
+def drift(p):
     """A drift injector whose per-cell flip probability is ``p``."""
     tau = 100.0
     return DriftInjector(DriftModel(tau_hours=tau, beta=2.0,
                                     abrupt_fit_per_bit=0.0),
-                         window_hours=tau * math.sqrt(-math.log1p(-p)),
-                         seed=seed)
+                         window_hours=tau * math.sqrt(-math.log1p(-p)))
 
 
 INJECTORS = {
-    "uniform": lambda p, seed=None: UniformInjector(p, seed=seed),
-    "check_bit": lambda p, seed=None: CheckBitInjector(p, seed=seed),
+    "uniform": UniformInjector,
+    "check_bit": CheckBitInjector,
     "drift": drift,
-    "burst": lambda p, seed=None: BurstInjector(
-        strikes=2, radius=1, neighbor_probability=0.5, seed=seed),
-    "linear_burst": lambda p, seed=None: LinearBurstInjector(3, seed=seed),
+    "burst": lambda p: BurstInjector(
+        strikes=2, radius=1, neighbor_probability=0.5),
+    "linear_burst": lambda p: LinearBurstInjector(3),
+    # Two flips in one block, and a pair that cancels.
+    "deterministic": lambda p: DeterministicInjector(
+        [(0, 0), (2, 3), (7, 7), (7, 7)]),
 }
 
 
@@ -233,26 +227,6 @@ class TestPlannedTalliesPerTrial:
         assert runner().shard_task(5, 300).batch_size is None
 
 
-class TestPlannedTalliesSequential:
-    @pytest.mark.parametrize("code", CODES)
-    @pytest.mark.parametrize("kind", sorted(INJECTORS))
-    def test_planned_equals_fixed(self, kind, code):
-        def run(batch_size):
-            return CampaignRunner(GRID, INJECTORS[kind](0.02, seed=41),
-                                  seed=7, batch_size=batch_size,
-                                  code=code).run(300)
-
-        assert tallies(run(None)) == tallies(run(64))
-
-    @pytest.mark.parametrize("kind", sorted(INJECTORS))
-    def test_planned_equals_scalar_engine(self, kind):
-        def run(**kwargs):
-            return CampaignRunner(GRID, INJECTORS[kind](0.02, seed=41),
-                                  seed=7, **kwargs).run(150)
-
-        assert tallies(run()) == tallies(run(engine="scalar"))
-
-
 # ---------------------------------------------------------------------- #
 # Split points of one range
 # ---------------------------------------------------------------------- #
@@ -281,61 +255,6 @@ class TestSplitPoints:
         reference = run_reference(PERFBENCH_GRID, UniformInjector(p),
                                   ENTROPY, 256)
         assert whole == tallies(reference)
-
-
-# ---------------------------------------------------------------------- #
-# Lazy injector streams
-# ---------------------------------------------------------------------- #
-
-@pytest.fixture
-def stream_builds(monkeypatch):
-    """Seeds of every injector stream built while the test runs."""
-    built = []
-    make_rng = injector_mod.make_rng
-
-    def counting(seed=None):
-        built.append(seed)
-        return make_rng(seed)
-
-    monkeypatch.setattr(injector_mod, "make_rng", counting)
-    return built
-
-
-class TestLazyStreams:
-    @pytest.mark.parametrize("kind", sorted(INJECTORS))
-    def test_per_trial_run_builds_no_stream(self, stream_builds, kind):
-        CampaignRunner(GRID, INJECTORS[kind](0.02), seed=3,
-                       seeding="per-trial").run(100)
-        assert stream_builds == []
-
-    def test_sequential_run_builds_its_stream_once(self, stream_builds):
-        injector = UniformInjector(0.02, seed=9)
-        assert stream_builds == []
-        CampaignRunner(GRID, injector, seed=1).run(200)
-        assert stream_builds == [9]
-        expected = CampaignRunner(GRID, UniformInjector(0.02, seed=9),
-                                  seed=1, batch_size=64).run(200)
-        assert tallies(CampaignRunner(GRID, UniformInjector(0.02, seed=9),
-                                      seed=1).run(200)) == tallies(expected)
-
-    def test_service_submission_builds_no_stream(self, stream_builds,
-                                                 tmp_path):
-        specs = [
-            CampaignJobSpec(n=9, m=3, trials=100, seed=1, injector=(
-                InjectorSpec("uniform", {"probability": 2e-3}))),
-            DriftSurvivalJobSpec(n=9, m=3, trials=100, seed=2),
-            BurstSurvivalJobSpec(n=9, m=3, length=2, trials=100, seed=3),
-        ]
-
-        async def main():
-            async with CampaignService(tmp_path, executor="thread",
-                                       shard_trials=64) as service:
-                jobs = [await service.submit(spec) for spec in specs]
-                return [await service.wait(job.id, timeout=120)
-                        for job in jobs]
-
-        assert all(job.state == "done" for job in asyncio.run(main()))
-        assert stream_builds == []
 
 
 # ---------------------------------------------------------------------- #

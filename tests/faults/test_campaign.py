@@ -1,46 +1,54 @@
 """Unit tests for Monte-Carlo fault campaigns."""
 
-import pytest
-
-from repro.core.blocks import BlockGrid
+from repro.faults.batch import run_reference
 from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import DeterministicInjector, UniformInjector
+from repro.utils.rng import (
+    DATA_STREAM,
+    INJECT_STREAM,
+    TrialStreams,
+    trial_stream,
+)
+
+
+def one_trial(campaign, entropy=1, trial=0):
+    """``campaign.run_trial`` on trial ``trial``'s keyed streams."""
+    return campaign.run_trial(
+        trial_stream(entropy, trial, DATA_STREAM),
+        TrialStreams(entropy, trial, trial + 1, INJECT_STREAM))
 
 
 class TestSingleTrials:
     def test_no_faults_clean(self, small_grid):
-        campaign = FaultCampaign(small_grid, UniformInjector(0.0, seed=0),
-                                 seed=1)
-        kind, faults, multi = campaign.run_trial()
+        campaign = FaultCampaign(small_grid, UniformInjector(0.0))
+        kind, faults, multi = one_trial(campaign)
         assert kind == "clean" and faults == 0 and multi == 0
 
     def test_single_fault_corrected(self, small_grid):
         campaign = FaultCampaign(small_grid,
-                                 DeterministicInjector([(7, 7)]), seed=1)
-        kind, faults, _ = campaign.run_trial()
+                                 DeterministicInjector([(7, 7)]))
+        kind, faults, _ = one_trial(campaign)
         assert kind == "corrected" and faults == 1
 
     def test_one_fault_per_block_all_corrected(self, small_grid):
         flips = [(br * 5 + 2, bc * 5 + 3) for br in range(3)
                  for bc in range(3)]
-        campaign = FaultCampaign(small_grid, DeterministicInjector(flips),
-                                 seed=1)
-        kind, faults, multi = campaign.run_trial()
+        campaign = FaultCampaign(small_grid, DeterministicInjector(flips))
+        kind, faults, multi = one_trial(campaign)
         assert kind == "corrected" and faults == 9 and multi == 0
 
     def test_double_fault_detected(self, small_grid):
         campaign = FaultCampaign(
-            small_grid, DeterministicInjector([(0, 0), (2, 3)]), seed=1)
-        kind, _, multi = campaign.run_trial()
+            small_grid, DeterministicInjector([(0, 0), (2, 3)]))
+        kind, _, multi = one_trial(campaign)
         assert kind == "detected"
         assert multi == 1
 
     def test_check_bit_fault_corrected(self, small_grid):
         campaign = FaultCampaign(
             small_grid,
-            DeterministicInjector(check_flips=[("counter", 2, 1, 1)]),
-            seed=1)
-        kind, faults, _ = campaign.run_trial()
+            DeterministicInjector(check_flips=[("counter", 2, 1, 1)]))
+        kind, faults, _ = one_trial(campaign)
         assert kind == "corrected" and faults == 1
 
 
@@ -54,8 +62,8 @@ class TestMultiFaultBlockCounting:
             small_grid,
             DeterministicInjector([(7, 7)],
                                   check_flips=[("leading", 0, 1, 1)]),
-            seed=1, include_check_bits=True)
-        kind, faults, multi = campaign.run_trial()
+            include_check_bits=True)
+        kind, faults, multi = one_trial(campaign)
         assert faults == 2
         assert multi == 1
         assert kind == "detected"
@@ -67,8 +75,8 @@ class TestMultiFaultBlockCounting:
             small_grid,
             DeterministicInjector([(7, 7)],
                                   check_flips=[("leading", 0, 1, 1)]),
-            seed=1, include_check_bits=False)
-        kind, faults, multi = campaign.run_trial()
+            include_check_bits=False)
+        kind, faults, multi = one_trial(campaign)
         assert faults == 1
         assert multi == 0
         assert kind == "corrected"
@@ -78,8 +86,8 @@ class TestMultiFaultBlockCounting:
             small_grid,
             DeterministicInjector(check_flips=[("leading", 0, 2, 2),
                                                ("counter", 1, 2, 2)]),
-            seed=1, include_check_bits=True)
-        _, faults, multi = campaign.run_trial()
+            include_check_bits=True)
+        _, faults, multi = one_trial(campaign)
         assert faults == 2
         assert multi == 1
 
@@ -88,8 +96,8 @@ class TestMultiFaultBlockCounting:
             small_grid,
             DeterministicInjector([(0, 0)],
                                   check_flips=[("counter", 2, 2, 2)]),
-            seed=1, include_check_bits=True)
-        kind, faults, multi = campaign.run_trial()
+            include_check_bits=True)
+        kind, faults, multi = one_trial(campaign)
         assert faults == 2
         assert multi == 0
         assert kind == "corrected"
@@ -97,23 +105,19 @@ class TestMultiFaultBlockCounting:
 
 class TestAggregation:
     def test_run_counts_sum(self, small_grid):
-        campaign = FaultCampaign(small_grid, UniformInjector(0.002, seed=5),
-                                 seed=5)
-        result = campaign.run(trials=20)
+        result = run_reference(small_grid, UniformInjector(0.002), 5, 20)
         assert result.trials == 20
         assert result.clean + result.corrected + result.detected + \
             result.silent == 20
 
     def test_failure_rate_definition(self, small_grid):
-        campaign = FaultCampaign(
-            small_grid, DeterministicInjector([(0, 0), (1, 1)]), seed=2)
-        result = campaign.run(trials=5)
+        result = run_reference(
+            small_grid, DeterministicInjector([(0, 0), (1, 1)]), 2, 5)
         assert result.failure_rate == 1.0
         assert result.silent_rate == 0.0
 
     def test_as_dict_keys(self, small_grid):
-        campaign = FaultCampaign(small_grid, UniformInjector(0.0), seed=0)
-        d = campaign.run(1).as_dict()
+        d = run_reference(small_grid, UniformInjector(0.0), 0, 1).as_dict()
         assert {"trials", "failure_rate", "silent_rate"} <= set(d)
 
     def test_empty_result_rates(self, small_grid):

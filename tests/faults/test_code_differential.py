@@ -99,15 +99,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="not registered|unknown"):
             _runner("nope")
 
-    def test_scalar_engine_is_diagonal_only(self):
-        with pytest.raises(ValueError, match="scalar engine"):
-            CampaignRunner(BlockGrid(15, 5), UniformInjector(0.02),
-                           seed=1, engine="scalar", code="rowcol")
-
-    def test_scalar_engine_still_accepts_diagonal(self):
-        CampaignRunner(BlockGrid(15, 5), UniformInjector(0.02),
-                       seed=1, engine="scalar", code="diagonal")
-
 
 class TestShardTasks:
     @pytest.mark.parametrize("code", NON_DIAGONAL)

@@ -1,13 +1,10 @@
 """Differential suite for the batched drift-window simulation path.
 
-The drift simulators join the unified campaign engine in this PR; the
-same two contracts as ``repro.faults.batch`` are pinned for them:
-
-* sequential seeding — ``BatchCampaign``/``CampaignRunner`` with a
-  :class:`DriftInjector` is bit-identical to the scalar
-  ``FaultCampaign`` reference for the same seeds, any batch size;
-* per-trial seeding — shard-layout invariant and identical to the
-  scalar replay (``run_reference``).
+The drift simulators run on the unified campaign engine, and the
+seeding contract of ``repro.faults.batch`` is pinned for them:
+``BatchCampaign``/``CampaignRunner`` with a :class:`DriftInjector` is
+invariant under batch size and shard layout and identical to the scalar
+replay (``run_reference``) under the same entropy.
 """
 
 import numpy as np
@@ -21,7 +18,6 @@ from repro.faults import (
     DriftInjector,
     DriftModel,
     DriftSimulator,
-    FaultCampaign,
     merge_results,
     window_flip_mask,
 )
@@ -29,16 +25,16 @@ from repro.reliability.drift_analysis import (
     simulate_drift_survival,
     validate_drift_model,
 )
-from repro.utils.rng import INJECT_STREAM, trial_stream
+from repro.utils.rng import INJECT_STREAM, TrialStreams, trial_stream
 from repro.xbar.crossbar import CrossbarArray
 
 #: Aggressive model so small campaigns actually see flips.
 HOT = DriftModel(tau_hours=150.0, beta=2.0, abrupt_fit_per_bit=5e5)
 
 
-def _injector(refresh=4.0, seed=13, include_check_bits=True):
+def _injector(refresh=4.0, include_check_bits=True):
     return DriftInjector(HOT, window_hours=24.0,
-                         refresh_period_hours=refresh, seed=seed,
+                         refresh_period_hours=refresh,
                          include_check_bits=include_check_bits)
 
 
@@ -88,19 +84,6 @@ class TestAggregatedFieldContract:
         inj = _injector(refresh=4.0)
         assert inj.probability == HOT.flip_probability(24.0, 4.0)
 
-    def test_one_host_call_per_sequential_block(self):
-        """A (B, cells) shared-stream draw equals B scalar rounds.
-
-        The fast path's whole premise: uniform doubles are generated
-        element-sequentially, so the batched call consumes the stream
-        exactly like per-trial calls. Pinned directly on the generator
-        (the campaign-level equivalence tests inherit it).
-        """
-        a = np.random.default_rng(9).random((6, 100))
-        scalar_stream = np.random.default_rng(9)
-        b = np.vstack([scalar_stream.random(100) for _ in range(6)])
-        assert (a == b).all()
-
     def test_flip_rate_matches_discrete_event_kernel(self):
         """Aggregated field and window_flip_mask agree in distribution."""
         rng = np.random.default_rng(5)
@@ -124,16 +107,20 @@ class TestDriftInjectorGroundTruth:
 
         scalar = _injector(include_check_bits=include_check_bits)
         scalar_results = []
-        for _ in range(trials):
+        for i in range(trials):
             mem = CrossbarArray(n, n)
             store = CheckStore(small_grid)
-            scalar_results.append(scalar.inject(mem, store))
+            scalar_results.append(scalar.inject(
+                mem, store, streams=TrialStreams(13, i, i + 1,
+                                                 INJECT_STREAM)))
 
         batched = _injector(include_check_bits=include_check_bits)
         data = np.zeros((trials, n, n), dtype=np.uint8)
         lead = np.zeros((trials, m, b, b), dtype=np.uint8)
         ctr = np.zeros((trials, m, b, b), dtype=np.uint8)
-        got = batched.inject_batch(data, lead, ctr)
+        got = batched.inject_batch(
+            data, lead, ctr, streams=TrialStreams(13, 0, trials,
+                                                  INJECT_STREAM))
 
         for i, expected in enumerate(scalar_results):
             view = got.result_of(i)
@@ -147,31 +134,33 @@ class TestDriftInjectorGroundTruth:
             DriftInjector(HOT, window_hours=10.0, refresh_period_hours=0.0)
 
 
-class TestSequentialEquivalence:
+class TestReferenceEquivalence:
     @pytest.mark.parametrize("n,m", [(9, 3), (15, 5)])
     @pytest.mark.parametrize("refresh", [None, 4.0])
-    def test_campaign_matches_scalar(self, n, m, refresh):
-        grid = BlockGrid(n, m)
-        scalar = FaultCampaign(grid, _injector(refresh), seed=5).run(20)
-        batched = BatchCampaign(grid, _injector(refresh), seed=5,
-                                batch_size=7).run(20)
-        assert scalar.as_dict() == batched.as_dict()
+    def test_campaign_matches_reference(self, n, m, refresh):
+        runner = CampaignRunner(BlockGrid(n, m), _injector(refresh), seed=5,
+                                batch_size=7)
+        assert runner.run_reference(20).as_dict() == \
+            runner.run(20).as_dict()
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_batch_size_invisible(self, small_grid, batch_size):
-        reference = BatchCampaign(small_grid, _injector(), seed=2,
-                                  batch_size=5).run(18).as_dict()
-        other = BatchCampaign(small_grid, _injector(), seed=2,
-                              batch_size=batch_size).run(18).as_dict()
+        reference = CampaignRunner(small_grid, _injector(), seed=2,
+                                   batch_size=5).run(18).as_dict()
+        other = CampaignRunner(small_grid, _injector(), seed=2,
+                               batch_size=batch_size).run(18).as_dict()
         assert reference == other
 
-    def test_survival_entrypoint_matches_scalar(self, small_grid):
+    def test_survival_entrypoint_matches_reference(self, small_grid):
         kwargs = dict(model=HOT, window_hours=24.0,
                       refresh_period_hours=4.0, trials=25, seed=11)
-        s = simulate_drift_survival(small_grid, engine="scalar", **kwargs)
-        b = simulate_drift_survival(small_grid, engine="batched",
-                                    batch_size=6, **kwargs)
-        assert s.as_dict() == b.as_dict()
+        reference = CampaignRunner(small_grid, _injector(), seed=11) \
+            .run_reference(25)
+        assert simulate_drift_survival(small_grid, **kwargs).as_dict() == \
+            reference.as_dict()
+        assert simulate_drift_survival(small_grid, batch_size=6,
+                                       **kwargs).as_dict() == \
+            reference.as_dict()
 
 
 class TestPerTrialSeeding:
@@ -192,17 +181,17 @@ class TestPerTrialSeeding:
 
     def test_worker_count_invariant(self, small_grid):
         one = simulate_drift_survival(small_grid, HOT, 24.0, 4.0, trials=16,
-                                      seed=8, workers=1,
-                                      seeding="per-trial", batch_size=5)
+                                      seed=8, workers=1, batch_size=5)
         two = simulate_drift_survival(small_grid, HOT, 24.0, 4.0, trials=16,
                                       seed=8, workers=2, batch_size=5)
         assert one.as_dict() == two.as_dict()
 
 
 class TestAgainstClosedForm:
-    def test_campaign_consistent_with_analytic_binomial(self):
+    @pytest.mark.parametrize("seed", [19, 0x5EED_D21F7, 2 ** 100 + 3])
+    def test_campaign_consistent_with_analytic_binomial(self, seed):
         report = validate_drift_model(BlockGrid(15, 5), HOT, 24.0, 4.0,
-                                      trials=400, seed=19)
+                                      trials=400, seed=seed)
         assert report["consistent"], report
 
     def test_refresh_improves_empirical_survival(self, small_grid):

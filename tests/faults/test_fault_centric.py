@@ -54,7 +54,7 @@ def kind_of(result) -> str:
     return kind
 
 
-def sweep_outcomes(grid, injector, code_name, rngs, batch,
+def sweep_outcomes(grid, injector, code_name, streams, batch,
                    include_check_bits=True):
     """Per-trial ``(kind, faults, multi)`` from the full packed sweep."""
     code = build_code(code_name, grid)
@@ -63,7 +63,7 @@ def sweep_outcomes(grid, injector, code_name, rngs, batch,
     planes = tuple(np.zeros((nwords,) + shape, dtype=np.uint64)
                    for shape in code.plane_shapes)
     injection = injector.inject_batch_planes_packed(
-        batch, words, planes if include_check_bits else (), rngs=rngs)
+        batch, words, planes if include_check_bits else (), streams=streams)
     sweep = code.check_batched_packed(words, planes, batch, correct=True)
     damaged = unpack_batch(or_reduce_words(words, axis=(1, 2)),
                            batch).astype(bool)
@@ -222,29 +222,6 @@ class TestDeterministic:
         (outcome,) = assert_per_trial_equal(grid, injector, code, lo=0,
                                             hi=1)
         assert outcome[0] == kind
-
-
-class TestSequentialMode:
-    @pytest.mark.parametrize("code", ALL_CODES)
-    @pytest.mark.parametrize("make", [
-        lambda seed: UniformInjector(2e-2, seed=seed),
-        lambda seed: BurstInjector(strikes=2, seed=seed),
-        lambda seed: LinearBurstInjector(3, "col", seed=seed),
-    ])
-    def test_own_stream_per_trial(self, code, make):
-        trials = 70
-        expected = sweep_outcomes(GRID, make(11), code, None, trials)
-        engine = BatchCampaign(GRID, make(11), code=code, batch_size=1)
-        got = []
-        for _ in range(trials):
-            r = engine.run(1)
-            got.append((kind_of(r), r.injected_faults,
-                        r.blocks_with_multi_faults))
-        assert got == expected
-        whole = BatchCampaign(GRID, make(11), code=code,
-                              batch_size=64).run(trials).as_dict()
-        assert {k: whole[k] for k in totals_of(expected)} \
-            == totals_of(expected)
 
 
 # ---------------------------------------------------------------------- #

@@ -22,7 +22,6 @@ from repro.core.blocks import BlockGrid
 from repro.distributed.wire import decode_task, encode_task
 from repro.faults import DriftInjector, DriftModel
 from repro.faults.batch import (
-    BatchCampaign,
     CampaignRunner,
     ShardTask,
     run_reference,
@@ -126,19 +125,6 @@ class TestTierFreeTallies:
         drop_tier()
         got = _runner("diagonal", packing="u8").run(96)
         assert got.as_dict() == expected.as_dict()
-
-    def test_sequential_engine_matches(self, drop_tier):
-        """BatchCampaign's sequential mode, with a seeded injector (it
-        gets its own stream, so an unseeded one differs run to run)."""
-        def tallies():
-            engine = BatchCampaign(BlockGrid(15, 3),
-                                   UniformInjector(0.02, seed=7),
-                                   seed=9, packing="u64")
-            return engine.run(128).as_dict()
-
-        expected = tallies()
-        drop_tier()
-        assert tallies() == expected
 
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_shard_task_executes_identically(self, code, drop_tier):

@@ -3,8 +3,8 @@
 The packing switch may never change a tally: with identical seeds a
 ``packing="u64"`` run must be bit-for-bit identical to the u8 batched
 run — which the existing harness already pins to the scalar reference —
-under both seeding contracts, for the whole injector family, and for
-batch sizes that leave a ``B % 64`` tail.
+for the whole injector family, and for batch sizes that leave a
+``B % 64`` tail.
 """
 
 import numpy as np
@@ -19,23 +19,23 @@ from repro.faults import (
     DeterministicInjector,
     DriftInjector,
     DriftModel,
-    FaultCampaign,
     LinearBurstInjector,
     UniformInjector,
     merge_results,
 )
+from repro.utils.rng import INJECT_STREAM, TrialStreams
 
 #: Hot drift model: plenty of flips, so corrections actually happen.
 DRIFT_MODEL = DriftModel(tau_hours=2e5, beta=2.0, abrupt_fit_per_bit=1e4)
 
 INJECTOR_FAMILY = [
-    pytest.param(lambda: UniformInjector(0.03, seed=13), id="uniform"),
+    pytest.param(lambda: UniformInjector(0.03), id="uniform"),
     pytest.param(lambda: BurstInjector(strikes=2, radius=1,
-                                       neighbor_probability=0.5, seed=13),
+                                       neighbor_probability=0.5),
                  id="burst"),
-    pytest.param(lambda: LinearBurstInjector(2, seed=13), id="linear-burst"),
-    pytest.param(lambda: CheckBitInjector(0.04, seed=13), id="check-bit"),
-    pytest.param(lambda: DriftInjector(DRIFT_MODEL, 24.0, 6.0, seed=13),
+    pytest.param(lambda: LinearBurstInjector(2), id="linear-burst"),
+    pytest.param(lambda: CheckBitInjector(0.04), id="check-bit"),
+    pytest.param(lambda: DriftInjector(DRIFT_MODEL, 24.0, 6.0),
                  id="drift"),
     pytest.param(lambda: DeterministicInjector(
         [(1, 1), (1, 1), (4, 2)], check_flips=[("leading", 0, 1, 1)]),
@@ -46,16 +46,15 @@ INJECTOR_FAMILY = [
 def _pair(injector_factory, grid, trials, batch_size, seed=42,
           include_check_bits=True):
     """(u8, u64) tallies for identically-seeded batched campaigns."""
-    u8 = BatchCampaign(grid, injector_factory(), seed=seed,
-                       include_check_bits=include_check_bits,
-                       batch_size=batch_size, packing="u8").run(trials)
-    u64 = BatchCampaign(grid, injector_factory(), seed=seed,
-                        include_check_bits=include_check_bits,
-                        batch_size=batch_size, packing="u64").run(trials)
-    return u8.as_dict(), u64.as_dict()
+    u8, u64 = (CampaignRunner(grid, injector_factory(), seed=seed,
+                              include_check_bits=include_check_bits,
+                              batch_size=batch_size, packing=packing
+                              ).run(trials).as_dict()
+               for packing in ("u8", "u64"))
+    return u8, u64
 
 
-class TestSequentialPackingEquivalence:
+class TestPackingEquivalence:
     @pytest.mark.parametrize("make_injector", INJECTOR_FAMILY)
     def test_injector_family_u64_matches_u8(self, small_grid, make_injector):
         u8, u64 = _pair(make_injector, small_grid, trials=24, batch_size=7)
@@ -64,39 +63,37 @@ class TestSequentialPackingEquivalence:
     @pytest.mark.parametrize("n,m", [(9, 3), (15, 5)])
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.1])
     def test_uniform_across_geometries(self, n, m, p):
-        u8, u64 = _pair(lambda: UniformInjector(p, seed=7), BlockGrid(n, m),
+        u8, u64 = _pair(lambda: UniformInjector(p), BlockGrid(n, m),
                         trials=30, batch_size=9)
         assert u8 == u64
 
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 70, 130])
     def test_word_tail_batches(self, small_grid, trials):
         """B % 64 != 0 must not change a single tally (padding rule)."""
-        u8, u64 = _pair(lambda: UniformInjector(0.05, seed=3), small_grid,
+        u8, u64 = _pair(lambda: UniformInjector(0.05), small_grid,
                         trials=trials, batch_size=trials)
         assert u8 == u64
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64, 100])
     def test_batch_size_never_changes_packed_tallies(self, small_grid,
                                                      batch_size):
-        reference = BatchCampaign(small_grid, UniformInjector(0.02, seed=1),
-                                  seed=2, batch_size=5,
-                                  packing="u64").run(30).as_dict()
-        other = BatchCampaign(small_grid, UniformInjector(0.02, seed=1),
-                              seed=2, batch_size=batch_size,
-                              packing="u64").run(30).as_dict()
+        reference = CampaignRunner(small_grid, UniformInjector(0.02), seed=2,
+                                   batch_size=5,
+                                   packing="u64").run(30).as_dict()
+        other = CampaignRunner(small_grid, UniformInjector(0.02), seed=2,
+                               batch_size=batch_size,
+                               packing="u64").run(30).as_dict()
         assert reference == other
 
     def test_packed_matches_scalar_reference(self, small_grid):
-        """Transitively: u64 == u8 == FaultCampaign, asserted directly."""
-        scalar = FaultCampaign(small_grid, UniformInjector(0.05, seed=9),
-                               seed=5).run(40).as_dict()
-        packed = BatchCampaign(small_grid, UniformInjector(0.05, seed=9),
-                               seed=5, batch_size=13,
-                               packing="u64").run(40).as_dict()
-        assert scalar == packed
+        """Transitively: u64 == u8 == run_reference, asserted directly."""
+        runner = CampaignRunner(small_grid, UniformInjector(0.05), seed=5,
+                                batch_size=13, packing="u64")
+        assert runner.run_reference(40).as_dict() == \
+            runner.run(40).as_dict()
 
     def test_exclude_check_bits(self, small_grid):
-        u8, u64 = _pair(lambda: UniformInjector(0.05, seed=11), small_grid,
+        u8, u64 = _pair(lambda: UniformInjector(0.05), small_grid,
                         trials=20, batch_size=8, include_check_bits=False)
         assert u8 == u64
 
@@ -110,7 +107,7 @@ class TestSequentialPackingEquivalence:
 
 class TestPerTrialPackingEquivalence:
     def test_matches_scalar_replay(self, small_grid):
-        runner = CampaignRunner(small_grid, UniformInjector(0.02, seed=0),
+        runner = CampaignRunner(small_grid, UniformInjector(0.02),
                                 seed=123, seeding="per-trial", batch_size=7,
                                 packing="u64")
         assert runner.run(30).as_dict() == runner.run_reference(30).as_dict()
@@ -119,7 +116,7 @@ class TestPerTrialPackingEquivalence:
                                         [(0, 1), (1, 64), (64, 70)]])
     def test_shard_layout_invariant(self, small_grid, splits):
         def engine():
-            return BatchCampaign(small_grid, UniformInjector(0.03, seed=0),
+            return BatchCampaign(small_grid, UniformInjector(0.03),
                                  batch_size=4, packing="u64")
         whole = engine().run_range_seeded(entropy=99, lo=0, hi=70)
         sharded = merge_results([engine().run_range_seeded(99, lo, hi)
@@ -129,7 +126,7 @@ class TestPerTrialPackingEquivalence:
     def test_packing_invariant_per_trial(self, small_grid):
         """Same entropy, different layouts: identical tallies."""
         tallies = [
-            CampaignRunner(small_grid, UniformInjector(0.02, seed=0),
+            CampaignRunner(small_grid, UniformInjector(0.02),
                            seed=55, seeding="per-trial", batch_size=6,
                            packing=packing).run(24).as_dict()
             for packing in ("u8", "u64")]
@@ -137,7 +134,7 @@ class TestPerTrialPackingEquivalence:
 
     def test_worker_count_invariant(self, small_grid):
         results = [
-            CampaignRunner(small_grid, UniformInjector(0.02, seed=0),
+            CampaignRunner(small_grid, UniformInjector(0.02),
                            seed=55, seeding="per-trial", workers=w,
                            batch_size=6, packing="u64").run(24).as_dict()
             for w in (1, 2)]  # workers=2 ships packing through the pool
@@ -164,7 +161,7 @@ class TestPackedSimulators:
     def test_adaptive_packed_matches_u8(self, small_grid):
         def run(packing):
             return CampaignRunner(
-                small_grid, UniformInjector(0.05, seed=1), seed=7,
+                small_grid, UniformInjector(0.05), seed=7,
                 batch_size=16, packing=packing).run_adaptive(
                     tolerance=0.2, initial_trials=32,
                     max_trials=128).result.as_dict()
@@ -178,11 +175,6 @@ class TestPackingValidation:
         with pytest.raises(ValueError):
             CampaignRunner(small_grid, UniformInjector(0.01), packing="u32")
 
-    def test_scalar_engine_rejects_packed(self, small_grid):
-        with pytest.raises(ValueError):
-            CampaignRunner(small_grid, UniformInjector(0.01),
-                           engine="scalar", packing="u64")
-
 
 class TestPackedInjectorGroundTruth:
     """inject_batch_packed must produce the same event stream and the
@@ -195,19 +187,21 @@ class TestPackedInjectorGroundTruth:
         n, m = small_grid.n, small_grid.m
         b = small_grid.blocks_per_side
         trials = 70  # straddles the word boundary
+        streams = TrialStreams(13, 0, trials, INJECT_STREAM)
 
         inj8 = make_injector()
         data8 = np.zeros((trials, n, n), dtype=np.uint8)
         lead8 = np.zeros((trials, m, b, b), dtype=np.uint8)
         ctr8 = np.zeros((trials, m, b, b), dtype=np.uint8)
-        res8 = inj8.inject_batch(data8, lead8, ctr8)
+        res8 = inj8.inject_batch(data8, lead8, ctr8, streams=streams)
 
         inj64 = make_injector()
         nwords = bitpack.words_for(trials)
         data64 = np.zeros((nwords, n, n), dtype=np.uint64)
         lead64 = np.zeros((nwords, m, b, b), dtype=np.uint64)
         ctr64 = np.zeros((nwords, m, b, b), dtype=np.uint64)
-        res64 = inj64.inject_batch_packed(trials, data64, lead64, ctr64)
+        res64 = inj64.inject_batch_packed(trials, data64, lead64, ctr64,
+                                          streams=streams)
 
         for i in range(trials):
             a, c = res8.result_of(i), res64.result_of(i)

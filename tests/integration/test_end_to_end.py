@@ -13,6 +13,7 @@ from repro.arch.config import ArchConfig
 from repro.arch.pim import ProtectedPIM
 from repro.circuits import BENCHMARKS
 from repro.faults.injector import UniformInjector
+from repro.utils.rng import INJECT_STREAM, TrialStreams
 from repro.logic.nor_mapping import map_to_nor
 from repro.synth.ecc_scheduler import EccTimingModel
 from repro.synth.simpler import SimplerConfig, synthesize
@@ -52,8 +53,9 @@ class TestProtectedExecutionPipeline:
         pim = ProtectedPIM(ArchConfig(n=105, m=5, pc_count=3))
         data = rng.integers(0, 2, (105, 105), dtype=np.uint8)
         pim.write_data(0, 0, data)
-        injector = UniformInjector(0.0005, seed=3, include_check_bits=False)
-        result = injector.inject(pim.mem)
+        injector = UniformInjector(0.0005, include_check_bits=False)
+        result = injector.inject(
+            pim.mem, streams=TrialStreams(3, 0, 1, INJECT_STREAM))
         sweep = pim.periodic_check()
         # Every injected fault hit a distinct block at this rate/seed.
         assert sweep.data_corrections == len(result.data_flips)

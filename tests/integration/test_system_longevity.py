@@ -15,6 +15,7 @@ from repro.arch.config import ArchConfig
 from repro.arch.memory import MemoryBank
 from repro.circuits import BENCHMARKS
 from repro.faults.injector import UniformInjector
+from repro.utils.rng import INJECT_STREAM, TrialStreams
 from repro.logic.nor_mapping import map_to_nor
 from repro.synth.simpler import SimplerConfig, synthesize
 
@@ -31,11 +32,11 @@ class TestLongevity:
 
         detected_windows = 0
         for day in range(30):
-            injector = UniformInjector(0.004, seed=100 + day,
-                                       include_check_bits=False)
+            injector = UniformInjector(0.004, include_check_bits=False)
             per_block = {}
             for ci, pim in enumerate(bank.crossbars):
-                result = injector.inject(pim.mem)
+                result = injector.inject(pim.mem, streams=TrialStreams(
+                    100 + day, ci, ci + 1, INJECT_STREAM))
                 for r, c in result.data_flips:
                     key = (ci, pim.grid.block_of(r, c))
                     per_block[key] = per_block.get(key, 0) + 1

@@ -117,10 +117,9 @@ class TestCampaignProperties:
     def test_classification_partitions_trials(self, nm, p, seed, trials,
                                               batch_size):
         n, m = nm
-        result = BatchCampaign(BlockGrid(n, m),
-                               UniformInjector(p, seed=seed),
-                               seed=seed + 1,
-                               batch_size=batch_size).run(trials)
+        result = BatchCampaign(BlockGrid(n, m), UniformInjector(p),
+                               batch_size=batch_size).run_range_seeded(
+            seed, 0, trials)
         assert result.trials == trials
         assert (result.clean + result.corrected + result.detected
                 + result.silent) == trials
@@ -137,7 +136,7 @@ class TestCampaignProperties:
         grid = BlockGrid(9, 3)
 
         def engine(bs):
-            return BatchCampaign(grid, UniformInjector(0.05, seed=0),
+            return BatchCampaign(grid, UniformInjector(0.05),
                                  batch_size=bs)
         whole = engine(batch_size).run_range_seeded(entropy, 0, trials)
         sharded = merge_results([
@@ -147,14 +146,13 @@ class TestCampaignProperties:
 
 
 
-#: Injector factories spanning the whole simulator family; each takes a
-#: seed so sequential campaigns are reconstructible.
+#: Injector factories spanning the whole simulator family.
 INJECTOR_FAMILY = [
-    lambda seed: UniformInjector(0.05, seed=seed),
-    lambda seed: DriftInjector(
+    lambda: UniformInjector(0.05),
+    lambda: DriftInjector(
         DriftModel(tau_hours=150.0, beta=2.0, abrupt_fit_per_bit=5e5),
-        window_hours=24.0, refresh_period_hours=6.0, seed=seed),
-    lambda seed: LinearBurstInjector(2, "row", seed=seed),
+        window_hours=24.0, refresh_period_hours=6.0),
+    lambda: LinearBurstInjector(2, "row"),
 ]
 
 
@@ -173,7 +171,7 @@ class TestUnifiedEngineProperties:
         make = INJECTOR_FAMILY[which]
 
         def engine(bs):
-            return BatchCampaign(grid, make(0), batch_size=bs)
+            return BatchCampaign(grid, make(), batch_size=bs)
         whole = engine(batch_size).run_range_seeded(entropy, 0, trials)
         sharded = merge_results([
             engine(2).run_range_seeded(entropy, lo, hi)
@@ -193,7 +191,7 @@ class TestUnifiedEngineProperties:
         make = INJECTOR_FAMILY[which]
 
         def tallies(packing):
-            return BatchCampaign(grid, make(0), batch_size=batch_size,
+            return BatchCampaign(grid, make(), batch_size=batch_size,
                                  packing=packing).run_range_seeded(
                 entropy, 0, trials).as_dict()
         assert tallies("u64") == tallies("u8")
@@ -205,9 +203,9 @@ class TestUnifiedEngineProperties:
     def test_classification_partitions_across_family(self, which, seed,
                                                      trials, batch_size):
         grid = BlockGrid(9, 3)
-        result = BatchCampaign(grid, INJECTOR_FAMILY[which](seed),
-                               seed=seed + 1,
-                               batch_size=batch_size).run(trials)
+        result = BatchCampaign(grid, INJECTOR_FAMILY[which](),
+                               batch_size=batch_size).run_range_seeded(
+            seed, 0, trials)
         assert result.trials == trials
         assert (result.clean + result.corrected + result.detected
                 + result.silent) == trials

@@ -1,26 +1,27 @@
 """Differential suite for the batched burst-survival path.
 
-``simulate_burst_survival`` now rides the unified campaign engine; these
-tests pin the scalar/batched equivalence and the shard-invariance of the
-per-trial mode, plus the event-level ground truth of the new
-``LinearBurstInjector``.
+``simulate_burst_survival`` rides the unified campaign engine; these
+tests pin its equivalence to the scalar replay (``run_reference``), its
+shard invariance and its agreement with the closed form, plus the
+event-level ground truth of ``LinearBurstInjector``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.blocks import BlockGrid
-from repro.faults import (
-    BatchCampaign,
-    CampaignRunner,
-    FaultCampaign,
-    LinearBurstInjector,
-)
+from repro.faults import CampaignRunner, LinearBurstInjector
 from repro.reliability.burst import (
     linear_burst_survival,
     simulate_burst_survival,
 )
+from repro.utils.rng import INJECT_STREAM, TrialStreams
 from repro.xbar.crossbar import CrossbarArray
+
+
+def trial(entropy, i=0):
+    """Trial ``i``'s one-trial injection span under ``entropy``."""
+    return TrialStreams(entropy, i, i + 1, INJECT_STREAM)
 
 
 class TestLinearBurstInjector:
@@ -30,15 +31,16 @@ class TestLinearBurstInjector:
         n = small_grid.n
         trials = 8
 
-        scalar = LinearBurstInjector(3, orientation, seed=21)
+        scalar = LinearBurstInjector(3, orientation)
         scalar_results = []
-        for _ in range(trials):
+        for i in range(trials):
             mem = CrossbarArray(n, n)
-            scalar_results.append(scalar.inject(mem))
+            scalar_results.append(scalar.inject(mem, streams=trial(21, i)))
 
-        batched = LinearBurstInjector(3, orientation, seed=21)
+        batched = LinearBurstInjector(3, orientation)
         data = np.zeros((trials, n, n), dtype=np.uint8)
-        got = batched.inject_batch(data)
+        got = batched.inject_batch(
+            data, streams=TrialStreams(21, 0, trials, INJECT_STREAM))
 
         for i, expected in enumerate(scalar_results):
             assert got.result_of(i).data_flips == expected.data_flips
@@ -46,7 +48,8 @@ class TestLinearBurstInjector:
     def test_burst_shape(self, tiny_grid):
         n = tiny_grid.n
         mem = CrossbarArray(n, n)
-        result = LinearBurstInjector(4, "row", seed=0).inject(mem)
+        result = LinearBurstInjector(4, "row").inject(mem,
+                                                      streams=trial(0))
         rows = {r for r, _ in result.data_flips}
         cols = [c for _, c in result.data_flips]
         assert len(rows) == 1  # one lane
@@ -57,11 +60,12 @@ class TestLinearBurstInjector:
     def test_wraparound_placements_occur(self, tiny_grid):
         """Start is uniform over the full lane, so some bursts wrap."""
         n = tiny_grid.n
-        injector = LinearBurstInjector(3, "row", seed=1)
+        injector = LinearBurstInjector(3, "row")
         wrapped = 0
-        for _ in range(200):
+        for i in range(200):
             mem = CrossbarArray(n, n)
-            cols = [c for _, c in injector.inject(mem).data_flips]
+            cols = [c for _, c in injector.inject(
+                mem, streams=trial(1, i)).data_flips]
             wrapped += int(max(cols) - min(cols) > 2)
         assert wrapped > 0
 
@@ -75,14 +79,16 @@ class TestLinearBurstInjector:
 class TestEngineEquivalence:
     @pytest.mark.parametrize("length", [1, 2, 4])
     @pytest.mark.parametrize("orientation", ["row", "col"])
-    def test_batched_matches_scalar(self, length, orientation):
+    def test_batched_matches_reference(self, length, orientation):
         grid = BlockGrid(15, 3)
-        kwargs = dict(orientation=orientation, seed=5)
-        s = simulate_burst_survival(grid, length, 40, engine="scalar",
-                                    **kwargs)
-        b = simulate_burst_survival(grid, length, 40, engine="batched",
-                                    batch_size=7, **kwargs)
-        assert s == b
+        reference = CampaignRunner(
+            grid, LinearBurstInjector(length, orientation), seed=5
+        ).run_reference(40)
+        b = simulate_burst_survival(grid, length, 40, orientation=orientation,
+                                    seed=5, batch_size=7)
+        assert (b.trials, b.survived, b.detected) == (
+            reference.trials, reference.clean + reference.corrected,
+            reference.detected)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_batch_size_invisible(self, small_grid, batch_size):
@@ -92,26 +98,18 @@ class TestEngineEquivalence:
                                         batch_size=batch_size)
         assert reference == other
 
-    def test_campaign_engine_equivalence_direct(self, small_grid):
-        """The underlying campaigns agree flip for flip."""
-        scalar = FaultCampaign(small_grid, LinearBurstInjector(2, seed=3),
-                               seed=6).run(25)
-        batched = BatchCampaign(small_grid, LinearBurstInjector(2, seed=3),
-                                seed=6, batch_size=4).run(25)
-        assert scalar.as_dict() == batched.as_dict()
-
 
 class TestPerTrialSeeding:
     def test_worker_count_invariant(self, small_grid):
         one = simulate_burst_survival(small_grid, 2, 24, seed=9, workers=1,
-                                      seeding="per-trial", batch_size=5)
+                                      batch_size=5)
         two = simulate_burst_survival(small_grid, 2, 24, seed=9, workers=2,
                                       batch_size=5)
         assert one == two
 
     def test_matches_scalar_replay(self, small_grid):
-        runner = CampaignRunner(small_grid, LinearBurstInjector(2, seed=0),
-                                seed=12, seeding="per-trial", batch_size=5)
+        runner = CampaignRunner(small_grid, LinearBurstInjector(2),
+                                seed=12, batch_size=5)
         assert runner.run(20).as_dict() == runner.run_reference(20).as_dict()
 
 
@@ -127,13 +125,28 @@ class TestStatisticalContract:
         sigma = (analytic * (1 - analytic) / trials) ** 0.5
         assert abs(result.survival_rate - analytic) < 5 * sigma
 
+    @pytest.mark.parametrize("seed", [2, 0xB0257_5EED, 2 ** 90 + 1])
+    @pytest.mark.parametrize("orientation", ["row", "col"])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_lengths_and_orientations_match_closed_form(
+            self, length, orientation, seed):
+        """4,000 trials still put the no-wrap bias at L=2 six sigma
+        out; L=1 and L=3 are exact, so a few hundred trials suffice."""
+        grid = BlockGrid(15, 3)
+        trials = 4000 if length == 2 else 400
+        result = simulate_burst_survival(grid, length, trials=trials,
+                                         orientation=orientation, seed=seed)
+        analytic = linear_burst_survival(3, length)
+        sigma = (analytic * (1 - analytic) / trials) ** 0.5
+        assert abs(result.survival_rate - analytic) <= 5 * sigma
+
     def test_length_validation(self, tiny_grid):
         with pytest.raises(ValueError):
             simulate_burst_survival(tiny_grid, tiny_grid.n + 1, 5)
 
     def test_numpy_integer_seed_is_deterministic(self, small_grid):
         """Regression: np.integer seeds must not fall back to fresh
-        OS entropy in the sequential seed-splitting path."""
+        OS entropy."""
         a = simulate_burst_survival(small_grid, 2, 30, seed=np.int64(5))
         b = simulate_burst_survival(small_grid, 2, 30, seed=np.int64(5))
         c = simulate_burst_survival(small_grid, 2, 30, seed=5)

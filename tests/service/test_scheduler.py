@@ -117,7 +117,7 @@ class TestWorkloadFamilies:
         expected = simulate_drift_survival(
             spec.build_grid(), spec.build_injector().model,
             spec.window_hours, spec.refresh_period_hours,
-            trials=spec.trials, seed=spec.seed, seeding="per-trial")
+            trials=spec.trials, seed=spec.seed)
         assert result_from_dict(job.result).as_dict() == expected.as_dict()
 
     def test_burst_survival_matches_entry_point(self, tmp_path):
@@ -127,8 +127,7 @@ class TestWorkloadFamilies:
         tallies = result_from_dict(job.result)
         expected = simulate_burst_survival(
             spec.build_grid(), spec.length, spec.trials,
-            orientation=spec.orientation, seed=spec.seed,
-            seeding="per-trial")
+            orientation=spec.orientation, seed=spec.seed)
         assert tallies.clean + tallies.corrected == expected.survived
         assert tallies.detected == expected.detected
         assert tallies.silent == 0

@@ -7,7 +7,6 @@ from repro.utils.rng import (
     make_rng,
     resolve_entropy,
     shard_bounds,
-    spawn_rngs,
 )
 
 
@@ -28,20 +27,6 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(3, 5)) == 5
-
-    def test_children_reproducible(self):
-        a = [g.integers(0, 100, 3).tolist() for g in spawn_rngs(3, 4)]
-        b = [g.integers(0, 100, 3).tolist() for g in spawn_rngs(3, 4)]
-        assert a == b
-
-    def test_children_independent(self):
-        g1, g2 = spawn_rngs(3, 2)
-        assert g1.integers(0, 10**9) != g2.integers(0, 10**9)
 
 
 class TestResolveEntropy:
