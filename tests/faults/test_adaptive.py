@@ -49,6 +49,14 @@ class TestAdaptiveSampling:
         plain = _runner().run(out.trials)
         assert out.result.as_dict() == plain.as_dict()
 
+    def test_scalar_replay_of_the_rounds(self):
+        """``run_reference`` replays every round of an adaptive run."""
+        out = _runner().run_adaptive(tolerance=0.2, initial_trials=16,
+                                     max_trials=64)
+        assert out.trials >= 16
+        assert out.result.as_dict() == \
+            _runner().run_reference(out.trials).as_dict()
+
     def test_worker_invariance(self):
         one = _runner(workers=1).run_adaptive(
             tolerance=0.08, initial_trials=48, max_trials=1024)

@@ -227,6 +227,26 @@ class TestPlannedTalliesPerTrial:
         assert runner().shard_task(5, 300).batch_size is None
 
 
+class TestPlannedTalliesRunner:
+    """A default ``CampaignRunner`` (no ``batch_size``, no ``seeding``)
+    hands every injector kind and code to the planned engine."""
+
+    @pytest.mark.parametrize("code", CODES)
+    @pytest.mark.parametrize("kind", sorted(INJECTORS))
+    def test_planned_equals_fixed(self, kind, code):
+        def run(batch_size):
+            return CampaignRunner(GRID, INJECTORS[kind](0.02), seed=7,
+                                  batch_size=batch_size,
+                                  code=code).run(300)
+
+        assert tallies(run(None)) == tallies(run(64))
+
+    @pytest.mark.parametrize("kind", sorted(INJECTORS))
+    def test_default_run_equals_reference(self, kind):
+        runner = CampaignRunner(GRID, INJECTORS[kind](0.02), seed=7)
+        assert tallies(runner.run(64)) == tallies(runner.run_reference(64))
+
+
 # ---------------------------------------------------------------------- #
 # Split points of one range
 # ---------------------------------------------------------------------- #

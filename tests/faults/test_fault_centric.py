@@ -224,6 +224,31 @@ class TestDeterministic:
         assert outcome[0] == kind
 
 
+class TestBlockSizes:
+    """From trial 0, one-trial blocks, whole-group blocks and the
+    planned blocks all tally like the sweep."""
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    @pytest.mark.parametrize("make", [
+        lambda: UniformInjector(2e-2),
+        lambda: BurstInjector(strikes=2),
+        lambda: LinearBurstInjector(3, "col"),
+    ], ids=["uniform", "burst", "linear_burst"])
+    def test_block_size_changes_no_outcome(self, code, make):
+        trials = 70
+        expected = sweep_outcomes(
+            GRID, make(), code, TrialStreams(ENTROPY, 0, trials,
+                                             INJECT_STREAM), trials)
+        engine = BatchCampaign(GRID, make(), code=code, batch_size=1)
+        assert engine_outcomes(engine, ENTROPY, 0, trials) == expected
+        for batch_size in (1, 64, None):
+            whole = BatchCampaign(GRID, make(), code=code,
+                                  batch_size=batch_size) \
+                .run_range_seeded(ENTROPY, 0, trials).as_dict()
+            assert {k: whole[k] for k in totals_of(expected)} \
+                == totals_of(expected), batch_size
+
+
 # ---------------------------------------------------------------------- #
 # The premise, at m = 3: every error pattern of one block
 # ---------------------------------------------------------------------- #

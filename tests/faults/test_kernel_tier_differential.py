@@ -127,6 +127,13 @@ class TestTierFreeTallies:
         assert got.as_dict() == expected.as_dict()
 
     @pytest.mark.parametrize("code", ALL_CODES)
+    def test_scalar_reference_needs_no_tier(self, code, drop_tier):
+        """The scalar replay checks tier-free workers too."""
+        expected = _runner(code).run(64).as_dict()
+        drop_tier()
+        assert _runner(code).run_reference(64).as_dict() == expected
+
+    @pytest.mark.parametrize("code", ALL_CODES)
     def test_shard_task_executes_identically(self, code, drop_tier):
         task = _runner(code).shard_task(0, 96)
         expected = run_shard_task(task).as_dict()
